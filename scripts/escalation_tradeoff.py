@@ -1,8 +1,9 @@
 """Sweep the escalation threshold and show the precision/safety trade.
 
-Higher tau fires the venomous-candidate rule more often: P1
-(venomous -> harmless) falls while macro F1 pays for the swapped-in
-lower-probability predictions. The composite weighs that trade 5:1.
+Higher tau fires the venomous-candidate rule more often: P3
+(venomous -> harmless) falls while P2 (harmless -> venomous) rises and
+macro F1 pays for the swapped-in lower-probability predictions. The
+composite weighs that trade 5:1.
 """
 
 import argparse
@@ -49,7 +50,10 @@ def main() -> None:
     ids = sorted(gen.truth)
     truth = np.array([gen.truth[i] for i in ids])
 
-    print(f"{'tau':>5} {'escalated':>9} {'macro_f1':>9} {'P1':>7} {'P2':>7} {'composite':>10}")
+    print(
+        f"{'tau':>5} {'escalated':>9} {'macro_f1':>9} {'P1':>7} {'P2':>7} "
+        f"{'P3':>7} {'composite':>10}"
+    )
     for tau in args.taus:
         out = predict_dataset(
             bundle, prior=artifact, policy=EscalationPolicy(tau=tau, top_k=5)
@@ -61,7 +65,7 @@ def main() -> None:
         r = build_report(truth, pred, bundle.classes)
         print(
             f"{tau:>5.2f} {moved:>9d} {r.macro_f1:>9.4f} {r.p1:>7.3f} "
-            f"{r.p2:>7.3f} {r.composite:>10.4f}"
+            f"{r.p2:>7.3f} {r.p3:>7.3f} {r.composite:>10.4f}"
         )
 
 

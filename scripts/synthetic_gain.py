@@ -55,9 +55,9 @@ def run(seed: int, epochs: int, tau: float, pca_k: int) -> None:
     ]
 
     print(f"seed={seed} epochs={epochs} train loss {trace[0]:.3f} -> {trace[-1]:.3f}")
-    print(f"{'configuration':<34} {'macro_f1':>9} {'P1':>7} {'composite':>10}")
+    print(f"{'configuration':<34} {'macro_f1':>9} {'P3':>7} {'composite':>10}")
     for name, r in rows:
-        print(f"{name:<34} {r.macro_f1:>9.4f} {r.p1:>7.3f} {r.composite:>10.4f}")
+        print(f"{name:<34} {r.macro_f1:>9.4f} {r.p3:>7.3f} {r.composite:>10.4f}")
     print(f"total {time.perf_counter() - start:.1f} s")
 
 

@@ -20,7 +20,6 @@ from .data_model import (
 from .inference import (
     EscalationPolicy,
     PredictionResult,
-    aggregate_observation,
     escalate_venomous,
     joint_scores,
     predict_dataset,

@@ -8,6 +8,8 @@ little-endian on disk and promoted to float64 for all computation.
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -261,6 +263,17 @@ def write_record(fh: BinaryIO, matrix: FeatureMatrix) -> None:
     fh.write(np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
 
 
+def _bytes_left(fh: BinaryIO) -> int | None:
+    """Bytes between the position and the end of a regular file, else None."""
+    try:
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None
+        return info.st_size - fh.tell()
+    except (OSError, ValueError):  # no file descriptor, unseekable or closed
+        return None
+
+
 def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
     """Read one VGF1 record; raises FormatError on any malformation."""
     magic = fh.read(4)
@@ -271,6 +284,12 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
         raise FormatError(f"{source}: truncated header")
     rows, dims = struct.unpack("<QQ", header)
     n_bytes = rows * dims * 4
+    left = _bytes_left(fh)
+    if left is not None and n_bytes > left:
+        raise FormatError(
+            f"{source}: header declares {rows}x{dims} values ({n_bytes} bytes) "
+            f"but only {left} bytes remain"
+        )
     payload = fh.read(n_bytes)
     if len(payload) != n_bytes:
         raise FormatError(

@@ -3,39 +3,18 @@ observation, then apply the venom-aware escalation rule."""
 
 from __future__ import annotations
 
-import os
+import csv
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data_model import ClassTable, DatasetBundle
+from .data_model import ClassTable, DatasetBundle, _open_csv
+from .errors import CsvParseError
 from .linalg_pca import pca_transform
 from .losses import softmax
 from .prior_model import PriorArtifact, _forward
-
-_STAGES = ("raw", "combined", "aggregated")
-
-
-@dataclass
-class ScoreMatrix:
-    """Per-example class scores with a pipeline stage tag."""
-
-    values: np.ndarray
-    stage: str
-
-    def __post_init__(self):
-        if self.stage not in _STAGES:
-            raise ValueError(f"stage must be one of {_STAGES}, got {self.stage!r}")
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("scores must be a 2-D matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("scores must be finite")
-        if self.stage != "raw" and np.any(self.values < 0.0):
-            raise ValueError(f"{self.stage} scores must be non-negative")
 
 
 @dataclass
@@ -69,9 +48,9 @@ class PredictionOutput:
     """
 
     results: list[PredictionResult]
-    raw: ScoreMatrix
-    combined: ScoreMatrix
-    aggregated: ScoreMatrix
+    raw: np.ndarray
+    combined: np.ndarray
+    aggregated: np.ndarray
 
 
 def joint_scores(image_probs: np.ndarray, prior_logits: np.ndarray) -> np.ndarray:
@@ -82,24 +61,24 @@ def joint_scores(image_probs: np.ndarray, prior_logits: np.ndarray) -> np.ndarra
         raise ValueError("image scores and prior must have matching length")
     if np.any(image_probs < 0.0):
         raise ValueError("image scores must be non-negative")
-    return _joint_with_weights(image_probs, softmax(prior_logits))
+    return _joint_rows(image_probs[None, :], softmax(prior_logits)[None, :])[0]
 
 
-def _joint_with_weights(image_probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    joint = image_probs * weights
-    total = joint.sum()
-    if total <= 0.0:
+def _joint_rows(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Row-wise renormalized probs * weights; consumes weights in place.
+
+    A row whose product sums to <= 0 keeps its image probabilities.
+    """
+    joint = weights
+    joint *= probs
+    totals = joint.sum(axis=1)
+    vanished = totals <= 0.0
+    if vanished.any():
         warnings.warn("joint scores vanished; falling back to image scores")
-        return image_probs.copy()
-    return joint / total
-
-
-def aggregate_observation(rows: np.ndarray) -> np.ndarray:
-    """Mean probability row over the images of one observation."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[0] < 1:
-        raise ValueError("need at least one score row per observation")
-    return rows.mean(axis=0)
+        totals[vanished] = 1.0
+        joint[vanished] = probs[vanished]
+    joint /= totals[:, None]
+    return joint
 
 
 def escalate_venomous(
@@ -115,40 +94,23 @@ def escalate_venomous(
         raise ValueError("probability row and class table must align")
     if abs(row.sum() - 1.0) > 1e-9:
         raise ValueError("probability row must sum to 1")
-    base = int(np.argmax(row))
-    if row[base] >= policy.tau:
-        return base
-    k = min(policy.top_k, row.size)
-    # lexsort: last key is primary, so order is score desc then id asc
-    order = np.lexsort((np.arange(row.size), -row))[:k]
-    for idx in order:
-        if flags[idx]:
-            return int(idx)
-    return base
+    base = np.argmax(row, keepdims=True)
+    return int(_escalate_rows(row[None, :], base, flags, policy)[0])
 
 
-def worker_count() -> int:
-    """Thread count for the prediction loop; VENOMGUARD_THREADS overrides."""
-    raw = os.environ.get("VENOMGUARD_THREADS", "").strip()
-    if raw in ("", "0"):
-        return min(8, os.cpu_count() or 1)
-    value = int(raw)
-    if value < 1:
-        raise ValueError("VENOMGUARD_THREADS must be a positive integer or 0")
-    return value
-
-
-def _row_probabilities(scores: np.ndarray, scores_are_logits: bool) -> np.ndarray:
-    if scores_are_logits:
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        expo = np.exp(shifted)
-        return expo / expo.sum(axis=1, keepdims=True)
-    if np.any(scores < 0.0):
-        raise ValueError("probability scores must be non-negative")
-    sums = scores.sum(axis=1)
-    if np.any(sums <= 0.0):
-        raise ValueError("probability score rows must have positive sum")
-    return scores / sums[:, None]
+def _escalate_rows(
+    agg: np.ndarray, base: np.ndarray, flags: np.ndarray, policy: EscalationPolicy
+) -> np.ndarray:
+    """Final class per row: base where confident, else the best venomous top-k."""
+    final = base.copy()
+    low = np.flatnonzero(agg[np.arange(agg.shape[0]), base] < policy.tau)
+    # stable sort of the negated scores: score desc, then class id asc
+    top = np.argsort(-agg[low], axis=1, kind="stable")[:, : policy.top_k]
+    venomous = flags[top]
+    found = venomous.any(axis=1)
+    first = venomous.argmax(axis=1)
+    final[low[found]] = top[found, first[found]]
+    return final
 
 
 def _prior_weights_by_location(
@@ -157,10 +119,7 @@ def _prior_weights_by_location(
     """softmax(prior) per location row, computed once and reused."""
     reduced = pca_transform(prior.pca, bundle.metadata_features)
     emb, _ = _forward(prior.mlp, reduced.values)
-    logits = emb @ prior.prototypes.matrix
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expo = np.exp(shifted)
-    return expo / expo.sum(axis=1, keepdims=True)
+    return softmax(emb @ prior.prototypes.matrix)
 
 
 def predict_dataset(
@@ -175,11 +134,19 @@ def predict_dataset(
     scores = bundle.image_scores.values
     if scores.shape[1] != n_classes:
         raise ValueError(f"score width {scores.shape[1]} != class count {n_classes}")
-    probs = _row_probabilities(scores, scores_are_logits)
+    if scores_are_logits:
+        probs = softmax(scores)
+    else:
+        if np.any(scores < 0.0):
+            raise ValueError("probability scores must be non-negative")
+        sums = scores.sum(axis=1)
+        if np.any(sums <= 0.0):
+            raise ValueError("probability score rows must have positive sum")
+        probs = scores / sums[:, None]
 
     obs_rows = bundle.observations.rows
     image_idx = np.array([r.image_index for r in obs_rows], dtype=np.int64)
-    raw = probs[image_idx] if obs_rows else np.empty((0, n_classes))
+    raw = probs[image_idx]
 
     if prior is not None:
         if prior.prototypes.n_classes != n_classes:
@@ -189,84 +156,76 @@ def predict_dataset(
             [bundle.locations.entries[r.location_code] for r in obs_rows],
             dtype=np.int64,
         )
-        combined = np.empty_like(raw)
-        for i in range(raw.shape[0]):
-            combined[i] = _joint_with_weights(raw[i], loc_weights[loc_idx[i]])
+        combined = _joint_rows(raw, loc_weights[loc_idx])
     else:
         combined = raw.copy()
 
-    groups = bundle.observations.groups()
-    row_pos: dict[str, list[int]] = {obs_id: [] for obs_id in groups}
-    for i, row in enumerate(obs_rows):
-        row_pos[row.observation_id].append(i)
-    items = sorted(row_pos.items())
+    # object dtype keeps Python's str ordering and equality for the ids
+    obs_ids = np.array([r.observation_id for r in obs_rows], dtype=object)
+    ids, group = np.unique(obs_ids, return_inverse=True)
+    # np.add.at sums each group's rows in file order, as a per-group mean would
+    aggregated = np.zeros((ids.size, n_classes))
+    np.add.at(aggregated, group, combined)
+    aggregated /= np.bincount(group, minlength=ids.size)[:, None]
 
-    def predict_group(pair: tuple[str, list[int]]):
-        obs_id, positions = pair
-        agg = aggregate_observation(combined[positions])
-        base = int(np.argmax(agg))
-        final = escalate_venomous(agg, bundle.classes, policy)
-        result = PredictionResult(
-            observation_id=obs_id,
-            class_id=final,
-            pre_escalation_class_id=base,
-            confidence=float(agg[base]),
+    base = aggregated.argmax(axis=1)
+    final = _escalate_rows(aggregated, base, bundle.classes.venomous_flags, policy)
+    confidence = aggregated[np.arange(ids.size), base]
+    results = [
+        PredictionResult(obs_id, cls, pre, conf)
+        for obs_id, cls, pre, conf in zip(
+            ids.tolist(), final.tolist(), base.tolist(), confidence.tolist()
         )
-        return result, agg
-
-    workers = worker_count()
-    if workers <= 1 or len(items) < 2 * workers:
-        pairs = [predict_group(pair) for pair in items]
-    else:
-        # chunked map keeps output order independent of scheduling
-        chunks = [items[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda ch: [predict_group(p) for p in ch], chunks))
-        flat = {res.observation_id: (res, agg) for part in parts for res, agg in part}
-        pairs = [flat[obs_id] for obs_id, _ in items]
-
-    results = [res for res, _ in pairs]
-    aggregated = (
-        np.vstack([agg for _, agg in pairs]) if pairs else np.empty((0, n_classes))
-    )
+    ]
     return PredictionOutput(
-        results=results,
-        raw=ScoreMatrix(raw, "raw"),
-        combined=ScoreMatrix(combined, "combined"),
-        aggregated=ScoreMatrix(aggregated, "aggregated"),
+        results=results, raw=raw, combined=combined, aggregated=aggregated
     )
 
 
 def write_predictions_csv(
     path: str | Path, results: list[PredictionResult], explain: bool = False
 ) -> None:
-    lines = []
-    if explain:
-        lines.append("observation_id,class_id,pre_escalation_class_id,confidence")
-        for r in results:
-            lines.append(
-                f"{r.observation_id},{r.class_id},{r.pre_escalation_class_id},{r.confidence!r}"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if explain:
+            writer.writerow(
+                ["observation_id", "class_id", "pre_escalation_class_id", "confidence"]
             )
-    else:
-        lines.append("observation_id,class_id")
-        for r in results:
-            lines.append(f"{r.observation_id},{r.class_id}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            writer.writerows(
+                [
+                    r.observation_id,
+                    r.class_id,
+                    r.pre_escalation_class_id,
+                    repr(r.confidence),
+                ]
+                for r in results
+            )
+        else:
+            writer.writerow(["observation_id", "class_id"])
+            writer.writerows([r.observation_id, r.class_id] for r in results)
 
 
 def read_predictions_csv(path: str | Path) -> dict[str, int]:
     """Minimal reader for scoring: observation_id -> predicted class."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("observation_id,class_id"):
-        raise ValueError(f"{path}: missing prediction header")
+    fh, reader = _open_csv(path, ["observation_id", "class_id"])
     out: dict[str, int] = {}
-    for number, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) < 2:
-            raise ValueError(f"{path}:{number}: expected observation_id,class_id")
-        obs_id = parts[0]
-        if obs_id in out:
-            raise ValueError(f"{path}:{number}: duplicate observation {obs_id}")
-        out[obs_id] = int(parts[1])
+    with fh:
+        for row in reader:
+            if not row:
+                continue
+            # line_num counts physical lines, so quoted newlines in ids are counted
+            lineno = reader.line_num
+            if len(row) < 2:
+                raise CsvParseError(
+                    str(path), lineno, "expected observation_id,class_id"
+                )
+            obs_id, cid_s = row[0], row[1]
+            if obs_id in out:
+                raise CsvParseError(
+                    str(path), lineno, f"duplicate observation {obs_id}"
+                )
+            try:
+                out[obs_id] = int(cid_s)
+            except ValueError:
+                raise CsvParseError(str(path), lineno, f"bad class_id {cid_s!r}")
     return out

@@ -73,12 +73,13 @@ class CostMatrix:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, so a matrix is normalized row by row."""
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    shifted = z - z.max()
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_target(z: np.ndarray, y: int) -> np.ndarray:

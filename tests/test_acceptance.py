@@ -206,8 +206,7 @@ def test_criterion_07_optimizer_and_schedule_contracts():
     _report(7, "AdamW decay/convergence and schedule endpoints are exact", ok)
 
 
-def test_criterion_08_prior_and_escalation_beat_baseline(monkeypatch):
-    monkeypatch.setenv("VENOMGUARD_THREADS", "1")
+def test_criterion_08_prior_and_escalation_beat_baseline():
     start = time.perf_counter()
 
     gen = generate(SynthConfig())

@@ -195,6 +195,23 @@ class TestPipeline:
         assert code == 0
         assert "composite        100.0000" in out
 
+    def test_non_integer_predicted_class_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("observation_id,class_id\nobs_1,x\n")
+        code, _, err = run(
+            capsys,
+            "score",
+            "--truth",
+            str(data / "truth.csv"),
+            "--pred",
+            str(preds),
+            "--classes",
+            str(data / "classes.csv"),
+        )
+        assert code == 2
+        assert "preds.csv:2: bad class_id 'x'" in err
+
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -302,6 +319,15 @@ class TestFormatErrors:
         code, _, err = run(capsys, "pca", str(bad), "-o", str(tmp_path / "p.bin"))
         assert code == 3
         assert "magic" in err
+
+    def test_oversized_header_exits_three(self, capsys, tmp_path):
+        # 20 bytes that declare 2**40 x 2**20 float32 values
+        bad = tmp_path / "huge.vgf1"
+        header = (2**40).to_bytes(8, "little") + (2**20).to_bytes(8, "little")
+        bad.write_bytes(b"VGF1" + header)
+        code, _, err = run(capsys, "pca", str(bad), "-o", str(tmp_path / "p.bin"))
+        assert code == 3
+        assert "only 0 bytes remain" in err
 
     def test_missing_feature_file_exits_three(self, capsys, tmp_path):
         code, _, _ = run(

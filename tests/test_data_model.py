@@ -154,6 +154,13 @@ class TestBinaryFormat:
         with pytest.raises(FormatError, match="truncat"):
             read_records(path, 1)
 
+    def test_header_larger_than_file_rejected_before_reading(self, tmp_path):
+        path = tmp_path / "m.bin"
+        header = (2**40).to_bytes(8, "little") + (2**20).to_bytes(8, "little")
+        path.write_bytes(MAGIC + header)
+        with pytest.raises(FormatError, match="declares"):
+            read_records(path, 1)
+
     def test_trailing_bytes_reported(self, tmp_path):
         path = tmp_path / "m.bin"
         write_records(path, [FeatureMatrix(np.zeros((1, 1)))])

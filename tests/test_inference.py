@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,38 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_prior_artifact
+from venomguard.data_model import FeatureMatrix, ObservationRow, ObservationTable
+from venomguard.errors import CsvParseError
 from venomguard.inference import (
     EscalationPolicy,
     PredictionResult,
-    ScoreMatrix,
-    aggregate_observation,
     escalate_venomous,
     joint_scores,
     predict_dataset,
     read_predictions_csv,
-    worker_count,
     write_predictions_csv,
 )
+from venomguard.linalg_pca import fit_pca, pca_transform
+from venomguard.prior_model import (
+    PriorArtifact,
+    PriorMlp,
+    PrototypeMatrix,
+    prior_scores,
+)
+from venomguard.synthetic import oracle_predict
 
 prob_rows = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8).map(
     lambda xs: np.array(xs) / np.sum(xs)
 )
-
-
-class TestScoreMatrix:
-    def test_stage_tag_validated(self):
-        with pytest.raises(ValueError, match="stage"):
-            ScoreMatrix(np.ones((1, 2)), "final")
-
-    def test_negative_probabilities_rejected_after_raw(self):
-        values = np.array([[0.5, -0.5]])
-        ScoreMatrix(values, "raw")  # raw rows may be signed logits
-        with pytest.raises(ValueError):
-            ScoreMatrix(values, "combined")
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            ScoreMatrix(np.array([[np.inf, 0.0]]), "raw")
 
 
 class TestJointScores:
@@ -84,26 +77,40 @@ class TestJointScores:
         assert np.all(out >= 0)
 
 
+def aggregated_one_observation(bundle, probs):
+    """predict_dataset's aggregated row for one observation whose images score probs."""
+    probs = np.asarray(probs)
+    rows = [ObservationRow("obs", i, 0, "loc_0") for i in range(len(probs))]
+    one = replace(
+        bundle, observations=ObservationTable(rows), image_scores=FeatureMatrix(probs)
+    )
+    out = predict_dataset(one, scores_are_logits=False)
+    assert out.aggregated.shape == (1, probs.shape[1])
+    return out.aggregated[0]
+
+
 class TestAggregate:
-    def test_single_row_identity(self):
-        row = np.array([[0.1, 0.9]])
-        assert np.array_equal(aggregate_observation(row), row[0])
+    def test_single_row_identity(self, tiny_bundle):
+        row = np.array([0.125, 0.5, 0.125, 0.125, 0.125])  # sums to 1 exactly
+        assert np.array_equal(aggregated_one_observation(tiny_bundle, [row]), row)
 
-    def test_two_rows_average(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(aggregate_observation(rows), [0.5, 0.5], atol=1e-12)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(0)
-        rows = rng.dirichlet(np.ones(4), size=5)
-        shuffled = rows[rng.permutation(5)]
+    def test_two_rows_average(self, tiny_bundle):
+        rows = np.eye(5)[:2]
         assert np.allclose(
-            aggregate_observation(rows), aggregate_observation(shuffled), atol=1e-12
+            aggregated_one_observation(tiny_bundle, rows),
+            [0.5, 0.5, 0.0, 0.0, 0.0],
+            atol=1e-12,
         )
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_observation(np.empty((0, 3)))
+    def test_permutation_invariant(self, tiny_bundle):
+        rng = np.random.default_rng(0)
+        rows = rng.dirichlet(np.ones(5), size=5)
+        shuffled = rows[rng.permutation(5)]
+        assert np.allclose(
+            aggregated_one_observation(tiny_bundle, rows),
+            aggregated_one_observation(tiny_bundle, shuffled),
+            atol=1e-12,
+        )
 
 
 class TestEscalation:
@@ -172,22 +179,6 @@ class TestEscalation:
                 assert final == int(np.argmax(row))
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("VENOMGUARD_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_empty_and_zero_fall_back_to_auto(self, monkeypatch):
-        for raw in ("", "0"):
-            monkeypatch.setenv("VENOMGUARD_THREADS", raw)
-            assert 1 <= worker_count() <= 8
-
-    def test_negative_rejected(self, monkeypatch):
-        monkeypatch.setenv("VENOMGUARD_THREADS", "-2")
-        with pytest.raises(ValueError):
-            worker_count()
-
-
 class TestPredictDataset:
     def test_argmax_of_averaged_softmax_without_prior(self, tiny_bundle):
         out = predict_dataset(
@@ -201,13 +192,12 @@ class TestPredictDataset:
     def test_intermediates_align_with_rows_and_results(self, tiny_bundle):
         out = predict_dataset(tiny_bundle)
         n_rows = len(tiny_bundle.observations.rows)
-        assert out.raw.values.shape == (n_rows, 5)
-        assert out.combined.values.shape == (n_rows, 5)
-        assert out.aggregated.values.shape == (len(out.results), 5)
-        assert out.raw.stage == "raw"
+        assert out.raw.shape == (n_rows, 5)
+        assert out.combined.shape == (n_rows, 5)
+        assert out.aggregated.shape == (len(out.results), 5)
         for i, r in enumerate(out.results):
-            assert out.aggregated.values[i].argmax() == r.pre_escalation_class_id
-            assert r.confidence == pytest.approx(out.aggregated.values[i].max())
+            assert out.aggregated[i].argmax() == r.pre_escalation_class_id
+            assert r.confidence == pytest.approx(out.aggregated[i].max())
 
     def test_constant_prior_preserves_predictions(self, tiny_bundle):
         plain = predict_dataset(tiny_bundle)
@@ -216,14 +206,12 @@ class TestPredictDataset:
         assert [r.class_id for r in plain.results] == [
             r.class_id for r in primed.results
         ]
-        assert np.allclose(
-            plain.aggregated.values, primed.aggregated.values, atol=1e-12
-        )
+        assert np.allclose(plain.aggregated, primed.aggregated, atol=1e-12)
 
     def test_probability_scores_mode(self, tiny_bundle):
         # Raw scores are non-negative, so they can be read as unnormalized probs.
         out = predict_dataset(tiny_bundle, scores_are_logits=False)
-        assert np.allclose(out.raw.values.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(out.raw.sum(axis=1), 1.0, atol=1e-12)
 
     def test_probability_mode_rejects_negative_scores(self, tiny_bundle):
         from dataclasses import replace
@@ -246,16 +234,69 @@ class TestPredictDataset:
         with pytest.raises(ValueError, match="width"):
             predict_dataset(bad)
 
-    def test_thread_count_does_not_change_predictions(self, monkeypatch, synth7):
-        bundle = synth7.bundle
-        monkeypatch.setenv("VENOMGUARD_THREADS", "1")
-        serial = predict_dataset(bundle)
-        monkeypatch.setenv("VENOMGUARD_THREADS", "4")
-        threaded = predict_dataset(bundle)
-        assert [r.class_id for r in serial.results] == [
-            r.class_id for r in threaded.results
+    def test_interleaved_rows_match_oracle(self, tiny_bundle):
+        # obs_a's images are split by obs_b's; each sits at its own location
+        rows = [
+            ObservationRow("obs_a", 0, 0, "loc_0"),
+            ObservationRow("obs_b", 2, 1, "loc_1"),
+            ObservationRow("obs_a", 1, 0, "loc_2"),
+            ObservationRow("obs_c", 3, 3, "loc_2"),
         ]
-        assert np.array_equal(serial.aggregated.values, threaded.aggregated.values)
+        bundle = replace(tiny_bundle, observations=ObservationTable(rows))
+        rng = np.random.default_rng(5)
+        pca = fit_pca(bundle.metadata_features, k=2)
+        mlp = PriorMlp.create(2, 8, 4, dropout_rate=0.0, seed=5)
+        proto = PrototypeMatrix(rng.standard_normal((4, 5)), normalized=False)
+        artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
+        reduced = pca_transform(pca, bundle.metadata_features).values
+        prior_rows = [prior_scores(mlp, x, proto).tolist() for x in reduced]
+        oracle_input = [
+            (
+                obs_id,
+                [bundle.image_scores.values[r.image_index].tolist() for r in group],
+                [bundle.locations.entries[r.location_code] for r in group],
+            )
+            for obs_id, group in bundle.observations.groups().items()
+        ]
+        flags = bundle.classes.venomous_flags.tolist()
+        for prior, logits in ((None, None), (artifact, prior_rows)):
+            for tau in (0.0, 0.5, 0.9):
+                policy = EscalationPolicy(tau=tau, top_k=3)
+                out = predict_dataset(bundle, prior=prior, policy=policy)
+                expected = oracle_predict(
+                    oracle_input, flags, tau=tau, top_k=3, prior_logits=logits
+                )
+                assert {r.observation_id: r.class_id for r in out.results} == expected
+                # obs_a is the file-order mean of rows 0 and 2
+                assert np.array_equal(
+                    out.aggregated[0], out.combined[[0, 2]].mean(axis=0)
+                )
+
+    def test_vanishing_joint_row_falls_back_alone(self, tiny_bundle):
+        # The prior puts all its weight on class 0; row 2 has no class-0 mass.
+        scores = np.array(
+            [
+                [4.0, 0.0, 1.0, 0.0, 0.0],
+                [3.0, 1.0, 0.0, 0.0, 0.0],
+                [0.0, 2.0, 1.0, 0.0, 0.0],
+                [0.5, 0.5, 0.0, 2.5, 0.0],
+            ]
+        )
+        bundle = replace(tiny_bundle, image_scores=FeatureMatrix(scores))
+        prior = constant_prior_artifact(bundle)
+        prior.mlp.b3 = np.ones_like(prior.mlp.b3)
+        proto = np.full(prior.prototypes.matrix.shape, -200.0)
+        proto[:, 0] = 200.0
+        prior.prototypes = PrototypeMatrix(proto, normalized=False)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = predict_dataset(bundle, prior=prior, scores_are_logits=False)
+        assert [str(w.message) for w in caught] == [
+            "joint scores vanished; falling back to image scores"
+        ]
+        assert np.array_equal(out.combined[2], out.raw[2])
+        for i in (0, 1, 3):
+            assert np.array_equal(out.combined[i], [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_results_sorted_by_observation_id(self, synth7):
         out = predict_dataset(synth7.bundle)
@@ -273,7 +314,24 @@ class TestPredictionCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "preds.csv"
         write_predictions_csv(path, self.results())
+        assert path.read_text() == "observation_id,class_id\nobs_a,3\nobs_b,0\n"
         assert read_predictions_csv(path) == {"obs_a": 3, "obs_b": 0}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ids=st.lists(
+            st.text(alphabet='ab_ 0,"\n', min_size=1, max_size=8),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        explain=st.booleans(),
+    )
+    def test_round_trip_ids_with_commas_and_quotes(self, tmp_path_factory, ids, explain):
+        results = [PredictionResult(obs_id, i, i, 0.5) for i, obs_id in enumerate(ids)]
+        path = tmp_path_factory.mktemp("preds") / "preds.csv"
+        write_predictions_csv(path, results, explain=explain)
+        assert read_predictions_csv(path) == {obs_id: i for i, obs_id in enumerate(ids)}
 
     def test_explain_adds_escalation_columns(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -287,11 +345,24 @@ class TestPredictionCsv:
     def test_duplicate_observation_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("observation_id,class_id\nobs_a,1\nobs_a,2\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(CsvParseError, match="duplicate"):
             read_predictions_csv(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("obs_a,1\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(CsvParseError, match="header"):
+            read_predictions_csv(path)
+
+    def test_bad_class_id_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        # the quoted id spans two lines, so the bad row is on line 4
+        path.write_text('observation_id,class_id\n"obs\na",1\nobs_1,x\n')
+        with pytest.raises(CsvParseError, match=r"preds.csv:4: bad class_id 'x'"):
+            read_predictions_csv(path)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("observation_id,class_id\nobs_a\n")
+        with pytest.raises(CsvParseError, match=":2:"):
             read_predictions_csv(path)
