@@ -8,6 +8,7 @@ little-endian on disk and promoted to float64 for all computation.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import stat
 import struct
@@ -166,7 +167,8 @@ def parse_classes_csv(path: str | Path) -> ClassTable:
     entries: list[ClassEntry] = []
     seen: set[int] = set()
     with fh:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) < 3:
@@ -199,7 +201,8 @@ def parse_observations_csv(
     rows: list[ObservationRow] = []
     seen_indices: set[int] = set()
     with fh:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) < 4:
@@ -237,7 +240,8 @@ def parse_locations_csv(path: str | Path) -> LocationTable:
     fh, reader = _open_csv(path, ["location_code", "metadata_index"])
     entries: dict[str, int] = {}
     with fh:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) < 2:
@@ -327,6 +331,38 @@ def read_records(path: str | Path, count: int) -> list[FeatureMatrix]:
             out.append(read_record(fh, source=str(path)))
         if fh.read(1):
             raise FormatError(f"{path}: trailing bytes after payload")
+    return out
+
+
+def read_sidecar(path: str | Path, fmt: str, keys: dict[str, type]) -> dict:
+    """Typed fields of the one-line ``key=value`` sidecar ``<path>.meta``.
+
+    ``keys`` maps each required key to ``int`` or ``float``. A format tag
+    other than ``fmt``, a missing key, or a value that is not a finite
+    number of that type raises FormatError.
+    """
+    meta = Path(f"{path}.meta")
+    try:
+        parts = meta.read_text(encoding="utf-8").split()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{meta}: not UTF-8 text") from exc
+    fields = dict(part.split("=", 1) for part in parts if "=" in part)
+    if fields.get("format") != fmt:
+        raise FormatError(
+            f"{meta}: unknown format {fields.get('format')!r}, expected {fmt!r}"
+        )
+    out = {}
+    for key, kind in keys.items():
+        if key not in fields:
+            raise FormatError(f"{meta}: missing key {key!r}")
+        try:
+            out[key] = kind(fields[key])
+        except ValueError:
+            out[key] = math.nan
+        if not math.isfinite(out[key]):
+            raise FormatError(
+                f"{meta}: {key}={fields[key]!r} is not a finite {kind.__name__}"
+            )
     return out
 
 

@@ -135,11 +135,7 @@ def _loc_instance(rng: np.random.Generator):
         r = rng.normal(0.0, 1.0, d_in)
         y = int(rng.integers(c))
         lam = float(rng.uniform(0.5, 5.0))
-        masks = None
-        if model.dropout_rate > 0.0:
-            mx = model.draw_masks(1)
-            mr = model.draw_masks(1)
-            masks = (mx[0], mx[1], mr[0], mr[1])
+        masks = model.draw_masks(1) if model.dropout_rate > 0.0 else None
         margin, peak = _fd_margins(model, x, r, masks, proto)
         # peak < 10 keeps 1 - sigmoid(u) well away from cancellation, which
         # would otherwise swamp the finite-difference quotient

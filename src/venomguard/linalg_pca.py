@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import FeatureMatrix, read_records, write_records
+from .data_model import FeatureMatrix, read_records, read_sidecar, write_records
+from .errors import FormatError
 
 
 @dataclass
@@ -96,11 +97,10 @@ def save_pca(model: PcaModel, path: str | Path) -> None:
 
 def load_pca(path: str | Path) -> PcaModel:
     mean_m, comp_m, eig_m = read_records(path, 3)
-    meta = Path(f"{path}.meta").read_text(encoding="utf-8").split()
-    fields = dict(part.split("=", 1) for part in meta if "=" in part)
-    k, d = int(fields["k"]), int(fields["d"])
+    fields = read_sidecar(path, "pca-v1", {"k": int, "d": int})
+    k, d = fields["k"], fields["d"]
     if comp_m.values.shape != (k, d):
-        raise ValueError(
+        raise FormatError(
             f"{path}: sidecar says {k}x{d}, file holds {comp_m.values.shape}"
         )
     return PcaModel(

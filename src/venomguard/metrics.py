@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import ClassTable
+from .errors import BundleValidationError
 from .inference import read_predictions_csv
 
 PDENOM_MODES = ("status", "all", "errors")
@@ -196,7 +197,7 @@ def score_predictions(
             parts.append(f"missing predictions for {missing[:10]}")
         if extra:
             parts.append(f"predictions for unknown observations {extra[:10]}")
-        raise ValueError("; ".join(parts))
+        raise BundleValidationError("; ".join(parts))
     ids = sorted(truth_map)
     truth = np.array([truth_map[i] for i in ids], dtype=np.int64)
     pred = np.array([pred_map[i] for i in ids], dtype=np.int64)

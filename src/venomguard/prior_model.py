@@ -12,11 +12,16 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .data_model import DatasetBundle, FeatureMatrix, read_records, write_records
+from .data_model import (
+    DatasetBundle,
+    FeatureMatrix,
+    read_records,
+    read_sidecar,
+    write_records,
+)
 from .linalg_pca import PcaModel, transform_vector
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
@@ -73,14 +78,16 @@ class PriorMlp:
     def d_out(self) -> int:
         return self.w3.shape[0]
 
-    def draw_masks(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """Inverted-dropout masks for the two hidden activations."""
+    def draw_masks(self, batch: int) -> np.ndarray:
+        """Inverted-dropout masks for one location-loss evaluation, (4, batch, hidden).
+
+        In order: both hidden layers of the observed-location pass, then both
+        of the random-location pass, drawn in one call.
+        """
         keep = 1.0 - self.dropout_rate
         if self.dropout_rate == 0.0:
-            return np.ones((batch, self.hidden)), np.ones((batch, self.hidden))
-        m1 = (self._mask_rng.random((batch, self.hidden)) < keep) / keep
-        m2 = (self._mask_rng.random((batch, self.hidden)) < keep) / keep
-        return m1, m2
+            return np.ones((4, batch, self.hidden))
+        return (self._mask_rng.random((4, batch, self.hidden)) < keep) / keep
 
 
 @dataclass
@@ -189,19 +196,15 @@ def prior_forward(model: PriorMlp, x: np.ndarray, mode: str = "eval") -> np.ndar
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     masks = None
     if mode == "train" and model.dropout_rate > 0.0:
-        m1, m2 = model.draw_masks(1)
-        masks = (m1, m2)
+        masks = model.draw_masks(1)[:2]
     out, _ = _forward(model, x.reshape(1, -1), masks)
     return out[0]
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """Stable logistic: 1 / (1 + e^-u) for u >= 0, e^u / (1 + e^u) below."""
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def loc_loss_batch(
@@ -221,38 +224,27 @@ def loc_loss_batch(
     """
     proto = prototypes.matrix
     batch = x_rows.shape[0]
-    x_masks = r_masks = None
+    # one pass over the observed rows stacked on the random rows; the
+    # backward pass then sums both halves' parameter gradients
+    stacked_masks = None
     if masks is not None:
-        x_masks = (masks[0], masks[1])
-        r_masks = (masks[2], masks[3])
-    ex, cache_x = _forward(model, x_rows, x_masks)
-    er, cache_r = _forward(model, r_rows, r_masks)
-    u = ex @ proto  # (batch, C) affinities for observed locations
-    v = er @ proto
-    su = _sigmoid(u)
-    sv = _sigmoid(v)
+        stacked_masks = (
+            np.concatenate((masks[0], masks[2])), np.concatenate((masks[1], masks[3]))
+        )
+    emb, cache = _forward(model, np.concatenate((x_rows, r_rows)), stacked_masks)
+    s = _sigmoid(emb @ proto)  # (2 * batch, C): observed rows, then random rows
     rows = np.arange(batch)
 
-    su_pos = np.clip(su[rows, ys], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    su_neg = np.clip(1.0 - su, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    sv_neg = np.clip(1.0 - sv, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    neg_logs = np.log(su_neg)
+    s_pos = np.clip(s[rows, ys], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    neg_logs = np.log(np.clip(1.0 - s, PROB_CLAMP, 1.0 - PROB_CLAMP))
     neg_logs[rows, ys] = 0.0
-    total = (
-        -lam * np.log(su_pos).sum() - neg_logs.sum() - np.log(sv_neg).sum()
-    )
+    total = -lam * np.log(s_pos).sum() - neg_logs.sum()
     if not np.isfinite(total):
         raise ValueError("non-finite location loss")
 
-    du = su.copy()
-    du[rows, ys] = -lam * (1.0 - su[rows, ys])
-    dv = sv
-    gx = _backward(model, cache_x, (du @ proto.T) / batch)
-    gr = _backward(model, cache_r, (dv @ proto.T) / batch)
-    grads = MlpGrads(
-        gx.w1 + gr.w1, gx.b1 + gr.b1, gx.w2 + gr.w2,
-        gx.b2 + gr.b2, gx.w3 + gr.w3, gx.b3 + gr.b3,
-    )
+    ds = s.copy()
+    ds[rows, ys] = -lam * (1.0 - s[rows, ys])
+    grads = _backward(model, cache, (ds @ proto.T) / batch)
     return PriorLossResult(value=float(total / batch), grads=grads)
 
 
@@ -317,39 +309,51 @@ def sample_random_location(
     return rng.uniform(lo, hi)
 
 
-def balanced_sampler(
-    labels: np.ndarray, rng: np.random.Generator, n_classes: int | None = None
-) -> Iterator[int]:
-    """Infinite index stream: class uniform over C, then uniform within class."""
-    labels = np.asarray(labels)
-    c = int(labels.max()) + 1 if n_classes is None else n_classes
-    members = [np.flatnonzero(labels == k) for k in range(c)]
-    empty = [k for k, m in enumerate(members) if m.size == 0]
-    if empty:
-        raise ValueError(f"classes with no examples: {empty[:10]}")
+class BalancedSampler:
+    """Batches of row indices: class uniform over C, then a row uniform within it.
 
-    def stream() -> Iterator[int]:
-        while True:
-            k = int(rng.integers(c))
-            yield int(members[k][rng.integers(members[k].size)])
+    Rows are reached through a CSR-style member index: the stable argsort of
+    the labels plus each class's start offset into it.
+    """
 
-    return stream()
+    def __init__(
+        self, labels: np.ndarray, rng: np.random.Generator, n_classes: int | None = None
+    ):
+        labels = np.asarray(labels)
+        c = int(labels.max()) + 1 if n_classes is None else n_classes
+        counts = np.bincount(labels, minlength=c)
+        empty = np.flatnonzero(counts[:c] == 0)
+        if empty.size:
+            raise ValueError(f"classes with no examples: {empty[:10].tolist()}")
+        self.n_classes = c
+        self.counts = counts
+        self.starts = np.cumsum(counts) - counts
+        self.members = np.argsort(labels, kind="stable")
+        self.rng = rng
+
+    def draw(self, size: int) -> np.ndarray:
+        k = self.rng.integers(self.n_classes, size=size)
+        return self.members[self.starts[k] + self.rng.integers(self.counts[k])]
 
 
 def training_pairs(bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray]:
-    """One (location feature, label) pair per labeled observation group."""
-    xs: list[np.ndarray] = []
-    ys: list[int] = []
-    meta = bundle.metadata_features.values
-    for obs_id, rows in bundle.observations.groups().items():
-        head = rows[0]
-        if head.class_id is None:
-            continue
-        xs.append(meta[bundle.locations.entries[head.location_code]])
-        ys.append(head.class_id)
-    if not xs:
+    """One (location feature, label) pair per labeled observation group.
+
+    Each observation is represented by its first row; pairs are in the file
+    order of those rows.
+    """
+    rows = bundle.observations.rows
+    ids = np.array([r.observation_id for r in rows], dtype=object)
+    _, first = np.unique(ids, return_index=True)
+    heads = [rows[i] for i in np.sort(first) if rows[i].class_id is not None]
+    if not heads:
         raise ValueError("no labeled observations to train on")
-    return np.array(xs), np.array(ys)
+    loc = bundle.locations.entries
+    meta_rows = np.array([loc[h.location_code] for h in heads], dtype=np.intp)
+    return (
+        bundle.metadata_features.values[meta_rows],
+        np.array([h.class_id for h in heads]),
+    )
 
 
 def train_prior(
@@ -376,7 +380,7 @@ def train_prior(
     if cfg.epochs == 0:
         return model, []
 
-    sampler = balanced_sampler(y_all, np.random.default_rng(sampler_seed), n_classes)
+    sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed), n_classes)
     loc_rng = np.random.default_rng(loc_seed)
     lo, hi = cfg.feature_bounds if cfg.feature_bounds else feature_bounds(x_all)
 
@@ -400,16 +404,12 @@ def train_prior(
     for _ in range(cfg.epochs):
         epoch_losses = []
         for _ in range(steps_per_epoch):
-            idx = np.fromiter(
-                (next(sampler) for _ in range(cfg.batch_size)), dtype=np.int64
-            )
+            idx = sampler.draw(cfg.batch_size)
             xb, yb = x_all[idx], y_all[idx]
             rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
             masks = None
             if cfg.dropout_rate > 0.0:
-                mx = model.draw_masks(cfg.batch_size)
-                mr = model.draw_masks(cfg.batch_size)
-                masks = (mx[0], mx[1], mr[0], mr[1])
+                masks = model.draw_masks(cfg.batch_size)
             result = loc_loss_batch(model, xb, rb, yb, prototypes, cfg.lam, masks)
             params = adamw_step(
                 params, pack_grads(result.grads), opt, lr_at(schedule, step)
@@ -490,10 +490,9 @@ def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
 
 
 def load_prior(path: str | Path) -> PriorArtifact:
-    meta = Path(f"{path}.meta").read_text(encoding="utf-8").split()
-    fields = dict(part.split("=", 1) for part in meta if "=" in part)
-    if fields.get("format") != "prior-v1":
-        raise ValueError(f"{path}: unknown prior format {fields.get('format')!r}")
+    fields = read_sidecar(
+        path, "prior-v1", {"dropout": float, "seed": int, "normalized": int}
+    )
     records = read_records(path, 7)
     pca_mean, pca_comp, pca_eig, l1, l2, l3, proto = records
     pca = PcaModel(
@@ -506,10 +505,10 @@ def load_prior(path: str | Path) -> PriorArtifact:
         b2=l2.values[:, -1],
         w3=l3.values[:, :-1],
         b3=l3.values[:, -1],
-        dropout_rate=float(fields["dropout"]),
-        rng_seed=int(fields["seed"]),
+        dropout_rate=fields["dropout"],
+        rng_seed=fields["seed"],
     )
-    prototypes = PrototypeMatrix(proto.values, normalized=fields["normalized"] == "1")
+    prototypes = PrototypeMatrix(proto.values, normalized=fields["normalized"] == 1)
     if mlp.d_in != pca.k:
         raise ValueError(f"{path}: prior input dim {mlp.d_in} != pca k {pca.k}")
     return PriorArtifact(mlp=mlp, prototypes=prototypes, pca=pca)

@@ -212,6 +212,26 @@ class TestPipeline:
         assert code == 2
         assert "preds.csv:2: bad class_id 'x'" in err
 
+    def test_observation_without_prediction_exits_two(self, capsys, tmp_path):
+        # the truth file minus its last row, scored as predictions
+        data = make_dataset(capsys, tmp_path / "data")
+        truth = (data / "truth.csv").read_text().splitlines()
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(truth[:-1]) + "\n")
+        dropped = truth[-1].split(",")[0]
+        code, _, err = run(
+            capsys,
+            "score",
+            "--truth",
+            str(data / "truth.csv"),
+            "--pred",
+            str(preds),
+            "--classes",
+            str(data / "classes.csv"),
+        )
+        assert code == 2
+        assert f"missing predictions for ['{dropped}']" in err
+
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -334,6 +354,21 @@ class TestFormatErrors:
             capsys, "pca", str(tmp_path / "missing.vgf1"), "-o", str(tmp_path / "p.bin")
         )
         assert code == 3
+
+    def test_sidecar_missing_key_exits_three(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        pca_path = tmp_path / "pca.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        (tmp_path / "pca.bin.meta").write_text("format=pca-v1 k=4\n")
+        code, _, err = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
+        )
+        assert code == 3
+        assert "missing key 'd'" in err
 
     def test_bad_k_exits_one(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")

@@ -134,6 +134,31 @@ class TestLocationsCsv:
             parse_locations_csv(write(tmp_path, "l.csv", text))
 
 
+class TestCsvLineNumbers:
+    # the first data row holds a quoted field spanning lines 2-3, so the bad
+    # row is on physical line 4
+    @pytest.mark.parametrize(
+        "parse, text",
+        [
+            (parse_classes_csv,
+             'class_id,name,venomous\n0,"a\nb",1\nx,asp,1\n'),
+            (lambda path: parse_observations_csv(
+                path, parse_classes_csv(write(path.parent, "c.csv", CLASSES_OK))),
+             'observation_id,image_index,class_id,location_code\n'
+             '"a\nb",0,0,loc\nobs_2,x,0,loc\n'),
+            (parse_locations_csv,
+             'location_code,metadata_index\n"a\nb",0\nloc_b,x\n'),
+        ],
+        ids=["classes", "observations", "locations"],
+    )
+    def test_error_names_physical_line_after_multiline_field(self, tmp_path, parse, text):
+        path = write(tmp_path, "t.csv", text)
+        with pytest.raises(CsvParseError) as info:
+            parse(path)
+        assert info.value.line == 4
+        assert f"{path}:4:" in str(info.value)
+
+
 class TestBinaryFormat:
     def test_round_trip_small_matrix(self, tmp_path):
         path = tmp_path / "m.bin"

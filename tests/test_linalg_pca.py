@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venomguard.data_model import FeatureMatrix
+from venomguard.errors import FormatError
 from venomguard.linalg_pca import (
     fit_pca,
     load_pca,
@@ -172,7 +173,23 @@ class TestPersistence:
         path = tmp_path / "pca.bin"
         save_pca(model, path)
         (tmp_path / "pca.bin.meta").write_text("format=pca-v1 k=3 d=4\n")
-        with pytest.raises(ValueError, match="sidecar"):
+        with pytest.raises(FormatError, match="sidecar"):
+            load_pca(path)
+
+    @pytest.mark.parametrize(
+        "meta, problem",
+        [
+            ("format=pca-v1 d=4\n", "missing key 'k'"),
+            ("format=pca-v1 k=two d=4\n", "k='two' is not a finite int"),
+            ("format=prior-v1 k=2 d=4\n", "unknown format 'prior-v1'"),
+        ],
+    )
+    def test_bad_sidecar_is_format_error(self, tmp_path, meta, problem):
+        model = fit_pca(random_matrix(12, 8, 4), k=2)
+        path = tmp_path / "pca.bin"
+        save_pca(model, path)
+        (tmp_path / "pca.bin.meta").write_text(meta)
+        with pytest.raises(FormatError, match=problem):
             load_pca(path)
 
     def test_loaded_model_transforms_identically(self, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venomguard.data_model import ClassEntry, ClassTable
+from venomguard.errors import BundleValidationError
 from venomguard.metrics import (
     MetricWeights,
     build_report,
@@ -292,7 +293,7 @@ class TestScorePredictions:
         pred = tmp_path / "pred.csv"
         self.write(truth, {"obs_a": 0, "obs_b": 1})
         self.write(pred, {"obs_a": 0})
-        with pytest.raises(ValueError, match="obs_b"):
+        with pytest.raises(BundleValidationError, match="obs_b"):
             score_predictions(truth, pred, five_classes)
 
     def test_unknown_predictions_listed(self, tmp_path, five_classes):
@@ -300,7 +301,7 @@ class TestScorePredictions:
         pred = tmp_path / "pred.csv"
         self.write(truth, {"obs_a": 0})
         self.write(pred, {"obs_a": 0, "obs_z": 1})
-        with pytest.raises(ValueError, match="obs_z"):
+        with pytest.raises(BundleValidationError, match="obs_z"):
             score_predictions(truth, pred, five_classes)
 
     def test_join_is_order_independent(self, tmp_path, five_classes):

@@ -4,18 +4,23 @@ import numpy as np
 import pytest
 
 from venomguard.data_model import FeatureMatrix
+from venomguard.errors import FormatError
 from venomguard.gradcheck import check_loss
 from venomguard.linalg_pca import fit_pca, pca_transform
 from venomguard.prior_model import (
+    BalancedSampler,
     PriorArtifact,
     PriorMlp,
     PriorTrainConfig,
     PrototypeMatrix,
-    balanced_sampler,
+    _backward,
+    _forward,
+    _sigmoid,
     compute_prototypes,
     feature_bounds,
     loc_loss,
     loc_loss_batch,
+    pack_grads,
     pack_params,
     prior_forward,
     prior_scores,
@@ -74,13 +79,20 @@ class TestMlp:
 
     def test_dropout_masks_scale_by_keep_probability(self):
         model = PriorMlp.create(2, 50, 2, dropout_rate=0.3, seed=4)
-        m1, m2 = model.draw_masks(10)
+        masks = model.draw_masks(10)
+        assert masks.shape == (4, 10, 50)
         keep = 1.0 - 0.3
-        for m in (m1, m2):
+        for m in masks:
             near_zero = np.isclose(m, 0.0)
             near_scaled = np.isclose(m, 1.0 / keep)
             assert np.all(near_zero | near_scaled)
             assert near_zero.any() and near_scaled.any()
+
+    def test_one_mask_draw_equals_four_sequential_draws(self):
+        model = PriorMlp.create(2, 7, 2, dropout_rate=0.4, seed=5)
+        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+        expected = np.stack([(rng.random((6, 7)) < 0.6) / 0.6 for _ in range(4)])
+        assert np.array_equal(model.draw_masks(6), expected)
 
     def test_invalid_inputs_rejected(self):
         model = PriorMlp.create(3, 4, 2, seed=0)
@@ -183,6 +195,50 @@ class TestLocLoss:
             mean_grad = np.mean([getattr(s.grads, f) for s in singles], axis=0)
             assert np.allclose(getattr(batch.grads, f), mean_grad, atol=1e-12)
 
+    def test_stacked_batch_matches_separate_passes(self):
+        rng = np.random.default_rng(16)
+        model = PriorMlp.create(4, 9, 3, dropout_rate=0.3, seed=17)
+        proto = PrototypeMatrix(rng.standard_normal((3, 6)))
+        xs, rs = rng.standard_normal((8, 4)), rng.standard_normal((8, 4))
+        ys = rng.integers(0, 6, size=8)
+        masks = model.draw_masks(8)
+        lam, rows = 4.0, np.arange(8)
+        # reference: one forward/backward for the observed rows, one for the
+        # random rows, gradients added
+        ex, cache_x = _forward(model, xs, masks[:2])
+        er, cache_r = _forward(model, rs, masks[2:])
+        su, sv = _sigmoid(ex @ proto.matrix), _sigmoid(er @ proto.matrix)
+        neg = np.log(np.clip(1.0 - su, 1e-12, 1.0 - 1e-12))
+        neg[rows, ys] = 0.0
+        value = (
+            -lam * np.log(np.clip(su[rows, ys], 1e-12, 1.0 - 1e-12)).sum()
+            - neg.sum()
+            - np.log(np.clip(1.0 - sv, 1e-12, 1.0 - 1e-12)).sum()
+        ) / 8
+        du = su.copy()
+        du[rows, ys] = -lam * (1.0 - su[rows, ys])
+        grad = pack_grads(_backward(model, cache_x, du @ proto.matrix.T / 8)) + pack_grads(
+            _backward(model, cache_r, sv @ proto.matrix.T / 8)
+        )
+        result = loc_loss_batch(model, xs, rs, ys, proto, lam, masks)
+        assert result.value == pytest.approx(value, abs=1e-12)
+        assert np.allclose(pack_grads(result.grads), grad)
+
+    def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
+        u = np.concatenate([
+            np.random.default_rng(18).normal(0.0, 20.0, 1000),
+            [0.0, -0.0, 1e-300, -1e-300, 36.7, -36.7, 745.0, -745.0, 1000.0, -1000.0],
+        ])
+        expected = np.empty_like(u)
+        pos = u >= 0
+        expected[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+        eu = np.exp(u[~pos])
+        expected[~pos] = eu / (1.0 + eu)
+        out = _sigmoid(u)
+        assert np.array_equal(out, expected)
+        assert np.all(np.isfinite(out))
+        assert _sigmoid(np.array([1000.0, -1000.0])).tolist() == [1.0, 0.0]
+
     def test_class_out_of_range_rejected(self):
         model = zero_mlp()
         proto = PrototypeMatrix(np.ones((2, 3)))
@@ -215,21 +271,19 @@ class TestSampling:
 
     def test_balanced_sampler_ignores_class_frequency(self):
         labels = np.array([0] * 9 + [1])
-        rng = np.random.default_rng(11)
-        stream = balanced_sampler(labels, rng)
-        draws = [next(stream) for _ in range(1000)]
-        freq_rare = np.mean([labels[i] == 1 for i in draws])
+        draws = BalancedSampler(labels, np.random.default_rng(11)).draw(1000)
+        freq_rare = np.mean(labels[draws] == 1)
         assert freq_rare == pytest.approx(0.5, abs=0.05)
 
     def test_every_class_appears_quickly(self):
         labels = np.repeat(np.arange(8), 5)
-        stream = balanced_sampler(labels, np.random.default_rng(12))
-        seen = {int(labels[next(stream)]) for _ in range(8 * 20)}
+        sampler = BalancedSampler(labels, np.random.default_rng(12))
+        seen = set(labels[sampler.draw(8 * 20)].tolist())
         assert seen == set(range(8))
 
     def test_empty_class_rejected_up_front(self):
         with pytest.raises(ValueError, match="no examples"):
-            balanced_sampler(np.array([0, 0, 2]), np.random.default_rng(0), n_classes=3)
+            BalancedSampler(np.array([0, 0, 2]), np.random.default_rng(0), n_classes=3)
 
 
 class TestTraining:
@@ -342,7 +396,29 @@ class TestScoresAndArtifact:
         path = tmp_path / "prior.bin"
         save_prior(artifact, path)
         (tmp_path / "prior.bin.meta").write_text("format=prior-v9 d_in=3\n")
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(FormatError, match="format"):
+            load_prior(path)
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("dropout", None, "missing key 'dropout'"),
+            ("seed", "x7", "seed='x7' is not a finite int"),
+            ("dropout", "nan", "dropout='nan' is not a finite float"),
+        ],
+    )
+    def test_bad_sidecar_field_is_format_error(self, tmp_path, key, value, problem):
+        artifact, _ = self.artifact()
+        path = tmp_path / "prior.bin"
+        save_prior(artifact, path)
+        meta = tmp_path / "prior.bin.meta"
+        fields = dict(part.split("=", 1) for part in meta.read_text().split())
+        if value is None:
+            del fields[key]
+        else:
+            fields[key] = value
+        meta.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        with pytest.raises(FormatError, match=problem):
             load_prior(path)
 
     def test_load_rejects_pca_dimension_mismatch(self, tmp_path):
