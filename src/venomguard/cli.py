@@ -234,12 +234,11 @@ def _prototype_inputs(bundle: DatasetBundle) -> tuple[FeatureMatrix, np.ndarray]
     bundle ships without them.
     """
     source = bundle.embeddings if bundle.embeddings is not None else bundle.image_scores
-    rows = bundle.observations.labeled_rows()
-    if not rows:
+    obs = bundle.observations
+    labeled = obs.class_id >= 0
+    if not labeled.any():
         raise BundleValidationError("no labeled observation rows for prototypes")
-    feats = source.values[[r.image_index for r in rows]]
-    labels = np.array([r.class_id for r in rows], dtype=np.int64)
-    return FeatureMatrix(feats), labels
+    return FeatureMatrix(source.values[obs.image_index[labeled]]), obs.class_id[labeled]
 
 
 def _cmd_validate(args) -> int:
@@ -248,8 +247,8 @@ def _cmd_validate(args) -> int:
     cleaned, report = validate_bundle(bundle, mode=args.mode)
     print(
         f"classes={cleaned.classes.n_classes} "
-        f"observations={len(cleaned.observations.groups())} "
-        f"rows={len(cleaned.observations.rows)} "
+        f"observations={cleaned.observations.ids.size} "
+        f"rows={len(cleaned.observations)} "
         f"locations={len(cleaned.locations.entries)} "
         f"dropped={report.dropped_rows}"
     )

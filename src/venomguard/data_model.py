@@ -8,15 +8,18 @@ little-endian on disk and promoted to float64 for all computation.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import os
 import stat
 import struct
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO, Iterable
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import BundleValidationError, CsvParseError, FormatError
 
@@ -68,19 +71,83 @@ class ClassTable:
         raise KeyError(class_id)
 
 
-@dataclass(frozen=True)
-class ObservationRow:
+class ObservationRow(NamedTuple):
+    """One image row, as the ``rows`` view of an ObservationTable yields it."""
+
     observation_id: str
     image_index: int
     class_id: int | None
     location_code: str
 
 
-@dataclass
+@dataclass(eq=False)
 class ObservationTable:
-    """Rows in file order; one row per image, grouped by observation_id."""
+    """Image rows in file order, held as columns; one row per image.
 
-    rows: list[ObservationRow]
+    ``ids`` holds the distinct observation ids in ``str`` order and ``group``
+    each row's index into it; ``codes`` and ``location`` do the same for the
+    location codes. ``class_id`` is -1 on unlabeled rows. Build tables with
+    ``from_columns`` or ``from_rows``, which keep every id and code in use.
+    """
+
+    ids: np.ndarray
+    group: np.ndarray
+    image_index: np.ndarray
+    class_id: np.ndarray
+    codes: np.ndarray
+    location: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, observation_id, image_index, class_id, location_code
+    ) -> "ObservationTable":
+        """Table from per-row columns; ``class_id`` -1 marks an unlabeled row."""
+        text = StringDType()
+        ids, group, _ = sorted_unique(np.asarray(observation_id, dtype=text))
+        codes, location, _ = sorted_unique(np.asarray(location_code, dtype=text))
+        return cls(
+            ids,
+            group,
+            np.asarray(image_index, dtype=np.int64),
+            np.asarray(class_id, dtype=np.int64),
+            codes,
+            location,
+        )
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[ObservationRow]) -> "ObservationTable":
+        rows = list(rows)
+        return cls.from_columns(
+            [r.observation_id for r in rows],
+            [r.image_index for r in rows],
+            [-1 if r.class_id is None else r.class_id for r in rows],
+            [r.location_code for r in rows],
+        )
+
+    def __len__(self) -> int:
+        return self.image_index.size
+
+    def take(self, keep: np.ndarray) -> "ObservationTable":
+        """The rows a boolean mask selects, in file order."""
+        return ObservationTable.from_columns(
+            self.ids[self.group[keep]],
+            self.image_index[keep],
+            self.class_id[keep],
+            self.codes[self.location[keep]],
+        )
+
+    @property
+    def rows(self) -> list[ObservationRow]:
+        """Read-only row objects in file order, built on each access."""
+        return [
+            ObservationRow(obs_id, idx, None if cid < 0 else cid, code)
+            for obs_id, idx, cid, code in zip(
+                self.ids[self.group].tolist(),
+                self.image_index.tolist(),
+                self.class_id.tolist(),
+                self.codes[self.location].tolist(),
+            )
+        ]
 
     def groups(self) -> dict[str, list[ObservationRow]]:
         """observation_id -> rows, preserving first-appearance order."""
@@ -139,6 +206,25 @@ class DatasetBundle:
     locations: LocationTable
     embeddings: FeatureMatrix | None = None
 
+    def metadata_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per observation row: its location's metadata row (-1 if unknown) and
+        whether its location code is known. Each distinct code is looked up once.
+        """
+        entries = self.locations.entries
+        codes = self.observations.codes.tolist()
+        known = np.array([code in entries for code in codes], dtype=bool)
+        index = np.array([entries.get(code, -1) for code in codes], dtype=np.int64)
+        location = self.observations.location
+        return index[location], known[location]
+
+    def resolved_metadata_rows(self) -> np.ndarray:
+        """Each observation row's metadata row; BundleValidationError if one
+        cannot be resolved (validate_bundle reports which)."""
+        index, known = self.metadata_rows()
+        if not known.all() or np.any((index < 0) | (index >= self.metadata_features.rows)):
+            raise BundleValidationError("unresolved location codes; validate the bundle")
+        return index
+
 
 # ---------------------------------------------------------------------------
 # CSV manifests
@@ -161,99 +247,182 @@ def _open_csv(path: str | Path, expected_header: list[str]):
     return fh, reader
 
 
+def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """(physical line, fields) of each non-blank data row, as csv.reader sees it."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+
+
+def read_manifest(
+    path: str | Path, header: list[str]
+) -> tuple[np.ndarray, int | None]:
+    """Data rows of a CSV manifest as a (rows, len(header)) string array.
+
+    The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
+    blank lines are skipped and fields past the header's are ignored. The
+    second value is None, or the index (among non-blank data rows) of the
+    first row with too few fields; the array then holds the rows before it.
+    """
+    n = len(header)
+    fh, _ = _open_csv(path, header)
+    with fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            # a fresh dtype instance: after a failed load, numpy 2.x can leave
+            # the instance's string allocator unusable
+            cells = np.loadtxt(
+                fh,
+                dtype=StringDType(),
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                usecols=range(n),
+                ndmin=2,
+            )
+            return cells, None
+        except ValueError:  # a short row; the file is rejected
+            pass
+    rows = [row for _, row in _data_rows(path)]
+    short = next((k for k, row in enumerate(rows) if len(row) < n), None)
+    kept = [row[:n] for row in (rows if short is None else rows[:short])]
+    return np.array(kept, dtype=StringDType()).reshape(len(kept), n), short
+
+
+def parse_ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``int()`` of each string cell as int64, and a mask of the cells it
+    rejects; a value outside the int64 range is rejected too."""
+    try:
+        return cells.astype(np.int64), np.zeros(cells.shape, dtype=bool)
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(cells.shape, dtype=np.int64)
+    bad = np.zeros(cells.shape, dtype=bool)
+    for k, cell in enumerate(cells.tolist()):
+        try:
+            values[k] = int(cell)
+        except (ValueError, OverflowError):
+            bad[k] = True
+    return values, bad
+
+
+def sorted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values in sorted order, each row's index into them, and a
+    mask of the rows whose value already occurs in an earlier row."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(values.shape, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(values.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    repeat = np.empty(values.shape, dtype=bool)
+    repeat[order] = ~first
+    return ordered[first], inverse, repeat
+
+
+def reject_first(
+    path: str | Path,
+    checks: list[tuple[np.ndarray, Callable[[int], str]]],
+    short: int | None,
+    short_message: str,
+) -> None:
+    """Raise CsvParseError for the first bad row in file order.
+
+    ``checks`` are (row mask, message for row k) pairs in the order a single
+    row is checked; a short row (from ``read_manifest``) is checked before
+    all of them. Only a rejected file is scanned again, for the physical line.
+    """
+    first, describe = short, lambda k: short_message
+    for mask, message in checks:
+        hits = np.flatnonzero(mask)
+        if hits.size and (first is None or hits[0] < first):
+            first, describe = int(hits[0]), message
+    if first is None:
+        return
+    line = next(itertools.islice(_data_rows(path), first, None))[0]
+    raise CsvParseError(str(path), line, describe(first))
+
+
 def parse_classes_csv(path: str | Path) -> ClassTable:
     """Parse ``class_id,name,venomous`` into a validated ClassTable."""
-    fh, reader = _open_csv(path, ["class_id", "name", "venomous"])
-    entries: list[ClassEntry] = []
-    seen: set[int] = set()
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) < 3:
-                raise CsvParseError(str(path), lineno, "expected 3 fields")
-            try:
-                class_id = int(row[0])
-            except ValueError:
-                raise CsvParseError(str(path), lineno, f"bad class_id {row[0]!r}")
-            if class_id in seen:
-                raise CsvParseError(str(path), lineno, f"duplicate class id {class_id}")
-            seen.add(class_id)
-            flag = row[2].strip().lower()
-            if flag not in ("0", "1", "false", "true"):
-                raise CsvParseError(str(path), lineno, f"bad venomous flag {row[2]!r}")
-            entries.append(ClassEntry(class_id, row[1], flag in ("1", "true")))
-    if not entries:
+    cells, short = read_manifest(path, ["class_id", "name", "venomous"])
+    ids, bad_id = parse_ints(cells[:, 0])
+    *_, repeat = sorted_unique(ids)
+    flag = np.strings.lower(np.strings.strip(cells[:, 2]))
+    venomous = (flag == "1") | (flag == "true")
+    bad_flag = ~(venomous | (flag == "0") | (flag == "false"))
+    reject_first(
+        path,
+        [
+            (bad_id, lambda k: f"bad class_id {cells[k, 0]!r}"),
+            (repeat, lambda k: f"duplicate class id {ids[k]}"),
+            (bad_flag, lambda k: f"bad venomous flag {cells[k, 2]!r}"),
+        ],
+        short,
+        "expected 3 fields",
+    )
+    if not ids.size:
         raise CsvParseError(str(path), 1, "no classes")
-    if sorted(seen) != list(range(len(entries))):
+    if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise CsvParseError(str(path), 1, "non-contiguous class ids")
-    return ClassTable(entries)
+    return ClassTable(
+        [
+            ClassEntry(cid, name, flag)
+            for cid, name, flag in zip(
+                ids.tolist(), cells[:, 1].tolist(), venomous.tolist()
+            )
+        ]
+    )
 
 
 def parse_observations_csv(
     path: str | Path, classes: ClassTable, allow_unlabeled: bool = False
 ) -> ObservationTable:
     """Parse ``observation_id,image_index,class_id,location_code`` rows in file order."""
-    fh, reader = _open_csv(
+    cells, short = read_manifest(
         path, ["observation_id", "image_index", "class_id", "location_code"]
     )
-    rows: list[ObservationRow] = []
-    seen_indices: set[int] = set()
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) < 4:
-                raise CsvParseError(str(path), lineno, "expected 4 fields")
-            obs_id, idx_s, cid_s, loc = row[0], row[1], row[2].strip(), row[3]
-            try:
-                image_index = int(idx_s)
-            except ValueError:
-                raise CsvParseError(str(path), lineno, f"bad image_index {idx_s!r}")
-            if image_index in seen_indices:
-                raise CsvParseError(
-                    str(path), lineno, f"duplicate image_index {image_index}"
-                )
-            seen_indices.add(image_index)
-            class_id: int | None
-            if cid_s == "":
-                if not allow_unlabeled:
-                    raise CsvParseError(str(path), lineno, "missing class_id")
-                class_id = None
-            else:
-                try:
-                    class_id = int(cid_s)
-                except ValueError:
-                    raise CsvParseError(str(path), lineno, f"bad class_id {cid_s!r}")
-                if not 0 <= class_id < classes.n_classes:
-                    raise CsvParseError(
-                        str(path), lineno, f"unknown class_id {class_id}"
-                    )
-            rows.append(ObservationRow(obs_id, image_index, class_id, loc))
-    return ObservationTable(rows)
+    image_index, bad_index = parse_ints(cells[:, 1])
+    *_, repeat = sorted_unique(image_index)
+    cid = np.strings.strip(cells[:, 2])
+    labeled = cid != ""
+    class_id = np.full(labeled.shape, -1, dtype=np.int64)
+    bad_class = np.zeros(labeled.shape, dtype=bool)
+    class_id[labeled], bad_class[labeled] = parse_ints(cid[labeled])
+    unknown = labeled & ~bad_class & ((class_id < 0) | (class_id >= classes.n_classes))
+    checks = [
+        (bad_index, lambda k: f"bad image_index {cells[k, 1]!r}"),
+        (repeat, lambda k: f"duplicate image_index {image_index[k]}"),
+    ]
+    if not allow_unlabeled:
+        checks.append((~labeled, lambda k: "missing class_id"))
+    checks += [
+        (bad_class, lambda k: f"bad class_id {cid[k]!r}"),
+        (unknown, lambda k: f"unknown class_id {class_id[k]}"),
+    ]
+    reject_first(path, checks, short, "expected 4 fields")
+    return ObservationTable.from_columns(cells[:, 0], image_index, class_id, cells[:, 3])
 
 
 def parse_locations_csv(path: str | Path) -> LocationTable:
     """Parse ``location_code,metadata_index`` into a LocationTable."""
-    fh, reader = _open_csv(path, ["location_code", "metadata_index"])
-    entries: dict[str, int] = {}
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) < 2:
-                raise CsvParseError(str(path), lineno, "expected 2 fields")
-            code = row[0]
-            if code in entries:
-                raise CsvParseError(str(path), lineno, f"duplicate location {code!r}")
-            try:
-                entries[code] = int(row[1])
-            except ValueError:
-                raise CsvParseError(str(path), lineno, f"bad metadata_index {row[1]!r}")
-    return LocationTable(entries)
+    cells, short = read_manifest(path, ["location_code", "metadata_index"])
+    codes = cells[:, 0]
+    *_, repeat = sorted_unique(codes)
+    index, bad_index = parse_ints(cells[:, 1])
+    reject_first(
+        path,
+        [
+            (repeat, lambda k: f"duplicate location {codes[k]!r}"),
+            (bad_index, lambda k: f"bad metadata_index {cells[k, 1]!r}"),
+        ],
+        short,
+        "expected 2 fields",
+    )
+    return LocationTable(dict(zip(codes.tolist(), index.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -396,18 +565,6 @@ class ValidationReport:
     dropped: list[tuple[str, int]] = field(default_factory=list)
 
 
-def _row_problem(
-    row: ObservationRow, bundle: DatasetBundle, resolvable_codes: set[str]
-) -> str | None:
-    if not 0 <= row.image_index < bundle.image_scores.rows:
-        return "image_index"
-    if row.location_code not in bundle.locations.entries:
-        return "location"
-    if row.location_code not in resolvable_codes:
-        return "metadata_index"
-    return None
-
-
 def validate_bundle(
     bundle: DatasetBundle, mode: str = "strict"
 ) -> tuple[DatasetBundle, ValidationReport]:
@@ -423,32 +580,34 @@ def validate_bundle(
     good_locations = {
         code: idx for code, idx in bundle.locations.entries.items() if 0 <= idx < n_meta
     }
-    resolvable = set(good_locations)
-
-    report = ValidationReport()
-    offenders: list[str] = []
-    kept: list[ObservationRow] = []
-    for row in bundle.observations.rows:
-        problem = _row_problem(row, bundle, resolvable)
-        if problem is None:
-            kept.append(row)
-            continue
-        if problem == "image_index":
-            report.bad_image_index += 1
-        elif problem == "location":
-            report.unknown_location += 1
-        else:
-            report.bad_metadata_index += 1
-        report.dropped_rows += 1
-        report.dropped.append((row.observation_id, row.image_index))
-        offenders.append(
-            f"{row.observation_id}/image {row.image_index}: unresolved {problem}"
-        )
+    obs = bundle.observations
+    meta_row, known = bundle.metadata_rows()
+    # each row is counted under its first problem, in this order
+    bad_image = (obs.image_index < 0) | (obs.image_index >= bundle.image_scores.rows)
+    unknown = ~bad_image & ~known
+    bad_meta = ~bad_image & known & ((meta_row < 0) | (meta_row >= n_meta))
+    dropped = bad_image | unknown | bad_meta
+    dropped_ids = obs.ids[obs.group[dropped]].tolist()
+    dropped_images = obs.image_index[dropped].tolist()
+    report = ValidationReport(
+        dropped_rows=len(dropped_ids),
+        bad_image_index=int(bad_image.sum()),
+        unknown_location=int(unknown.sum()),
+        bad_metadata_index=int(bad_meta.sum()),
+        dropped=list(zip(dropped_ids, dropped_images)),
+    )
     bad_location_entries = len(bundle.locations.entries) - len(good_locations)
 
     if mode == "strict":
-        if offenders or bad_location_entries:
-            listed = offenders[:10]
+        if dropped_ids or bad_location_entries:
+            problem = np.where(bad_image, "image_index", "metadata_index")
+            problem[unknown] = "location"
+            listed = [
+                f"{obs_id}/image {idx}: unresolved {why}"
+                for obs_id, idx, why in zip(
+                    dropped_ids[:10], dropped_images[:10], problem[dropped][:10].tolist()
+                )
+            ]
             if bad_location_entries:
                 listed.append(f"{bad_location_entries} location entries out of range")
             raise BundleValidationError(
@@ -458,7 +617,7 @@ def validate_bundle(
 
     cleaned = replace(
         bundle,
-        observations=ObservationTable(kept),
+        observations=obs.take(~dropped),
         locations=LocationTable(good_locations),
     )
     return cleaned, report

@@ -10,8 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import ClassTable, DatasetBundle, _open_csv
-from .errors import CsvParseError
+from .data_model import (
+    ClassTable,
+    DatasetBundle,
+    parse_ints,
+    read_manifest,
+    reject_first,
+    sorted_unique,
+)
 from .linalg_pca import pca_transform
 from .losses import softmax
 from .prior_model import PriorArtifact, _forward
@@ -43,8 +49,8 @@ class PredictionResult:
 class PredictionOutput:
     """Final predictions plus every intermediate score stage.
 
-    raw and combined rows align with bundle.observations.rows; aggregated
-    rows align with results (sorted by observation id).
+    raw and combined rows align with the rows of bundle.observations;
+    aggregated rows align with results (sorted by observation id).
     """
 
     results: list[PredictionResult]
@@ -144,26 +150,20 @@ def predict_dataset(
             raise ValueError("probability score rows must have positive sum")
         probs = scores / sums[:, None]
 
-    obs_rows = bundle.observations.rows
-    image_idx = np.array([r.image_index for r in obs_rows], dtype=np.int64)
-    raw = probs[image_idx]
+    obs = bundle.observations
+    raw = probs[obs.image_index]
 
     if prior is not None:
         if prior.prototypes.n_classes != n_classes:
             raise ValueError("prior class count does not match the dataset")
         loc_weights = _prior_weights_by_location(bundle, prior)
-        loc_idx = np.array(
-            [bundle.locations.entries[r.location_code] for r in obs_rows],
-            dtype=np.int64,
-        )
-        combined = _joint_rows(raw, loc_weights[loc_idx])
+        combined = _joint_rows(raw, loc_weights[bundle.resolved_metadata_rows()])
     else:
         combined = raw.copy()
 
-    # object dtype keeps Python's str ordering and equality for the ids
-    obs_ids = np.array([r.observation_id for r in obs_rows], dtype=object)
-    ids, group = np.unique(obs_ids, return_inverse=True)
-    # np.add.at sums each group's rows in file order, as a per-group mean would
+    # ids are in Python str order; np.add.at sums each group's rows in file
+    # order, as a per-group mean would
+    ids, group = obs.ids, obs.group
     aggregated = np.zeros((ids.size, n_classes))
     np.add.at(aggregated, group, combined)
     aggregated /= np.bincount(group, minlength=ids.size)[:, None]
@@ -205,27 +205,21 @@ def write_predictions_csv(
             writer.writerows([r.observation_id, r.class_id] for r in results)
 
 
-def read_predictions_csv(path: str | Path) -> dict[str, int]:
-    """Minimal reader for scoring: observation_id -> predicted class."""
-    fh, reader = _open_csv(path, ["observation_id", "class_id"])
-    out: dict[str, int] = {}
-    with fh:
-        for row in reader:
-            if not row:
-                continue
-            # line_num counts physical lines, so quoted newlines in ids are counted
-            lineno = reader.line_num
-            if len(row) < 2:
-                raise CsvParseError(
-                    str(path), lineno, "expected observation_id,class_id"
-                )
-            obs_id, cid_s = row[0], row[1]
-            if obs_id in out:
-                raise CsvParseError(
-                    str(path), lineno, f"duplicate observation {obs_id}"
-                )
-            try:
-                out[obs_id] = int(cid_s)
-            except ValueError:
-                raise CsvParseError(str(path), lineno, f"bad class_id {cid_s!r}")
-    return out
+def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
+    """Observation ids in Python str order, and the class id of each."""
+    cells, short = read_manifest(path, ["observation_id", "class_id"])
+    ids, place, repeat = sorted_unique(cells[:, 0])
+    class_id, bad_class = parse_ints(cells[:, 1])
+    reject_first(
+        path,
+        [
+            (repeat, lambda k: f"duplicate observation {cells[k, 0]}"),
+            (bad_class, lambda k: f"bad class_id {cells[k, 1]!r}"),
+        ],
+        short,
+        "expected observation_id,class_id",
+    )
+    # the ids are distinct, so each row has its own place in ``ids``
+    by_id = np.empty_like(class_id)
+    by_id[place] = class_id
+    return ids, by_id

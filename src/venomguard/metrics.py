@@ -187,20 +187,17 @@ def score_predictions(
     all_classes: bool = False,
 ) -> MetricReport:
     """Join truth and prediction CSVs on observation id and score them."""
-    truth_map = read_predictions_csv(truth_path)
-    pred_map = read_predictions_csv(pred_path)
-    missing = sorted(set(truth_map) - set(pred_map))
-    extra = sorted(set(pred_map) - set(truth_map))
-    if missing or extra:
+    truth_ids, truth = read_predictions_csv(truth_path)
+    pred_ids, pred = read_predictions_csv(pred_path)
+    if not np.array_equal(truth_ids, pred_ids):
+        missing = np.setdiff1d(truth_ids, pred_ids).tolist()
+        extra = np.setdiff1d(pred_ids, truth_ids).tolist()
         parts = []
         if missing:
             parts.append(f"missing predictions for {missing[:10]}")
         if extra:
             parts.append(f"predictions for unknown observations {extra[:10]}")
         raise BundleValidationError("; ".join(parts))
-    ids = sorted(truth_map)
-    truth = np.array([truth_map[i] for i in ids], dtype=np.int64)
-    pred = np.array([pred_map[i] for i in ids], dtype=np.int64)
     return build_report(
         truth, pred, classes, weights=weights, pdenom=pdenom, all_classes=all_classes
     )

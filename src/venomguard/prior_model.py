@@ -22,6 +22,7 @@ from .data_model import (
     read_sidecar,
     write_records,
 )
+from .errors import FormatError
 from .linalg_pca import PcaModel, transform_vector
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
@@ -342,18 +343,14 @@ def training_pairs(bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray]:
     Each observation is represented by its first row; pairs are in the file
     order of those rows.
     """
-    rows = bundle.observations.rows
-    ids = np.array([r.observation_id for r in rows], dtype=object)
-    _, first = np.unique(ids, return_index=True)
-    heads = [rows[i] for i in np.sort(first) if rows[i].class_id is not None]
-    if not heads:
+    obs = bundle.observations
+    _, first = np.unique(obs.group, return_index=True)
+    heads = np.sort(first)
+    heads = heads[obs.class_id[heads] >= 0]
+    if not heads.size:
         raise ValueError("no labeled observations to train on")
-    loc = bundle.locations.entries
-    meta_rows = np.array([loc[h.location_code] for h in heads], dtype=np.intp)
-    return (
-        bundle.metadata_features.values[meta_rows],
-        np.array([h.class_id for h in heads]),
-    )
+    meta_rows = bundle.resolved_metadata_rows()[heads]
+    return bundle.metadata_features.values[meta_rows], obs.class_id[heads]
 
 
 def train_prior(
@@ -490,10 +487,45 @@ def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
 
 
 def load_prior(path: str | Path) -> PriorArtifact:
+    """Read an artifact written by ``save_prior``; any field that is missing,
+    out of range or inconsistent with the stored records raises FormatError."""
     fields = read_sidecar(
-        path, "prior-v1", {"dropout": float, "seed": int, "normalized": int}
+        path,
+        "prior-v1",
+        {
+            "d_in": int,
+            "hidden": int,
+            "d_out": int,
+            "n_classes": int,
+            "dropout": float,
+            "seed": int,
+            "normalized": int,
+            "pca_k": int,
+            "pca_d": int,
+        },
     )
+    if not 0.0 <= fields["dropout"] < 1.0:
+        raise FormatError(f"{path}: dropout {fields['dropout']!r} outside [0, 1)")
+    d_in, k = fields["d_in"], fields["pca_k"]
+    if d_in != k:
+        raise FormatError(f"{path}: prior input dim {d_in} != pca k {k}")
     records = read_records(path, 7)
+    hidden, d_out = fields["hidden"], fields["d_out"]
+    shapes = {
+        "pca mean": (1, fields["pca_d"]),
+        "pca components": (k, fields["pca_d"]),
+        "pca eigenvalues": (1, k),
+        "layer 1": (hidden, d_in + 1),
+        "layer 2": (hidden, hidden + 1),
+        "layer 3": (d_out, hidden + 1),
+        "prototypes": (d_out, fields["n_classes"]),
+    }
+    for (name, shape), record in zip(shapes.items(), records):
+        if record.values.shape != shape:
+            raise FormatError(
+                f"{path}: {name} record is {record.rows}x{record.dims}, "
+                f"the sidecar implies {shape[0]}x{shape[1]}"
+            )
     pca_mean, pca_comp, pca_eig, l1, l2, l3, proto = records
     pca = PcaModel(
         mean=pca_mean.values[0], components=pca_comp.values, eigenvalues=pca_eig.values[0]
@@ -509,6 +541,4 @@ def load_prior(path: str | Path) -> PriorArtifact:
         rng_seed=fields["seed"],
     )
     prototypes = PrototypeMatrix(proto.values, normalized=fields["normalized"] == 1)
-    if mlp.d_in != pca.k:
-        raise ValueError(f"{path}: prior input dim {mlp.d_in} != pca k {pca.k}")
     return PriorArtifact(mlp=mlp, prototypes=prototypes, pca=pca)

@@ -1,10 +1,8 @@
-"""Deterministic long-tailed synthetic datasets, plus brute-force oracles.
+"""Deterministic long-tailed synthetic datasets.
 
 The generator produces a complete bundle whose image scores are noisy
 one-hot logits and whose location metadata carries a tunable amount of
-class signal. The oracle_* functions are deliberately naive pure-Python
-reimplementations used only to cross-check the main modules; they share
-no code with them.
+class signal.
 """
 
 from __future__ import annotations
@@ -14,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .data_model import (
     CLASSES_FILENAME,
@@ -27,7 +26,6 @@ from .data_model import (
     DatasetBundle,
     FeatureMatrix,
     LocationTable,
-    ObservationRow,
     ObservationTable,
     write_feature_matrix,
 )
@@ -124,25 +122,20 @@ def generate(cfg: SynthConfig) -> GeneratedData:
 
     alpha = cfg.location_informativeness
     lo, hi = cfg.images_per_observation
-    obs_rows: list[ObservationRow] = []
-    truth: dict[str, int] = {}
-    locations: dict[str, int] = {}
+    obs_ids = [f"obs_{i:05d}" for i in range(cfg.n_observations)]
+    loc_codes = [f"loc_{i:05d}" for i in range(cfg.n_observations)]
     metadata = np.empty((cfg.n_observations, cfg.dims_meta))
+    images = np.empty(cfg.n_observations, dtype=np.int64)
     logit_rows: list[np.ndarray] = []
     embed_rows: list[np.ndarray] = []
 
-    image_index = 0
     for i, y in enumerate(int(v) for v in labels):
-        obs_id = f"obs_{i:05d}"
-        loc_code = f"loc_{i:05d}"
-        truth[obs_id] = y
-        locations[loc_code] = i
         cluster = centers[y] + CLUSTER_NOISE * rng.standard_normal(cfg.dims_meta)
         metadata[i] = alpha * cluster + (1.0 - alpha) * rng.uniform(
             0.0, 1.0, cfg.dims_meta
         )
-        n_images = int(rng.integers(lo, hi + 1))
-        for _ in range(n_images):
+        images[i] = rng.integers(lo, hi + 1)
+        for _ in range(images[i]):
             logits = LOGIT_NOISE * rng.standard_normal(c)
             logits[y] += LOGIT_SCALE
             logit_rows.append(logits)
@@ -150,18 +143,25 @@ def generate(cfg: SynthConfig) -> GeneratedData:
                 EMBED_SCALE * protos[y]
                 + EMBED_NOISE * rng.standard_normal(cfg.dims_proto)
             )
-            obs_rows.append(ObservationRow(obs_id, image_index, y, loc_code))
-            image_index += 1
 
+    # observation i owns the next images[i] image rows and location i
+    owner = np.repeat(np.arange(cfg.n_observations), images)
+    observations = ObservationTable.from_columns(
+        np.asarray(obs_ids, dtype=StringDType())[owner],
+        np.arange(owner.size),
+        labels[owner],
+        np.asarray(loc_codes, dtype=StringDType())[owner],
+    )
+    truth = dict(zip(obs_ids, labels.tolist()))
     classes = ClassTable(
         [ClassEntry(k, f"species_{k:03d}", k in venom_ids) for k in range(c)]
     )
     bundle = DatasetBundle(
         classes=classes,
-        observations=ObservationTable(obs_rows),
+        observations=observations,
         image_scores=FeatureMatrix(np.vstack(logit_rows)),
         metadata_features=FeatureMatrix(metadata),
-        locations=LocationTable(locations),
+        locations=LocationTable(dict(zip(loc_codes, range(cfg.n_observations)))),
         embeddings=FeatureMatrix(np.vstack(embed_rows)),
     )
     return GeneratedData(bundle=bundle, truth=truth, class_counts=counts, config=cfg)
@@ -178,9 +178,17 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
         lines.append(f"{e.class_id},{e.name},{int(e.venomous)}")
     (d / CLASSES_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    obs = bundle.observations
     lines = ["observation_id,image_index,class_id,location_code"]
-    for r in bundle.observations.rows:
-        lines.append(f"{r.observation_id},{r.image_index},{r.class_id},{r.location_code}")
+    lines += [
+        f"{obs_id},{idx},{'' if cid < 0 else cid},{code}"
+        for obs_id, idx, cid, code in zip(
+            obs.ids[obs.group].tolist(),
+            obs.image_index.tolist(),
+            obs.class_id.tolist(),
+            obs.codes[obs.location].tolist(),
+        )
+    ]
     (d / OBSERVATIONS_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     lines = ["location_code,metadata_index"]
@@ -213,190 +221,3 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
         f"tail_count = {int(gen.class_counts.min())}",
     ]
     (d / MANIFEST_FILENAME).write_text("\n".join(manifest) + "\n", encoding="utf-8")
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles. Plain Python on purpose: no numpy, no imports from the
-# modules they check.
-# ---------------------------------------------------------------------------
-
-def oracle_seesaw(logits, label, counts, p=0.8, q=2.0):
-    """Loop-based seesaw loss value on Python lists."""
-    n = len(logits)
-    exp_z = [math.exp(v) for v in logits]
-    z_sum = sum(exp_z)
-    sigma = [v / z_sum for v in exp_z]
-    total = sum(counts)
-    denom = exp_z[label]
-    for j in range(n):
-        if j == label:
-            continue
-        if p > 0 and total > 0 and counts[label] > 0:
-            mitigation = min(1.0, (counts[j] / counts[label]) ** p)
-        else:
-            mitigation = 1.0
-        if q > 0:
-            compensation = max(1.0, (sigma[j] / sigma[label]) ** q)
-        else:
-            compensation = 1.0
-        denom += mitigation * compensation * exp_z[j]
-    return -math.log(exp_z[label] / denom)
-
-
-def oracle_metric(
-    truth,
-    pred,
-    venomous_flags,
-    weights=(1.0, 1.0, 2.0, 5.0, 2.0),
-    pdenom="status",
-    all_classes=False,
-):
-    """Loop-based composite metric report as a plain dict."""
-    n_classes = len(venomous_flags)
-    conf = [[0] * n_classes for _ in range(n_classes)]
-    for t, g in zip(truth, pred):
-        conf[t][g] += 1
-
-    f1s = []
-    for k in range(n_classes):
-        support = sum(conf[k])
-        predicted = sum(conf[i][k] for i in range(n_classes))
-        if support == 0 and not all_classes:
-            continue
-        prec = conf[k][k] / predicted if predicted else 0.0
-        rec = conf[k][k] / support if support else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
-    macro = 100.0 * sum(f1s) / len(f1s)
-
-    hh = hv = vh = vv = n_h = n_v = 0
-    for t in range(n_classes):
-        for g in range(n_classes):
-            count = conf[t][g]
-            if venomous_flags[t]:
-                n_v += count
-            else:
-                n_h += count
-            if t == g:
-                continue
-            if venomous_flags[t]:
-                if venomous_flags[g]:
-                    vv += count
-                else:
-                    vh += count
-            else:
-                if venomous_flags[g]:
-                    hv += count
-                else:
-                    hh += count
-    if pdenom == "status":
-        denoms = [n_h, n_h, n_v, n_v]
-    elif pdenom == "all":
-        denoms = [len(truth)] * 4
-    else:
-        denoms = [hh + hv + vh + vv] * 4
-    ps = [
-        (100.0 * count / d if d else 0.0)
-        for count, d in zip((hh, hv, vh, vv), denoms)
-    ]
-
-    correct = sum(conf[k][k] for k in range(n_classes))
-    numer = weights[0] * macro
-    for w, pv in zip(weights[1:], ps):
-        numer += w * (100.0 - pv)
-    return {
-        "macro_f1": macro,
-        "p1": ps[0],
-        "p2": ps[1],
-        "p3": ps[2],
-        "p4": ps[3],
-        "accuracy": 100.0 * correct / len(truth),
-        "composite": numer / sum(weights),
-        "n_observations": len(truth),
-    }
-
-
-def oracle_predict(
-    observations,
-    venomous_flags,
-    tau=0.5,
-    top_k=5,
-    prior_logits=None,
-    scores_are_logits=True,
-):
-    """Loop-based prediction pipeline on plain lists.
-
-    observations: list of (obs_id, score_rows, location_indices);
-    prior_logits: per-location prior rows, or None for no prior.
-    """
-    out = {}
-    for obs_id, rows, locs in observations:
-        agg = [0.0] * len(venomous_flags)
-        for row, loc in zip(rows, locs):
-            if scores_are_logits:
-                top = max(row)
-                exps = [math.exp(v - top) for v in row]
-                s = sum(exps)
-                probs = [v / s for v in exps]
-            else:
-                s = sum(row)
-                probs = [v / s for v in row]
-            if prior_logits is not None:
-                prow = prior_logits[loc]
-                ptop = max(prow)
-                pexp = [math.exp(v - ptop) for v in prow]
-                psum = sum(pexp)
-                joint = [pr * (pv / psum) for pr, pv in zip(probs, pexp)]
-                jsum = sum(joint)
-                probs = [v / jsum for v in joint] if jsum > 0 else probs
-            for k, v in enumerate(probs):
-                agg[k] += v / len(rows)
-        best = 0
-        for k in range(1, len(agg)):
-            if agg[k] > agg[best]:
-                best = k
-        if agg[best] >= tau:
-            out[obs_id] = best
-            continue
-        ranked = sorted(range(len(agg)), key=lambda k: (-agg[k], k))[:top_k]
-        chosen = best
-        for k in ranked:
-            if venomous_flags[k]:
-                chosen = k
-                break
-        out[obs_id] = chosen
-    return out
-
-
-def oracle_eigvals_jacobi(matrix):
-    """Cyclic Jacobi eigenvalues of a small symmetric matrix, descending."""
-    n = len(matrix)
-    a = [[float(v) for v in row] for row in matrix]
-    for i in range(n):
-        for j in range(n):
-            if abs(a[i][j] - a[j][i]) > 1e-9:
-                raise ValueError("matrix is not symmetric")
-    for _ in range(100):
-        off = math.sqrt(
-            sum(a[i][j] ** 2 for i in range(n) for j in range(n) if i != j)
-        )
-        if off < 1e-13:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p][q]) < 1e-300:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                cos = 1.0 / math.sqrt(t * t + 1.0)
-                sin = t * cos
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = cos * akp - sin * akq
-                    a[k][q] = sin * akp + cos * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = cos * apk - sin * aqk
-                    a[q][k] = sin * apk + cos * aqk
-    return sorted((a[i][i] for i in range(n)), reverse=True)

@@ -60,7 +60,7 @@ def tiny_bundle(five_classes):
     )
     return DatasetBundle(
         classes=five_classes,
-        observations=ObservationTable(rows),
+        observations=ObservationTable.from_rows(rows),
         image_scores=FeatureMatrix(scores),
         metadata_features=FeatureMatrix(metadata),
         locations=LocationTable({"loc_0": 0, "loc_1": 1, "loc_2": 2}),

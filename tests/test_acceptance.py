@@ -32,14 +32,10 @@ from venomguard.prior_model import (
     compute_prototypes,
     train_prior,
 )
-from venomguard.synthetic import (
-    SynthConfig,
-    generate,
-    oracle_eigvals_jacobi,
-    oracle_metric,
-)
+from venomguard.synthetic import SynthConfig, generate
 
 from conftest import constant_prior_artifact
+from oracles import oracle_eigvals_jacobi, oracle_metric
 
 
 def _report(n: int, desc: str, ok: bool) -> None:

@@ -370,6 +370,27 @@ class TestFormatErrors:
         assert code == 3
         assert "missing key 'd'" in err
 
+    def test_prior_sidecar_dropout_out_of_range_exits_three(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        pca_path, prior_path = tmp_path / "pca.bin", tmp_path / "prior.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(prior_path), "--epochs", "1", "--hidden", "8",
+        )
+        assert code == 0
+        meta = tmp_path / "prior.bin.meta"
+        meta.write_text(meta.read_text().replace("dropout=0.3", "dropout=1.5"))
+        code, _, err = run(
+            capsys, "infer", str(data), "--prior", str(prior_path),
+            "-o", str(tmp_path / "preds.csv"),
+        )
+        assert code == 3
+        assert "dropout 1.5 outside [0, 1)" in err
+
     def test_bad_k_exits_one(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         code, _, err = run(

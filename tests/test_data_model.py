@@ -1,3 +1,4 @@
+import csv
 import io
 from dataclasses import replace
 
@@ -9,6 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from venomguard.data_model import (
     MAGIC,
+    ClassEntry,
+    ClassTable,
     FeatureMatrix,
     LocationTable,
     ObservationRow,
@@ -24,9 +27,19 @@ from venomguard.data_model import (
     write_records,
 )
 from venomguard.errors import BundleValidationError, CsvParseError, FormatError
+from venomguard.inference import read_predictions_csv
 from venomguard.synthetic import SynthConfig, generate, write_dataset
 
+from oracles import (
+    Rejected,
+    reference_classes,
+    reference_locations,
+    reference_observations,
+    reference_predictions,
+)
+
 CLASSES_OK = "class_id,name,venomous\n0,adder,1\n1,grass snake,0\n2,asp,1\n"
+OBS_HEADER = ["observation_id", "image_index", "class_id", "location_code"]
 
 
 def write(tmp_path, name, text):
@@ -250,7 +263,7 @@ class TestBinaryFormat:
 
 
 def with_rows(bundle, rows):
-    return replace(bundle, observations=ObservationTable(rows))
+    return replace(bundle, observations=ObservationTable.from_rows(rows))
 
 
 class TestValidation:
@@ -309,3 +322,112 @@ class TestLoadBundle:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_bundle(tmp_path)
+
+
+# Pieces of manifest text: quoting, separators and line ends that csv.reader
+# and the columnar reader must split the same way.
+TEXT_PIECES = ["a", "b", "7", ",", '"', "\n", "\r\n", " ", "#", "\x00", "é"]
+NAMES = st.sampled_from(["obs_a", "obs_b", "loc_a", "loc_b", "a b", "é"])
+TEXT_CELL = st.one_of(
+    st.lists(st.sampled_from(TEXT_PIECES), max_size=4).map("".join), NAMES, NAMES
+)
+# int() accepts some odd spellings; the listed ones must parse alike
+ODD_INTS = st.sampled_from(
+    [" 4 ", " ", " x ", "+2", "-1", "1_0", "٣", "x", "", "1.5", '"3"']
+)
+SMALL = st.integers(0, 3).map(str)
+SMALL_INT = st.one_of(SMALL, SMALL, ODD_INTS)
+LARGE = st.integers(0, 10**6).map(str)
+ANY_INT = st.one_of(LARGE, LARGE, SMALL_INT)
+
+
+@st.composite
+def manifest_text(draw, header, cells):
+    """Header line, then rows of 1..n+1 cells (short, full and extra rows),
+    each written through csv.writer or joined raw, with blank lines between.
+    ``cells`` maps a column to its cell strategy (default TEXT_CELL)."""
+    n = len(header)
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = draw(st.sampled_from([n] * 6 + [n - 1, n + 1, 1]))
+        row = [draw(cells.get(i, TEXT_CELL)) for i in range(width)]
+        if draw(st.booleans()):
+            out = io.StringIO()
+            csv.writer(out, lineterminator="").writerow(row)
+            lines.append(out.getvalue())
+        else:
+            lines.append(",".join(row))
+        lines += [""] * draw(st.integers(0, 1))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def outcome(parse, path):
+    """('ok', value) or ('rejected', line, message), for either parser."""
+    try:
+        return ("ok", parse(path))
+    except CsvParseError as exc:
+        return ("rejected", exc.line, str(exc).split(": ", 1)[1])
+    except Rejected as exc:
+        return ("rejected", exc.line, exc.message)
+
+
+class TestManifestReaderMatchesCsvReader:
+    """The columnar parsers accept and reject exactly as the row-at-a-time
+    csv.reader references in tests/oracles.py do, with the same values and
+    the same physical line."""
+
+    def check(self, tmp_path_factory, text, ours, reference):
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(ours, path) == outcome(reference, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=manifest_text(OBS_HEADER, {1: ANY_INT, 2: SMALL_INT}),
+        allow_unlabeled=st.booleans(),
+    )
+    def test_observations(self, tmp_path_factory, text, allow_unlabeled):
+        classes = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
+
+        def ours(path):
+            table = parse_observations_csv(path, classes, allow_unlabeled=allow_unlabeled)
+            return [tuple(r) for r in table.rows]
+
+        self.check(tmp_path_factory, text, ours,
+                   lambda path: reference_observations(path, 4, allow_unlabeled))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=manifest_text(["location_code", "metadata_index"], {1: ANY_INT}))
+    def test_locations(self, tmp_path_factory, text):
+        self.check(tmp_path_factory, text,
+                   lambda path: list(parse_locations_csv(path).entries.items()),
+                   lambda path: list(reference_locations(path).items()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=manifest_text(
+        ["class_id", "name", "venomous"],
+        {0: SMALL_INT, 2: st.sampled_from(["0", "1", " TRUE", "false ", "yes", ""])},
+    ))
+    def test_classes(self, tmp_path_factory, text):
+        def ours(path):
+            return [tuple(vars(e).values()) for e in parse_classes_csv(path).entries]
+
+        self.check(tmp_path_factory, text, ours, reference_classes)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=manifest_text(["observation_id", "class_id"], {1: ANY_INT}))
+    def test_predictions(self, tmp_path_factory, text):
+        def ours(path):
+            ids, class_ids = read_predictions_csv(path)
+            return list(zip(ids.tolist(), class_ids.tolist()))
+
+        self.check(tmp_path_factory, text, ours,
+                   lambda path: sorted(reference_predictions(path).items()))
+
+    def test_integer_beyond_int64_is_a_bad_value(self, tmp_path):
+        # int() accepts it, but the int64 columns cannot hold it
+        big = "9223372036854775808"
+        path = write(tmp_path, "l.csv", f"location_code,metadata_index\nloc_a,{big}\n")
+        with pytest.raises(CsvParseError, match=f":2: bad metadata_index '{big}'"):
+            parse_locations_csv(path)

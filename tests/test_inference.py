@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_prior_artifact
-from venomguard.data_model import FeatureMatrix, ObservationRow, ObservationTable
-from venomguard.errors import CsvParseError
+from venomguard.data_model import FeatureMatrix, LocationTable, ObservationRow, ObservationTable
+from venomguard.errors import BundleValidationError, CsvParseError
 from venomguard.inference import (
     EscalationPolicy,
     PredictionResult,
@@ -26,7 +26,8 @@ from venomguard.prior_model import (
     PrototypeMatrix,
     prior_scores,
 )
-from venomguard.synthetic import oracle_predict
+
+from oracles import oracle_predict
 
 prob_rows = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8).map(
     lambda xs: np.array(xs) / np.sum(xs)
@@ -82,7 +83,7 @@ def aggregated_one_observation(bundle, probs):
     probs = np.asarray(probs)
     rows = [ObservationRow("obs", i, 0, "loc_0") for i in range(len(probs))]
     one = replace(
-        bundle, observations=ObservationTable(rows), image_scores=FeatureMatrix(probs)
+        bundle, observations=ObservationTable.from_rows(rows), image_scores=FeatureMatrix(probs)
     )
     out = predict_dataset(one, scores_are_logits=False)
     assert out.aggregated.shape == (1, probs.shape[1])
@@ -242,7 +243,7 @@ class TestPredictDataset:
             ObservationRow("obs_a", 1, 0, "loc_2"),
             ObservationRow("obs_c", 3, 3, "loc_2"),
         ]
-        bundle = replace(tiny_bundle, observations=ObservationTable(rows))
+        bundle = replace(tiny_bundle, observations=ObservationTable.from_rows(rows))
         rng = np.random.default_rng(5)
         pca = fit_pca(bundle.metadata_features, k=2)
         mlp = PriorMlp.create(2, 8, 4, dropout_rate=0.0, seed=5)
@@ -304,6 +305,13 @@ class TestPredictDataset:
         assert ids == sorted(ids)
 
 
+def read_map(path):
+    """read_predictions_csv as a dict, after checking its ids are in str order."""
+    ids, class_ids = read_predictions_csv(path)
+    assert ids.tolist() == sorted(ids.tolist())
+    return dict(zip(ids.tolist(), class_ids.tolist()))
+
+
 class TestPredictionCsv:
     def results(self):
         return [
@@ -315,7 +323,7 @@ class TestPredictionCsv:
         path = tmp_path / "preds.csv"
         write_predictions_csv(path, self.results())
         assert path.read_text() == "observation_id,class_id\nobs_a,3\nobs_b,0\n"
-        assert read_predictions_csv(path) == {"obs_a": 3, "obs_b": 0}
+        assert read_map(path) == {"obs_a": 3, "obs_b": 0}
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -331,7 +339,7 @@ class TestPredictionCsv:
         results = [PredictionResult(obs_id, i, i, 0.5) for i, obs_id in enumerate(ids)]
         path = tmp_path_factory.mktemp("preds") / "preds.csv"
         write_predictions_csv(path, results, explain=explain)
-        assert read_predictions_csv(path) == {obs_id: i for i, obs_id in enumerate(ids)}
+        assert read_map(path) == {obs_id: i for i, obs_id in enumerate(ids)}
 
     def test_explain_adds_escalation_columns(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -340,7 +348,7 @@ class TestPredictionCsv:
         assert lines[0] == "observation_id,class_id,pre_escalation_class_id,confidence"
         assert lines[1].startswith("obs_a,3,1,")
         # explain files still satisfy the minimal reader
-        assert read_predictions_csv(path) == {"obs_a": 3, "obs_b": 0}
+        assert read_map(path) == {"obs_a": 3, "obs_b": 0}
 
     def test_duplicate_observation_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -366,3 +374,14 @@ class TestPredictionCsv:
         path.write_text("observation_id,class_id\nobs_a\n")
         with pytest.raises(CsvParseError, match=":2:"):
             read_predictions_csv(path)
+
+
+class TestUnresolvedLocations:
+    @pytest.mark.parametrize(
+        "entries", [{"loc_0": 0, "loc_1": 1}, {"loc_0": 0, "loc_1": 1, "loc_2": -1}]
+    )
+    def test_prediction_with_prior_rejects_unresolved_location(self, tiny_bundle, entries):
+        # loc_2 is unknown or negative: no prior row may be taken for it
+        bundle = replace(tiny_bundle, locations=LocationTable(entries))
+        with pytest.raises(BundleValidationError, match="unresolved location"):
+            predict_dataset(bundle, prior=constant_prior_artifact(bundle))

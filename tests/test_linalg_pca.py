@@ -15,7 +15,8 @@ from venomguard.linalg_pca import (
     save_pca,
     transform_vector,
 )
-from venomguard.synthetic import oracle_eigvals_jacobi
+
+from oracles import oracle_eigvals_jacobi
 
 
 def fm(rows):

@@ -430,5 +430,43 @@ class TestScoresAndArtifact:
         # Corrupt the stored model by truncating one record's width.
         artifact.mlp.w1 = artifact.mlp.w1[:, :-1]
         save_prior(artifact, tmp_path / "prior2.bin")
-        with pytest.raises(ValueError, match="pca"):
+        with pytest.raises(FormatError, match="pca"):
             load_prior(tmp_path / "prior2.bin")
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("dropout", "1.5", r"dropout 1.5 outside \[0, 1\)"),
+            ("dropout", "-0.1", r"dropout -0.1 outside \[0, 1\)"),
+            ("hidden", "7", "layer 1 record is 5x4, the sidecar implies 7x4"),
+            ("d_out", "5", "layer 3 record is 4x6, the sidecar implies 5x6"),
+            ("n_classes", "9", "prototypes record is 4x8, the sidecar implies 4x9"),
+            ("pca_d", "4", "pca mean record is 1x6, the sidecar implies 1x4"),
+            ("pca_k", "2", "prior input dim 3 != pca k 2"),
+        ],
+    )
+    def test_inconsistent_sidecar_is_format_error(self, tmp_path, key, value, problem):
+        artifact, _ = self.artifact()
+        path = tmp_path / "prior.bin"
+        save_prior(artifact, path)
+        meta = tmp_path / "prior.bin.meta"
+        fields = dict(part.split("=", 1) for part in meta.read_text().split())
+        fields[key] = value
+        meta.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        with pytest.raises(FormatError, match=problem):
+            load_prior(path)
+
+    @pytest.mark.parametrize(
+        "layer, shape",
+        [("w2", (5, 4)), ("w3", (4, 4)), ("prototypes", (5, 8))],
+    )
+    def test_record_widths_that_disagree_are_format_errors(self, tmp_path, layer, shape):
+        artifact, _ = self.artifact()
+        if layer == "prototypes":
+            artifact.prototypes = PrototypeMatrix(np.ones(shape), normalized=False)
+        else:
+            setattr(artifact.mlp, layer, np.ones(shape))
+        path = tmp_path / "prior.bin"
+        save_prior(artifact, path)
+        with pytest.raises(FormatError, match="record is"):
+            load_prior(path)

@@ -21,13 +21,11 @@ from venomguard.prior_model import (
 from venomguard.synthetic import (
     SynthConfig,
     generate,
-    oracle_eigvals_jacobi,
-    oracle_metric,
-    oracle_predict,
-    oracle_seesaw,
     power_law_counts,
     write_dataset,
 )
+
+from oracles import oracle_eigvals_jacobi, oracle_metric, oracle_predict, oracle_seesaw
 
 GOLDEN = Path(__file__).parent / "golden"
 
