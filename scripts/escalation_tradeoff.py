@@ -18,6 +18,7 @@ from venomguard.prior_model import (
     PriorArtifact,
     PriorTrainConfig,
     compute_prototypes,
+    prototype_inputs,
     train_prior,
 )
 from venomguard.synthetic import SynthConfig, generate
@@ -33,8 +34,7 @@ def main() -> None:
 
     gen = generate(SynthConfig(seed=args.seed))
     bundle = gen.bundle
-    labels = np.array([r.class_id for r in bundle.observations.labeled_rows()])
-    proto = compute_prototypes(bundle.embeddings, labels, len(bundle.classes.entries))
+    proto = compute_prototypes(*prototype_inputs(bundle), bundle.classes.n_classes)
     pca = fit_pca(bundle.metadata_features, k=8)
     reduced = pca_transform(pca, bundle.metadata_features)
     mlp, _ = train_prior(

@@ -17,6 +17,7 @@ from venomguard.prior_model import (
     PriorArtifact,
     PriorTrainConfig,
     compute_prototypes,
+    prototype_inputs,
     train_prior,
 )
 from venomguard.synthetic import SynthConfig, generate
@@ -26,8 +27,7 @@ def run(seed: int, epochs: int, tau: float, pca_k: int) -> None:
     start = time.perf_counter()
     gen = generate(SynthConfig(seed=seed))
     bundle = gen.bundle
-    labels = np.array([r.class_id for r in bundle.observations.labeled_rows()])
-    proto = compute_prototypes(bundle.embeddings, labels, len(bundle.classes.entries))
+    proto = compute_prototypes(*prototype_inputs(bundle), bundle.classes.n_classes)
     pca = fit_pca(bundle.metadata_features, k=pca_k)
     reduced = pca_transform(pca, bundle.metadata_features)
     mlp, trace = train_prior(

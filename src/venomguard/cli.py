@@ -12,11 +12,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data_model import (
-    DatasetBundle,
-    FeatureMatrix,
     load_bundle,
     parse_classes_csv,
     read_feature_matrix,
@@ -37,6 +33,7 @@ from .prior_model import (
     PriorTrainConfig,
     compute_prototypes,
     load_prior,
+    prototype_inputs,
     save_prior,
     train_prior,
 )
@@ -227,20 +224,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _prototype_inputs(bundle: DatasetBundle) -> tuple[FeatureMatrix, np.ndarray]:
-    """Feature rows and labels for prototype computation.
-
-    Prefers stored image embeddings; falls back to the score matrix when a
-    bundle ships without them.
-    """
-    source = bundle.embeddings if bundle.embeddings is not None else bundle.image_scores
-    obs = bundle.observations
-    labeled = obs.class_id >= 0
-    if not labeled.any():
-        raise BundleValidationError("no labeled observation rows for prototypes")
-    return FeatureMatrix(source.values[obs.image_index[labeled]]), obs.class_id[labeled]
-
-
 def _cmd_validate(args) -> int:
     resolve_config(args.config, {})
     bundle = load_bundle(args.directory, allow_unlabeled=True)
@@ -283,7 +266,7 @@ def _cmd_train_prior(args) -> int:
     bundle, _ = validate_bundle(bundle, mode="strict")
     pca = load_pca(args.pca)
 
-    feats, labels = _prototype_inputs(bundle)
+    feats, labels = prototype_inputs(bundle)
     prototypes = compute_prototypes(feats, labels, bundle.classes.n_classes)
     reduced = pca_transform(pca, bundle.metadata_features)
     train_bundle = replace(bundle, metadata_features=reduced)

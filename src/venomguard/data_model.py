@@ -292,6 +292,15 @@ def read_manifest(
     return np.array(kept, dtype=StringDType()).reshape(len(kept), n), short
 
 
+def write_manifest(path: str | Path, header: list[str], rows: Iterable) -> None:
+    """Write ``header`` and ``rows`` as a CSV manifest that ``read_manifest``
+    reads back: ``\n`` line ends, and only fields that need it are quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``int()`` of each string cell as int64, and a mask of the cells it
     rejects; a value outside the int64 range is rejected too."""

@@ -3,7 +3,6 @@ observation, then apply the venom-aware escalation rule."""
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from .data_model import (
     read_manifest,
     reject_first,
     sorted_unique,
+    write_manifest,
 )
 from .linalg_pca import pca_transform
 from .losses import softmax
@@ -185,24 +185,21 @@ def predict_dataset(
 def write_predictions_csv(
     path: str | Path, results: list[PredictionResult], explain: bool = False
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if explain:
-            writer.writerow(
-                ["observation_id", "class_id", "pre_escalation_class_id", "confidence"]
-            )
-            writer.writerows(
-                [
-                    r.observation_id,
-                    r.class_id,
-                    r.pre_escalation_class_id,
-                    repr(r.confidence),
-                ]
+    if explain:
+        write_manifest(
+            path,
+            ["observation_id", "class_id", "pre_escalation_class_id", "confidence"],
+            (
+                [r.observation_id, r.class_id, r.pre_escalation_class_id, repr(r.confidence)]
                 for r in results
-            )
-        else:
-            writer.writerow(["observation_id", "class_id"])
-            writer.writerows([r.observation_id, r.class_id] for r in results)
+            ),
+        )
+    else:
+        write_manifest(
+            path,
+            ["observation_id", "class_id"],
+            ([r.observation_id, r.class_id] for r in results),
+        )
 
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .data_model import (
     read_sidecar,
     write_records,
 )
-from .errors import FormatError
+from .errors import BundleValidationError, FormatError
 from .linalg_pca import PcaModel, transform_vector
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
@@ -297,6 +297,20 @@ def compute_prototypes(
     if empty:
         warnings.warn(f"zero prototype columns for classes {empty[:10]}")
     return PrototypeMatrix(out, normalized=normalize)
+
+
+def prototype_inputs(bundle: DatasetBundle) -> tuple[FeatureMatrix, np.ndarray]:
+    """Feature rows and labels of the labeled images, for `compute_prototypes`.
+
+    Prefers stored image embeddings; falls back to the score matrix when a
+    bundle ships without them.
+    """
+    source = bundle.embeddings if bundle.embeddings is not None else bundle.image_scores
+    obs = bundle.observations
+    labeled = obs.class_id >= 0
+    if not labeled.any():
+        raise BundleValidationError("no labeled observation rows for prototypes")
+    return FeatureMatrix(source.values[obs.image_index[labeled]]), obs.class_id[labeled]
 
 
 def feature_bounds(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

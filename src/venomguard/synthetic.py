@@ -28,6 +28,7 @@ from .data_model import (
     LocationTable,
     ObservationTable,
     write_feature_matrix,
+    write_manifest,
 )
 
 TRUTH_FILENAME = "truth.csv"
@@ -104,10 +105,16 @@ def power_law_counts(n_obs: int, n_classes: int, ratio: float) -> np.ndarray:
 
 
 def generate(cfg: SynthConfig) -> GeneratedData:
-    """Build a full in-memory dataset; bitwise deterministic per seed."""
+    """Build a full in-memory dataset; bitwise deterministic per seed.
+
+    The order of the random draws below fixes the dataset for each seed:
+    reordering, merging or reshaping any draw gives a different dataset at
+    the same seed.
+    """
     rng = np.random.default_rng(cfg.seed)
     c = cfg.n_classes
-    counts = power_law_counts(cfg.n_observations, c, cfg.imbalance_ratio)
+    n = cfg.n_observations
+    counts = power_law_counts(n, c, cfg.imbalance_ratio)
 
     n_venom = math.ceil(cfg.venom_fraction * c)
     venom_ids = set(
@@ -118,38 +125,30 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
 
     labels = np.repeat(np.arange(c), counts)
-    labels = labels[rng.permutation(cfg.n_observations)]
-
-    alpha = cfg.location_informativeness
-    lo, hi = cfg.images_per_observation
-    obs_ids = [f"obs_{i:05d}" for i in range(cfg.n_observations)]
-    loc_codes = [f"loc_{i:05d}" for i in range(cfg.n_observations)]
-    metadata = np.empty((cfg.n_observations, cfg.dims_meta))
-    images = np.empty(cfg.n_observations, dtype=np.int64)
-    logit_rows: list[np.ndarray] = []
-    embed_rows: list[np.ndarray] = []
-
-    for i, y in enumerate(int(v) for v in labels):
-        cluster = centers[y] + CLUSTER_NOISE * rng.standard_normal(cfg.dims_meta)
-        metadata[i] = alpha * cluster + (1.0 - alpha) * rng.uniform(
-            0.0, 1.0, cfg.dims_meta
-        )
-        images[i] = rng.integers(lo, hi + 1)
-        for _ in range(images[i]):
-            logits = LOGIT_NOISE * rng.standard_normal(c)
-            logits[y] += LOGIT_SCALE
-            logit_rows.append(logits)
-            embed_rows.append(
-                EMBED_SCALE * protos[y]
-                + EMBED_NOISE * rng.standard_normal(cfg.dims_proto)
-            )
+    labels = labels[rng.permutation(n)]
 
     # observation i owns the next images[i] image rows and location i
-    owner = np.repeat(np.arange(cfg.n_observations), images)
+    lo, hi = cfg.images_per_observation
+    images = rng.integers(lo, hi + 1, size=n)
+    owner = np.repeat(np.arange(n), images)
+    image_labels = labels[owner]
+
+    alpha = cfg.location_informativeness
+    cluster = centers[labels] + CLUSTER_NOISE * rng.standard_normal((n, cfg.dims_meta))
+    metadata = alpha * cluster + (1.0 - alpha) * rng.uniform(0.0, 1.0, (n, cfg.dims_meta))
+
+    logits = rng.standard_normal((owner.size, c))
+    logits *= LOGIT_NOISE
+    logits[np.arange(owner.size), image_labels] += LOGIT_SCALE
+    noise = rng.standard_normal((owner.size, cfg.dims_proto))
+    embeddings = EMBED_SCALE * protos[image_labels] + EMBED_NOISE * noise
+
+    obs_ids = [f"obs_{i:05d}" for i in range(n)]
+    loc_codes = [f"loc_{i:05d}" for i in range(n)]
     observations = ObservationTable.from_columns(
         np.asarray(obs_ids, dtype=StringDType())[owner],
         np.arange(owner.size),
-        labels[owner],
+        image_labels,
         np.asarray(loc_codes, dtype=StringDType())[owner],
     )
     truth = dict(zip(obs_ids, labels.tolist()))
@@ -159,10 +158,10 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     bundle = DatasetBundle(
         classes=classes,
         observations=observations,
-        image_scores=FeatureMatrix(np.vstack(logit_rows)),
+        image_scores=FeatureMatrix(logits),
         metadata_features=FeatureMatrix(metadata),
-        locations=LocationTable(dict(zip(loc_codes, range(cfg.n_observations)))),
-        embeddings=FeatureMatrix(np.vstack(embed_rows)),
+        locations=LocationTable(dict(zip(loc_codes, range(n)))),
+        embeddings=FeatureMatrix(embeddings),
     )
     return GeneratedData(bundle=bundle, truth=truth, class_counts=counts, config=cfg)
 
@@ -173,33 +172,32 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     bundle = gen.bundle
 
-    lines = ["class_id,name,venomous"]
-    for e in bundle.classes.entries:
-        lines.append(f"{e.class_id},{e.name},{int(e.venomous)}")
-    (d / CLASSES_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
+    write_manifest(
+        d / CLASSES_FILENAME,
+        ["class_id", "name", "venomous"],
+        ([e.class_id, e.name, int(e.venomous)] for e in bundle.classes.entries),
+    )
     obs = bundle.observations
-    lines = ["observation_id,image_index,class_id,location_code"]
-    lines += [
-        f"{obs_id},{idx},{'' if cid < 0 else cid},{code}"
-        for obs_id, idx, cid, code in zip(
+    write_manifest(
+        d / OBSERVATIONS_FILENAME,
+        ["observation_id", "image_index", "class_id", "location_code"],
+        zip(
             obs.ids[obs.group].tolist(),
             obs.image_index.tolist(),
-            obs.class_id.tolist(),
+            ["" if cid < 0 else cid for cid in obs.class_id.tolist()],
             obs.codes[obs.location].tolist(),
-        )
-    ]
-    (d / OBSERVATIONS_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["location_code,metadata_index"]
-    for code, idx in bundle.locations.entries.items():
-        lines.append(f"{code},{idx}")
-    (d / LOCATIONS_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    lines = ["observation_id,class_id"]
-    for obs_id in sorted(gen.truth):
-        lines.append(f"{obs_id},{gen.truth[obs_id]}")
-    (d / TRUTH_FILENAME).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        ),
+    )
+    write_manifest(
+        d / LOCATIONS_FILENAME,
+        ["location_code", "metadata_index"],
+        bundle.locations.entries.items(),
+    )
+    write_manifest(
+        d / TRUTH_FILENAME,
+        ["observation_id", "class_id"],
+        ((obs_id, gen.truth[obs_id]) for obs_id in sorted(gen.truth)),
+    )
 
     write_feature_matrix(bundle.image_scores, d / SCORES_FILENAME)
     write_feature_matrix(bundle.metadata_features, d / METADATA_FILENAME)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from venomguard.data_model import FeatureMatrix
-from venomguard.errors import FormatError
+from venomguard.data_model import FeatureMatrix, ObservationTable
+from venomguard.errors import BundleValidationError, FormatError
 from venomguard.gradcheck import check_loss
 from venomguard.linalg_pca import fit_pca, pca_transform
 from venomguard.prior_model import (
@@ -24,6 +25,7 @@ from venomguard.prior_model import (
     pack_params,
     prior_forward,
     prior_scores,
+    prototype_inputs,
     sample_random_location,
     save_prior,
     load_prior,
@@ -143,6 +145,29 @@ class TestPrototypes:
         with pytest.raises(ValueError):
             compute_prototypes(feats, np.array([0, 5]), 2)
 
+
+    def test_inputs_skip_unlabeled_rows_and_prefer_embeddings(self, tiny_bundle):
+        feats, labels = prototype_inputs(tiny_bundle)
+        assert np.array_equal(feats.values, tiny_bundle.image_scores.values)
+        assert labels.tolist() == [0, 0, 1, 3]
+
+        rows = [r._replace(image_index=3 - r.image_index) for r in tiny_bundle.observations.rows]
+        rows[2] = rows[2]._replace(class_id=None)
+        embeddings = FeatureMatrix(np.arange(8.0).reshape(4, 2))
+        bundle = replace(
+            tiny_bundle,
+            observations=ObservationTable.from_rows(rows),
+            embeddings=embeddings,
+        )
+        feats, labels = prototype_inputs(bundle)
+        assert np.array_equal(feats.values, embeddings.values[[3, 2, 0]])
+        assert labels.tolist() == [0, 0, 3]
+
+    def test_inputs_need_a_labeled_row(self, tiny_bundle):
+        rows = [r._replace(class_id=None) for r in tiny_bundle.observations.rows]
+        bundle = replace(tiny_bundle, observations=ObservationTable.from_rows(rows))
+        with pytest.raises(BundleValidationError, match="no labeled"):
+            prototype_inputs(bundle)
 
 class TestLocLoss:
     def test_zero_model_single_class_hand_value(self):

@@ -1,11 +1,20 @@
+import hashlib
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from venomguard.data_model import load_bundle
-from venomguard.inference import EscalationPolicy, predict_dataset
+from numpy.dtypes import StringDType
+
+from venomguard.data_model import (
+    ClassEntry,
+    ClassTable,
+    LocationTable,
+    ObservationTable,
+    load_bundle,
+)
+from venomguard.inference import EscalationPolicy, predict_dataset, read_predictions_csv
 from venomguard.linalg_pca import fit_pca, pca_transform
 from venomguard.losses import SeesawState, seesaw_loss
 from venomguard.metrics import MetricWeights, build_report
@@ -98,6 +107,32 @@ class TestGenerate:
         assert not np.array_equal(
             a.bundle.image_scores.values, c.bundle.image_scores.values
         )
+
+    def test_stream_matches_golden_digests(self):
+        # The benchmark's fixed world (WORLD_SEED 7) must not change without notice.
+        gen = generate(SynthConfig(seed=7, n_observations=500))
+        bundle = gen.bundle
+        arrays = {
+            "image_scores": bundle.image_scores.values,
+            "metadata_features": bundle.metadata_features.values,
+            "embeddings": bundle.embeddings.values,
+            "truth": np.array([gen.truth[i] for i in sorted(gen.truth)], dtype=np.int64),
+        }
+        digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
+        assert digests == {
+            "image_scores": "75eef45004f7da3f0cc3a066394ec335b26f8c4114aab3dfe14dd4cf2c724dbe",
+            "metadata_features": "1d7ed84e96dcd1d702f46dc77e21c372be1c5348198051c26345a3d690088cd2",
+            "embeddings": "86a7e8afccd83b7c6f712cbe524e1afaf799fac300997db13797111da2b4ebc7",
+            "truth": "f799696954395b1f822208d5e653a84454727346099c3b82bd4ad335930f1361",
+        }
+
+    def test_informativeness_does_not_move_the_image_stream(self):
+        cfg = SynthConfig(seed=13, n_classes=8, n_observations=400)
+        a = generate(replace(cfg, location_informativeness=0.0)).bundle
+        b = generate(replace(cfg, location_informativeness=0.8)).bundle
+        assert np.array_equal(a.image_scores.values, b.image_scores.values)
+        assert np.array_equal(a.embeddings.values, b.embeddings.values)
+        assert not np.array_equal(a.metadata_features.values, b.metadata_features.values)
 
     def test_shapes_and_flags(self, synth7):
         bundle = synth7.bundle
@@ -203,6 +238,37 @@ class TestWriteDataset:
             gen.bundle.image_scores.values.astype(np.float32).astype(np.float64),
         )
         assert loaded.locations.entries == gen.bundle.locations.entries
+
+    def test_quoted_fields_round_trip(self, tmp_path):
+        gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
+        bundle, obs = gen.bundle, gen.bundle.observations
+
+        def odd(text):
+            return text.replace("_", ',"\n', 1)
+
+        ids = np.asarray([odd(i) for i in obs.ids.tolist()], dtype=StringDType())
+        codes = np.asarray([odd(c) for c in obs.codes.tolist()], dtype=StringDType())
+        odd_bundle = replace(
+            bundle,
+            classes=ClassTable(
+                [ClassEntry(e.class_id, odd(e.name), e.venomous) for e in bundle.classes.entries]
+            ),
+            observations=ObservationTable.from_columns(
+                ids[obs.group], obs.image_index, obs.class_id, codes[obs.location]
+            ),
+            locations=LocationTable(
+                {odd(code): idx for code, idx in bundle.locations.entries.items()}
+            ),
+        )
+        truth = {odd(i): y for i, y in gen.truth.items()}
+        write_dataset(replace(gen, bundle=odd_bundle, truth=truth), tmp_path)
+
+        loaded = load_bundle(tmp_path)
+        assert loaded.classes.entries == odd_bundle.classes.entries
+        assert loaded.observations.rows == odd_bundle.observations.rows
+        assert loaded.locations.entries == odd_bundle.locations.entries
+        truth_ids, truth_labels = read_predictions_csv(tmp_path / "truth.csv")
+        assert dict(zip(truth_ids.tolist(), truth_labels.tolist())) == truth
 
     def test_truth_file_sorted_and_complete(self, tmp_path):
         gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
