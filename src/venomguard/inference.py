@@ -185,21 +185,19 @@ def predict_dataset(
 def write_predictions_csv(
     path: str | Path, results: list[PredictionResult], explain: bool = False
 ) -> None:
+    header = ["observation_id", "class_id"]
     if explain:
-        write_manifest(
-            path,
-            ["observation_id", "class_id", "pre_escalation_class_id", "confidence"],
-            (
-                [r.observation_id, r.class_id, r.pre_escalation_class_id, repr(r.confidence)]
-                for r in results
-            ),
-        )
-    else:
-        write_manifest(
-            path,
-            ["observation_id", "class_id"],
-            ([r.observation_id, r.class_id] for r in results),
-        )
+        header += ["pre_escalation_class_id", "confidence"]
+    write_manifest(
+        path,
+        header,
+        (
+            [r.observation_id, r.class_id, r.pre_escalation_class_id, repr(r.confidence)]
+            if explain
+            else [r.observation_id, r.class_id]
+            for r in results
+        ),
+    )
 
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
