@@ -43,14 +43,6 @@ from .synthetic import SynthConfig, generate, write_dataset
 # they need. File values override these, explicit flags override the file.
 DEFAULTS: dict[str, object] = {
     "seed": 0,
-    # seesaw / cost-weighted losses (consumed by gradcheck instances)
-    "seesaw_p": 0.8,
-    "seesaw_q": 2.0,
-    "cost_hh": 1.0,
-    "cost_hv": 2.0,
-    "cost_vh": 5.0,
-    "cost_vv": 2.0,
-    "prob_clamp": 1e-12,
     # composite metric
     "w1": 1.0,
     "w2": 1.0,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import os
 import stat
 import struct
@@ -480,7 +479,11 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if data.size and not np.all(np.isfinite(data)):
         raise FormatError(f"{source}: non-finite values in payload")
-    return FeatureMatrix(data.reshape(rows, dims))
+    try:
+        values = data.reshape(rows, dims)
+    except ValueError as exc:  # an empty shape past numpy's dimension limits
+        raise FormatError(f"{source}: header declares {rows}x{dims} values") from exc
+    return FeatureMatrix(values)
 
 
 def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -503,44 +506,15 @@ def write_records(path: str | Path, matrices: Iterable[FeatureMatrix]) -> None:
 
 
 def read_records(path: str | Path, count: int) -> list[FeatureMatrix]:
+    """Exactly ``count`` VGF1 records; FormatError for fewer or trailing bytes."""
     out = []
     with open(path, "rb") as fh:
-        for _ in range(count):
+        for i in range(count):
+            if i and _bytes_left(fh) == 0:
+                raise FormatError(f"{path}: holds {i} records, expected {count}")
             out.append(read_record(fh, source=str(path)))
         if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    return out
-
-
-def read_sidecar(path: str | Path, fmt: str, keys: dict[str, type]) -> dict:
-    """Typed fields of the one-line ``key=value`` sidecar ``<path>.meta``.
-
-    ``keys`` maps each required key to ``int`` or ``float``. A format tag
-    other than ``fmt``, a missing key, or a value that is not a finite
-    number of that type raises FormatError.
-    """
-    meta = Path(f"{path}.meta")
-    try:
-        parts = meta.read_text(encoding="utf-8").split()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{meta}: not UTF-8 text") from exc
-    fields = dict(part.split("=", 1) for part in parts if "=" in part)
-    if fields.get("format") != fmt:
-        raise FormatError(
-            f"{meta}: unknown format {fields.get('format')!r}, expected {fmt!r}"
-        )
-    out = {}
-    for key, kind in keys.items():
-        if key not in fields:
-            raise FormatError(f"{meta}: missing key {key!r}")
-        try:
-            out[key] = kind(fields[key])
-        except ValueError:
-            out[key] = math.nan
-        if not math.isfinite(out[key]):
-            raise FormatError(
-                f"{meta}: {key}={fields[key]!r} is not a finite {kind.__name__}"
-            )
+            raise FormatError(f"{path}: trailing bytes after {count} records")
     return out
 
 
@@ -582,9 +556,20 @@ def validate_bundle(
     Drop mode mirrors regenerating a cleaned manifest: observation rows whose
     image index or location cannot be resolved are removed and counted, along
     with location entries pointing past the metadata matrix. Idempotent.
+    Matrices whose shape disagrees with the manifests fail in both modes.
     """
     if mode not in ("strict", "drop"):
         raise ValueError(f"mode must be 'strict' or 'drop', got {mode!r}")
+    scores, embeddings = bundle.image_scores, bundle.embeddings
+    if scores.dims != bundle.classes.n_classes:
+        raise BundleValidationError(
+            f"image scores have {scores.dims} columns for "
+            f"{bundle.classes.n_classes} classes"
+        )
+    if embeddings is not None and embeddings.rows != scores.rows:
+        raise BundleValidationError(
+            f"embeddings have {embeddings.rows} rows for {scores.rows} images"
+        )
     n_meta = bundle.metadata_features.rows
     good_locations = {
         code: idx for code, idx in bundle.locations.entries.items() if 0 <= idx < n_meta

@@ -21,7 +21,8 @@ class CsvParseError(VenomguardError):
 
 
 class FormatError(VenomguardError):
-    """A binary feature file is malformed (bad magic, truncated, non-finite)."""
+    """A binary feature or model file is malformed (bad magic, truncated,
+    non-finite, or model records whose shapes do not chain)."""
 
 
 class BundleValidationError(VenomguardError):

@@ -20,7 +20,7 @@ from .data_model import (
 )
 from .linalg_pca import pca_transform
 from .losses import softmax
-from .prior_model import PriorArtifact, _forward
+from .prior_model import PriorArtifact, prior_scores
 
 
 @dataclass
@@ -124,8 +124,7 @@ def _prior_weights_by_location(
 ) -> np.ndarray:
     """softmax(prior) per location row, computed once and reused."""
     reduced = pca_transform(prior.pca, bundle.metadata_features)
-    emb, _ = _forward(prior.mlp, reduced.values)
-    return softmax(emb @ prior.prototypes.matrix)
+    return softmax(prior_scores(prior.mlp, reduced.values, prior.prototypes))
 
 
 def predict_dataset(

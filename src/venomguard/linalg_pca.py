@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import FeatureMatrix, read_records, read_sidecar, write_records
+from .data_model import FeatureMatrix, read_records, write_records
 from .errors import FormatError
 
 
@@ -73,38 +73,65 @@ def pca_inverse(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix(matrix.values @ model.components + model.mean)
 
 
-def transform_vector(model: PcaModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d_in,):
-        raise ValueError(f"expected vector of length {model.d_in}, got {x.shape}")
-    return model.components @ (x - model.mean)
+# Each record of a model file, in file order, with the shape it must have.
+# pca d and k come from the components, hidden from layer 2, d_out from layer 3
+# and the class count from the prototypes, so every other shape is checked
+# against them.
+_RECORDS = (
+    ("pca mean", "1 x pca d"),
+    ("pca components", "pca k x pca d"),
+    ("pca eigenvalues", "1 x pca k"),
+    ("layer 1", "hidden x (pca k + 1)"),
+    ("layer 2", "hidden x (hidden + 1)"),
+    ("layer 3", "d_out x (hidden + 1)"),
+    ("prototypes", "d_out x classes"),
+)
+
+
+def check_record_shapes(path: str | Path, records: list[FeatureMatrix]) -> None:
+    """Raise FormatError naming the first record whose shape breaks the chain.
+
+    ``records`` are the three of a PCA file (mean, components, eigenvalues)
+    or the seven of a prior artifact, which adds the MLP layers as augmented
+    ``[W | b]`` matrices and the prototypes.
+    """
+    shapes = [m.values.shape for m in records]
+    k, d = shapes[1]
+    expected = [(1, d), (k, d), (1, k)]
+    if len(shapes) == len(_RECORDS):
+        hidden, d_out, classes = shapes[4][0], shapes[5][0], shapes[6][1]
+        expected += [
+            (hidden, k + 1), (hidden, hidden + 1), (d_out, hidden + 1), (d_out, classes)
+        ]
+    for (name, rule), shape, want in zip(_RECORDS, shapes, expected):
+        if shape != want:
+            raise FormatError(
+                f"{path}: {name} record is {shape[0]}x{shape[1]}, "
+                f"expected {want[0]}x{want[1]} ({rule})"
+            )
+
+
+def pca_records(model: PcaModel) -> list[FeatureMatrix]:
+    """The model as the three records a model file stores: mean, components,
+    eigenvalues."""
+    return [
+        FeatureMatrix(model.mean.reshape(1, -1)),
+        FeatureMatrix(model.components),
+        FeatureMatrix(model.eigenvalues.reshape(1, -1)),
+    ]
+
+
+def pca_from_records(records: list[FeatureMatrix]) -> PcaModel:
+    mean, components, eigenvalues = (r.values for r in records)
+    return PcaModel(mean=mean[0], components=components, eigenvalues=eigenvalues[0])
 
 
 def save_pca(model: PcaModel, path: str | Path) -> None:
-    """Three stacked VGF1 records (mean, components, eigenvalues) + one-line sidecar."""
-    write_records(
-        path,
-        [
-            FeatureMatrix(model.mean.reshape(1, -1)),
-            FeatureMatrix(model.components),
-            FeatureMatrix(model.eigenvalues.reshape(1, -1)),
-        ],
-    )
-    Path(f"{path}.meta").write_text(
-        f"format=pca-v1 k={model.k} d={model.d_in}\n", encoding="utf-8"
-    )
+    """Write the model as one VGF1 file of its three records."""
+    write_records(path, pca_records(model))
 
 
 def load_pca(path: str | Path) -> PcaModel:
-    mean_m, comp_m, eig_m = read_records(path, 3)
-    fields = read_sidecar(path, "pca-v1", {"k": int, "d": int})
-    k, d = fields["k"], fields["d"]
-    if comp_m.values.shape != (k, d):
-        raise FormatError(
-            f"{path}: sidecar says {k}x{d}, file holds {comp_m.values.shape}"
-        )
-    return PcaModel(
-        mean=mean_m.values[0],
-        components=comp_m.values,
-        eigenvalues=eig_m.values[0],
-    )
+    records = read_records(path, 3)
+    check_record_shapes(path, records)
+    return pca_from_records(records)

@@ -15,15 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data_model import (
-    DatasetBundle,
-    FeatureMatrix,
-    read_records,
-    read_sidecar,
-    write_records,
-)
-from .errors import BundleValidationError, FormatError
-from .linalg_pca import PcaModel, transform_vector
+from .data_model import DatasetBundle, FeatureMatrix, read_records, write_records
+from .errors import BundleValidationError
+from .linalg_pca import PcaModel, check_record_shapes, pca_from_records, pca_records
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
 PROB_CLAMP = 1e-12
@@ -112,7 +106,6 @@ class PrototypeMatrix:
     """Columns are per-class target embeddings for the prior's dot products."""
 
     matrix: np.ndarray  # (d_out, C)
-    normalized: bool = True
 
     @property
     def n_classes(self) -> int:
@@ -186,20 +179,6 @@ def _backward(model: PriorMlp, cache, d_out: np.ndarray) -> MlpGrads:
     gw1 = dz1.T @ x_rows
     gb1 = dz1.sum(axis=0)
     return MlpGrads(gw1, gb1, gw2, gb2, gw3, gb3)
-
-
-def prior_forward(model: PriorMlp, x: np.ndarray, mode: str = "eval") -> np.ndarray:
-    """Single-vector forward; train mode consumes the model's dropout stream."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d_in,):
-        raise ValueError(f"expected input of length {model.d_in}, got {x.shape}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    masks = None
-    if mode == "train" and model.dropout_rate > 0.0:
-        masks = model.draw_masks(1)[:2]
-    out, _ = _forward(model, x.reshape(1, -1), masks)
-    return out[0]
 
 
 def _sigmoid(u: np.ndarray) -> np.ndarray:
@@ -296,7 +275,7 @@ def compute_prototypes(
         out[:, c] = mean
     if empty:
         warnings.warn(f"zero prototype columns for classes {empty[:10]}")
-    return PrototypeMatrix(out, normalized=normalize)
+    return PrototypeMatrix(out)
 
 
 def prototype_inputs(bundle: DatasetBundle) -> tuple[FeatureMatrix, np.ndarray]:
@@ -315,13 +294,6 @@ def prototype_inputs(bundle: DatasetBundle) -> tuple[FeatureMatrix, np.ndarray]:
 
 def feature_bounds(x_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x_rows.min(axis=0), x_rows.max(axis=0)
-
-
-def sample_random_location(
-    bounds: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
-) -> np.ndarray:
-    lo, hi = bounds
-    return rng.uniform(lo, hi)
 
 
 class BalancedSampler:
@@ -433,10 +405,11 @@ def train_prior(
 
 
 def prior_scores(
-    model: PriorMlp, metadata_x: np.ndarray, prototypes: PrototypeMatrix
+    model: PriorMlp, x_rows: np.ndarray, prototypes: PrototypeMatrix
 ) -> np.ndarray:
-    """Raw class affinities g(x) . prototype_c; softmax happens downstream."""
-    emb = prior_forward(model, metadata_x, mode="eval")
+    """Raw class affinities g(x) . prototype_c, (rows, d_in) -> (rows, C), in
+    eval mode (no dropout); softmax happens downstream."""
+    emb, _ = _forward(model, x_rows)
     return emb @ prototypes.matrix
 
 
@@ -464,8 +437,8 @@ def unpack_params(model: PriorMlp, flat: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one augmented [W | b] matrix per layer, prototypes, and the
-# PCA reduction, all in a single VGF1 container with a one-line sidecar.
+# Serialization: the PCA reduction's three records, one augmented [W | b]
+# matrix per layer and the prototypes, as seven records of one VGF1 file.
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -474,85 +447,40 @@ class PriorArtifact:
     prototypes: PrototypeMatrix
     pca: PcaModel
 
-    def prior_vector(self, raw_metadata_x: np.ndarray) -> np.ndarray:
-        reduced = transform_vector(self.pca, raw_metadata_x)
-        return prior_scores(self.mlp, reduced, self.prototypes)
-
 
 def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
-    m, pca = artifact.mlp, artifact.pca
-    records = [
-        FeatureMatrix(pca.mean.reshape(1, -1)),
-        FeatureMatrix(pca.components),
-        FeatureMatrix(pca.eigenvalues.reshape(1, -1)),
-        FeatureMatrix(np.hstack([m.w1, m.b1[:, None]])),
-        FeatureMatrix(np.hstack([m.w2, m.b2[:, None]])),
-        FeatureMatrix(np.hstack([m.w3, m.b3[:, None]])),
-        FeatureMatrix(artifact.prototypes.matrix),
-    ]
-    write_records(path, records)
-    Path(f"{path}.meta").write_text(
-        f"format=prior-v1 d_in={m.d_in} hidden={m.hidden} d_out={m.d_out} "
-        f"n_classes={artifact.prototypes.n_classes} dropout={m.dropout_rate!r} "
-        f"seed={m.rng_seed} normalized={int(artifact.prototypes.normalized)} "
-        f"pca_k={pca.k} pca_d={pca.d_in}\n",
-        encoding="utf-8",
+    m = artifact.mlp
+    write_records(
+        path,
+        pca_records(artifact.pca)
+        + [
+            FeatureMatrix(np.hstack([m.w1, m.b1[:, None]])),
+            FeatureMatrix(np.hstack([m.w2, m.b2[:, None]])),
+            FeatureMatrix(np.hstack([m.w3, m.b3[:, None]])),
+            FeatureMatrix(artifact.prototypes.matrix),
+        ],
     )
 
 
 def load_prior(path: str | Path) -> PriorArtifact:
-    """Read an artifact written by ``save_prior``; any field that is missing,
-    out of range or inconsistent with the stored records raises FormatError."""
-    fields = read_sidecar(
-        path,
-        "prior-v1",
-        {
-            "d_in": int,
-            "hidden": int,
-            "d_out": int,
-            "n_classes": int,
-            "dropout": float,
-            "seed": int,
-            "normalized": int,
-            "pca_k": int,
-            "pca_d": int,
-        },
-    )
-    if not 0.0 <= fields["dropout"] < 1.0:
-        raise FormatError(f"{path}: dropout {fields['dropout']!r} outside [0, 1)")
-    d_in, k = fields["d_in"], fields["pca_k"]
-    if d_in != k:
-        raise FormatError(f"{path}: prior input dim {d_in} != pca k {k}")
+    """Read an artifact written by ``save_prior`` for inference; any record
+    whose shape breaks the chain raises FormatError.
+
+    The network comes back without dropout: training always starts from
+    ``PriorMlp.create``, never from an artifact.
+    """
     records = read_records(path, 7)
-    hidden, d_out = fields["hidden"], fields["d_out"]
-    shapes = {
-        "pca mean": (1, fields["pca_d"]),
-        "pca components": (k, fields["pca_d"]),
-        "pca eigenvalues": (1, k),
-        "layer 1": (hidden, d_in + 1),
-        "layer 2": (hidden, hidden + 1),
-        "layer 3": (d_out, hidden + 1),
-        "prototypes": (d_out, fields["n_classes"]),
-    }
-    for (name, shape), record in zip(shapes.items(), records):
-        if record.values.shape != shape:
-            raise FormatError(
-                f"{path}: {name} record is {record.rows}x{record.dims}, "
-                f"the sidecar implies {shape[0]}x{shape[1]}"
-            )
-    pca_mean, pca_comp, pca_eig, l1, l2, l3, proto = records
-    pca = PcaModel(
-        mean=pca_mean.values[0], components=pca_comp.values, eigenvalues=pca_eig.values[0]
-    )
+    check_record_shapes(path, records)
+    l1, l2, l3, proto = (r.values for r in records[3:])
     mlp = PriorMlp(
-        w1=l1.values[:, :-1],
-        b1=l1.values[:, -1],
-        w2=l2.values[:, :-1],
-        b2=l2.values[:, -1],
-        w3=l3.values[:, :-1],
-        b3=l3.values[:, -1],
-        dropout_rate=fields["dropout"],
-        rng_seed=fields["seed"],
+        w1=l1[:, :-1],
+        b1=l1[:, -1],
+        w2=l2[:, :-1],
+        b2=l2[:, -1],
+        w3=l3[:, :-1],
+        b3=l3[:, -1],
+        dropout_rate=0.0,
     )
-    prototypes = PrototypeMatrix(proto.values, normalized=fields["normalized"] == 1)
-    return PriorArtifact(mlp=mlp, prototypes=prototypes, pca=pca)
+    return PriorArtifact(
+        mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca_from_records(records[:3])
+    )

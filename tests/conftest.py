@@ -76,6 +76,4 @@ def constant_prior_artifact(bundle: DatasetBundle, d_out: int = 6) -> PriorArtif
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         setattr(mlp, name, np.zeros_like(getattr(mlp, name)))
     proto = np.ones((d_out, n_classes))
-    return PriorArtifact(
-        mlp=mlp, prototypes=PrototypeMatrix(proto, normalized=False), pca=pca
-    )
+    return PriorArtifact(mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca)

@@ -4,6 +4,13 @@ import json
 import pytest
 
 from venomguard.cli import DEFAULTS, main, parse_config_file, resolve_config
+from venomguard.data_model import (
+    FeatureMatrix,
+    read_feature_matrix,
+    read_records,
+    write_feature_matrix,
+    write_records,
+)
 
 
 def run(capsys, *argv):
@@ -56,6 +63,17 @@ class TestConfigFile:
         path.write_text("escalation_tau = 0.5\n")
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config_file(path)
+
+    @pytest.mark.parametrize(
+        "key",
+        ["seesaw_p", "seesaw_q", "cost_hh", "cost_hv", "cost_vh", "cost_vv", "prob_clamp"],
+    )
+    def test_keys_no_command_reads_are_rejected(self, capsys, tmp_path, key):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = 1.0\n")
+        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--loss", "ce")
+        assert code == 1
+        assert "unknown config key" in err
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -331,6 +349,37 @@ class TestValidateCommand:
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == 3
 
+    def test_score_width_unlike_class_count_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data", classes=6, observations=60)
+        scores = data / "image_scores.vgf1"
+        write_feature_matrix(FeatureMatrix(read_feature_matrix(scores).values[:, :4]), scores)
+        for mode in ("strict", "drop"):
+            code, _, err = run(capsys, "validate", str(data), "--mode", mode)
+            assert code == 2
+            assert "image scores have 4 columns for 6 classes" in err
+        code, _, _ = run(capsys, "infer", str(data), "-o", str(tmp_path / "preds.csv"))
+        assert code == 2
+
+    def test_embedding_rows_unlike_image_rows_exit_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data", classes=6, observations=60)
+        emb = data / "embeddings.vgf1"
+        write_feature_matrix(FeatureMatrix(read_feature_matrix(emb).values[:10]), emb)
+        for mode in ("strict", "drop"):
+            code, _, err = run(capsys, "validate", str(data), "--mode", mode)
+            assert code == 2
+            assert "embeddings have 10 rows" in err
+        pca_path = tmp_path / "pca.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        code, _, err = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
+        )
+        assert code == 2
+        assert "embeddings have 10 rows" in err
+
 
 class TestFormatErrors:
     def test_bad_magic_exits_three(self, capsys, tmp_path):
@@ -355,22 +404,7 @@ class TestFormatErrors:
         )
         assert code == 3
 
-    def test_sidecar_missing_key_exits_three(self, capsys, tmp_path):
-        data = make_dataset(capsys, tmp_path / "data")
-        pca_path = tmp_path / "pca.bin"
-        code, _, _ = run(
-            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
-        )
-        assert code == 0
-        (tmp_path / "pca.bin.meta").write_text("format=pca-v1 k=4\n")
-        code, _, err = run(
-            capsys, "train-prior", str(data), "--pca", str(pca_path),
-            "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
-        )
-        assert code == 3
-        assert "missing key 'd'" in err
-
-    def test_prior_sidecar_dropout_out_of_range_exits_three(self, capsys, tmp_path):
+    def artifacts(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         pca_path, prior_path = tmp_path / "pca.bin", tmp_path / "prior.bin"
         code, _, _ = run(
@@ -382,14 +416,37 @@ class TestFormatErrors:
             "-o", str(prior_path), "--epochs", "1", "--hidden", "8",
         )
         assert code == 0
-        meta = tmp_path / "prior.bin.meta"
-        meta.write_text(meta.read_text().replace("dropout=0.3", "dropout=1.5"))
+        return data, pca_path, prior_path
+
+    def test_prior_artifact_as_pca_exits_three(self, capsys, tmp_path):
+        data, _, prior_path = self.artifacts(capsys, tmp_path)
         code, _, err = run(
-            capsys, "infer", str(data), "--prior", str(prior_path),
+            capsys, "train-prior", str(data), "--pca", str(prior_path),
+            "-o", str(tmp_path / "again.bin"), "--epochs", "1",
+        )
+        assert code == 3
+        assert "trailing bytes after 3 records" in err
+
+    def test_pca_artifact_as_prior_exits_three(self, capsys, tmp_path):
+        data, pca_path, _ = self.artifacts(capsys, tmp_path)
+        code, _, err = run(
+            capsys, "infer", str(data), "--prior", str(pca_path),
             "-o", str(tmp_path / "preds.csv"),
         )
         assert code == 3
-        assert "dropout 1.5 outside [0, 1)" in err
+        assert "holds 3 records, expected 7" in err
+
+    def test_pca_mean_wider_than_components_exits_three(self, capsys, tmp_path):
+        data, pca_path, _ = self.artifacts(capsys, tmp_path)
+        mean, components, eigenvalues = read_records(pca_path, 3)
+        wider = FeatureMatrix([mean.values[0].tolist() + [0.0]])
+        write_records(pca_path, [wider, components, eigenvalues])
+        code, _, err = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
+        )
+        assert code == 3
+        assert "pca mean record is 1x9, expected 1x8" in err
 
     def test_bad_k_exits_one(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")

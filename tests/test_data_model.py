@@ -234,6 +234,16 @@ class TestBinaryFormat:
         assert [m.values.shape for m in loaded] == [(2, 3), (1, 4)]
         assert all(np.array_equal(a.values, b.values) for a, b in zip(mats, loaded))
 
+    @pytest.mark.parametrize(
+        "rows, dims", [(0, 2**64 - 1), (2**62, 0)], ids=["dims_2^64-1", "rows_2^62"]
+    )
+    def test_empty_shape_past_numpy_limits_rejected(self, tmp_path, rows, dims):
+        # no payload bytes, so only the reshape can reject these headers
+        path = tmp_path / "m.bin"
+        path.write_bytes(MAGIC + rows.to_bytes(8, "little") + dims.to_bytes(8, "little"))
+        with pytest.raises(FormatError, match=f"declares {rows}x{dims}"):
+            read_records(path, 1)
+
     def test_wrong_record_count_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         write_records(path, [FeatureMatrix(np.zeros((1, 1)))])

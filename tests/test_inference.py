@@ -247,10 +247,10 @@ class TestPredictDataset:
         rng = np.random.default_rng(5)
         pca = fit_pca(bundle.metadata_features, k=2)
         mlp = PriorMlp.create(2, 8, 4, dropout_rate=0.0, seed=5)
-        proto = PrototypeMatrix(rng.standard_normal((4, 5)), normalized=False)
+        proto = PrototypeMatrix(rng.standard_normal((4, 5)))
         artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
         reduced = pca_transform(pca, bundle.metadata_features).values
-        prior_rows = [prior_scores(mlp, x, proto).tolist() for x in reduced]
+        prior_rows = prior_scores(mlp, reduced, proto).tolist()
         oracle_input = [
             (
                 obs_id,
@@ -288,7 +288,7 @@ class TestPredictDataset:
         prior.mlp.b3 = np.ones_like(prior.mlp.b3)
         proto = np.full(prior.prototypes.matrix.shape, -200.0)
         proto[:, 0] = 200.0
-        prior.prototypes = PrototypeMatrix(proto, normalized=False)
+        prior.prototypes = PrototypeMatrix(proto)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = predict_dataset(bundle, prior=prior, scores_are_logits=False)

@@ -5,16 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venomguard.data_model import FeatureMatrix
+from venomguard.data_model import FeatureMatrix, read_records, write_records
 from venomguard.errors import FormatError
-from venomguard.linalg_pca import (
-    fit_pca,
-    load_pca,
-    pca_inverse,
-    pca_transform,
-    save_pca,
-    transform_vector,
-)
+from venomguard.linalg_pca import fit_pca, load_pca, pca_inverse, pca_transform, save_pca
 
 from oracles import oracle_eigvals_jacobi
 
@@ -83,8 +76,8 @@ class TestTransform:
     def test_mean_row_maps_to_origin(self):
         X = random_matrix(3, 12, 5)
         model = fit_pca(X, k=3)
-        out = transform_vector(model, X.values.mean(axis=0))
-        assert np.allclose(out, 0.0, atol=1e-10)
+        out = pca_transform(model, FeatureMatrix(X.values.mean(axis=0, keepdims=True)))
+        assert np.allclose(out.values, 0.0, atol=1e-10)
 
     def test_full_rank_reconstruction(self):
         X = random_matrix(4, 10, 4)
@@ -116,9 +109,8 @@ class TestTransform:
         model = fit_pca(X, k=2)
         reduced = pca_transform(model, X)
         for i in range(X.rows):
-            assert np.allclose(
-                reduced.values[i], transform_vector(model, X.values[i]), atol=1e-12
-            )
+            row = pca_transform(model, FeatureMatrix(X.values[i : i + 1]))
+            assert np.allclose(reduced.values[i], row.values[0], atol=1e-12)
 
     def test_dimension_mismatches_rejected(self):
         model = fit_pca(random_matrix(1, 6, 4), k=2)
@@ -126,8 +118,6 @@ class TestTransform:
             pca_transform(model, fm(np.zeros((2, 5))))
         with pytest.raises(ValueError):
             pca_inverse(model, fm(np.zeros((2, 3))))
-        with pytest.raises(ValueError):
-            transform_vector(model, np.zeros(3))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -167,29 +157,27 @@ class TestPersistence:
         assert np.array_equal(loaded.mean, model.mean)
         assert np.array_equal(loaded.components, model.components)
         assert np.array_equal(loaded.eigenvalues, model.eigenvalues)
-        assert (tmp_path / "pca.bin.meta").read_text().startswith("format=pca-v1")
-
-    def test_sidecar_shape_mismatch_rejected(self, tmp_path):
-        model = fit_pca(random_matrix(12, 8, 4), k=2)
-        path = tmp_path / "pca.bin"
-        save_pca(model, path)
-        (tmp_path / "pca.bin.meta").write_text("format=pca-v1 k=3 d=4\n")
-        with pytest.raises(FormatError, match="sidecar"):
-            load_pca(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["pca.bin"]
 
     @pytest.mark.parametrize(
-        "meta, problem",
+        "record, shape, problem",
         [
-            ("format=pca-v1 d=4\n", "missing key 'k'"),
-            ("format=pca-v1 k=two d=4\n", "k='two' is not a finite int"),
-            ("format=prior-v1 k=2 d=4\n", "unknown format 'prior-v1'"),
+            pytest.param(0, (1, 5), "pca mean record is 1x5, expected 1x4", id="mean"),
+            pytest.param(0, (2, 4), "pca mean record is 2x4, expected 1x4", id="mean_rows"),
+            pytest.param(
+                1, (3, 4), "pca eigenvalues record is 1x2, expected 1x3", id="components"
+            ),
+            pytest.param(
+                2, (1, 3), "pca eigenvalues record is 1x3, expected 1x2", id="eigenvalues"
+            ),
         ],
     )
-    def test_bad_sidecar_is_format_error(self, tmp_path, meta, problem):
-        model = fit_pca(random_matrix(12, 8, 4), k=2)
+    def test_chain_breaks_are_format_errors(self, tmp_path, record, shape, problem):
         path = tmp_path / "pca.bin"
-        save_pca(model, path)
-        (tmp_path / "pca.bin.meta").write_text(meta)
+        save_pca(fit_pca(random_matrix(12, 8, 4), k=2), path)
+        records = read_records(path, 3)
+        records[record] = FeatureMatrix(np.ones(shape))
+        write_records(path, records)
         with pytest.raises(FormatError, match=problem):
             load_pca(path)
 

@@ -1,13 +1,21 @@
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from venomguard.data_model import FeatureMatrix, ObservationTable
+from venomguard.data_model import (
+    FeatureMatrix,
+    ObservationTable,
+    read_records,
+    write_records,
+)
 from venomguard.errors import BundleValidationError, FormatError
 from venomguard.gradcheck import check_loss
-from venomguard.linalg_pca import fit_pca, pca_transform
+from venomguard.linalg_pca import PcaModel, fit_pca, load_pca, pca_transform, save_pca
 from venomguard.prior_model import (
     BalancedSampler,
     PriorArtifact,
@@ -23,10 +31,8 @@ from venomguard.prior_model import (
     loc_loss_batch,
     pack_grads,
     pack_params,
-    prior_forward,
     prior_scores,
     prototype_inputs,
-    sample_random_location,
     save_prior,
     load_prior,
     train_prior,
@@ -40,6 +46,16 @@ def zero_mlp(d_in=2, hidden=3, d_out=2, dropout=0.0):
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         setattr(model, name, np.zeros_like(getattr(model, name)))
     return model
+
+
+def make_artifact(seed=15):
+    """A 6 -> 3 PCA, a 3-5-4 network and 8 classes, with raw metadata rows."""
+    rng = np.random.default_rng(seed)
+    raw = FeatureMatrix(rng.standard_normal((30, 6)))
+    pca = fit_pca(raw, k=3)
+    mlp = PriorMlp.create(3, 5, 4, dropout_rate=0.3, seed=seed)
+    proto = PrototypeMatrix(rng.standard_normal((4, 8)))
+    return PriorArtifact(mlp=mlp, prototypes=proto, pca=pca), raw
 
 
 class TestMlp:
@@ -59,24 +75,25 @@ class TestMlp:
 
     def test_zero_model_outputs_zero(self):
         model = zero_mlp()
-        assert np.array_equal(prior_forward(model, np.array([0.3, -0.7])), np.zeros(2))
+        # identity prototypes: the scores are the network's output itself
+        out = prior_scores(model, np.array([[0.3, -0.7]]), PrototypeMatrix(np.eye(2)))
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_eval_mode_is_deterministic_despite_dropout(self):
         model = PriorMlp.create(3, 6, 4, dropout_rate=0.5, seed=2)
-        x = np.array([0.1, 0.2, 0.3])
-        assert np.array_equal(
-            prior_forward(model, x, mode="eval"), prior_forward(model, x, mode="eval")
-        )
+        untouched = PriorMlp.create(3, 6, 4, dropout_rate=0.5, seed=2)
+        x = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]])
+        proto = PrototypeMatrix(np.eye(4))
+        assert np.array_equal(prior_scores(model, x, proto), prior_scores(model, x, proto))
+        # scoring draws no dropout masks
+        assert np.array_equal(model.draw_masks(3), untouched.draw_masks(3))
 
     def test_train_mode_consumes_mask_stream(self):
         a = PriorMlp.create(3, 16, 4, dropout_rate=0.5, seed=3)
         b = PriorMlp.create(3, 16, 4, dropout_rate=0.5, seed=3)
-        x = np.array([0.5, -0.2, 0.9])
-        assert np.array_equal(
-            prior_forward(a, x, mode="train"), prior_forward(b, x, mode="train")
-        )
-        # Repeated train calls advance the stream, so outputs generally differ.
-        outs = {tuple(prior_forward(a, x, mode="train")) for _ in range(8)}
+        assert np.array_equal(a.draw_masks(1), b.draw_masks(1))
+        # Repeated draws advance the stream, so masks generally differ.
+        outs = {a.draw_masks(1).tobytes() for _ in range(8)}
         assert len(outs) > 1
 
     def test_dropout_masks_scale_by_keep_probability(self):
@@ -99,9 +116,7 @@ class TestMlp:
     def test_invalid_inputs_rejected(self):
         model = PriorMlp.create(3, 4, 2, seed=0)
         with pytest.raises(ValueError):
-            prior_forward(model, np.zeros(5))
-        with pytest.raises(ValueError):
-            prior_forward(model, np.zeros(3), mode="predict")
+            prior_scores(model, np.zeros((1, 5)), PrototypeMatrix(np.eye(2)))
         with pytest.raises(ValueError):
             PriorMlp.create(3, 4, 2, dropout_rate=1.0)
 
@@ -136,7 +151,6 @@ class TestPrototypes:
         feats = FeatureMatrix(np.array([[2.0, 0.0], [4.0, 0.0]]))
         proto = compute_prototypes(feats, np.array([0, 0]), 1, normalize=False)
         assert np.allclose(proto.matrix[:, 0], [3.0, 0.0], atol=1e-12)
-        assert proto.normalized is False
 
     def test_label_validation(self):
         feats = FeatureMatrix(np.ones((2, 3)))
@@ -179,7 +193,7 @@ class TestLocLoss:
     def test_strong_negatives_drive_loss_to_zero_when_lam_zero(self):
         model = zero_mlp(d_in=2, hidden=3, d_out=2)
         model.b3 = np.full(2, -40.0)
-        proto = PrototypeMatrix(np.eye(2), normalized=False)
+        proto = PrototypeMatrix(np.eye(2))
         result = loc_loss(model, np.zeros(2), np.zeros(2), proto, 0, lam=0.0)
         assert 0.0 <= result.value < 1e-10
 
@@ -282,18 +296,6 @@ class TestSampling:
         assert lo.tolist() == [0.0, 2.0]
         assert hi.tolist() == [1.0, 5.0]
 
-    def test_uniform_samples_center_on_midpoint(self):
-        rng = np.random.default_rng(9)
-        bounds = (np.zeros(3), np.ones(3))
-        draws = np.array([sample_random_location(bounds, rng) for _ in range(10_000)])
-        assert np.all(draws >= 0.0) and np.all(draws <= 1.0)
-        assert np.allclose(draws.mean(axis=0), 0.5, atol=0.02)
-
-    def test_degenerate_bounds_give_constant(self):
-        rng = np.random.default_rng(10)
-        bounds = (np.full(2, 1.5), np.full(2, 1.5))
-        assert np.array_equal(sample_random_location(bounds, rng), [1.5, 1.5])
-
     def test_balanced_sampler_ignores_class_frequency(self):
         labels = np.array([0] * 9 + [1])
         draws = BalancedSampler(labels, np.random.default_rng(11)).draw(1000)
@@ -374,84 +376,36 @@ class TestScoresAndArtifact:
     def test_zero_model_scores_zero(self):
         model = zero_mlp(d_in=2, hidden=3, d_out=4)
         proto = PrototypeMatrix(np.random.default_rng(1).standard_normal((4, 6)))
-        assert np.array_equal(prior_scores(model, np.zeros(2), proto), np.zeros(6))
+        assert np.array_equal(prior_scores(model, np.zeros((3, 2)), proto), np.zeros((3, 6)))
 
     def test_scores_are_embedding_prototype_dots(self):
         model = PriorMlp.create(3, 5, 4, dropout_rate=0.0, seed=14)
         proto = PrototypeMatrix(np.random.default_rng(14).standard_normal((4, 7)))
-        x = np.array([0.4, -0.6, 0.2])
-        emb = prior_forward(model, x)
-        expected = np.array([emb @ proto.matrix[:, c] for c in range(7)])
+        x = np.array([[0.4, -0.6, 0.2], [-1.0, 0.3, 0.8]])
+        emb, _ = _forward(model, x)
+        expected = [[e @ proto.matrix[:, c] for c in range(7)] for e in emb]
         assert np.allclose(prior_scores(model, x, proto), expected, atol=1e-12)
 
-    def artifact(self, seed=15):
-        rng = np.random.default_rng(seed)
-        raw = FeatureMatrix(rng.standard_normal((30, 6)))
-        pca = fit_pca(raw, k=3)
-        mlp = PriorMlp.create(3, 5, 4, dropout_rate=0.3, seed=seed)
-        proto = PrototypeMatrix(rng.standard_normal((4, 8)), normalized=False)
-        return PriorArtifact(mlp=mlp, prototypes=proto, pca=pca), raw
-
-    def test_prior_vector_chains_reduction_and_scoring(self):
-        artifact, raw = self.artifact()
-        x = raw.values[0]
-        reduced = pca_transform(artifact.pca, raw).values[0]
-        expected = prior_scores(artifact.mlp, reduced, artifact.prototypes)
-        assert np.allclose(artifact.prior_vector(x), expected, atol=1e-12)
-
     def test_save_load_round_trip(self, tmp_path):
-        artifact, raw = self.artifact()
+        artifact, raw = make_artifact()
         path = tmp_path / "prior.bin"
         save_prior(artifact, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["prior.bin"]
         loaded = load_prior(path)
-        assert loaded.mlp.dropout_rate == artifact.mlp.dropout_rate
-        assert loaded.mlp.rng_seed == artifact.mlp.rng_seed
-        assert loaded.prototypes.normalized is False
+        assert loaded.mlp.dropout_rate == 0.0
         assert loaded.prototypes.n_classes == 8
         # Storage quantizes to single precision.
         assert np.allclose(
             pack_params(loaded.mlp), pack_params(artifact.mlp), atol=1e-6
         )
-        a = artifact.prior_vector(raw.values[1])
-        b = loaded.prior_vector(raw.values[1])
+        a, b = (
+            prior_scores(p.mlp, pca_transform(p.pca, raw).values, p.prototypes)
+            for p in (artifact, loaded)
+        )
         assert np.allclose(a, b, atol=1e-4)
 
-    def test_load_rejects_unknown_format(self, tmp_path):
-        artifact, _ = self.artifact()
-        path = tmp_path / "prior.bin"
-        save_prior(artifact, path)
-        (tmp_path / "prior.bin.meta").write_text("format=prior-v9 d_in=3\n")
-        with pytest.raises(FormatError, match="format"):
-            load_prior(path)
-
-    @pytest.mark.parametrize(
-        "key, value, problem",
-        [
-            ("dropout", None, "missing key 'dropout'"),
-            ("seed", "x7", "seed='x7' is not a finite int"),
-            ("dropout", "nan", "dropout='nan' is not a finite float"),
-        ],
-    )
-    def test_bad_sidecar_field_is_format_error(self, tmp_path, key, value, problem):
-        artifact, _ = self.artifact()
-        path = tmp_path / "prior.bin"
-        save_prior(artifact, path)
-        meta = tmp_path / "prior.bin.meta"
-        fields = dict(part.split("=", 1) for part in meta.read_text().split())
-        if value is None:
-            del fields[key]
-        else:
-            fields[key] = value
-        meta.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
-        with pytest.raises(FormatError, match=problem):
-            load_prior(path)
-
     def test_load_rejects_pca_dimension_mismatch(self, tmp_path):
-        artifact, _ = self.artifact()
-        path = tmp_path / "prior.bin"
-        save_prior(artifact, path)
-        meta = (tmp_path / "prior.bin.meta").read_text()
-        (tmp_path / "prior.bin.meta").write_text(meta)
+        artifact, _ = make_artifact()
         # Corrupt the stored model by truncating one record's width.
         artifact.mlp.w1 = artifact.mlp.w1[:, :-1]
         save_prior(artifact, tmp_path / "prior2.bin")
@@ -459,25 +413,26 @@ class TestScoresAndArtifact:
             load_prior(tmp_path / "prior2.bin")
 
     @pytest.mark.parametrize(
-        "key, value, problem",
+        "record, shape, problem",
         [
-            ("dropout", "1.5", r"dropout 1.5 outside \[0, 1\)"),
-            ("dropout", "-0.1", r"dropout -0.1 outside \[0, 1\)"),
-            ("hidden", "7", "layer 1 record is 5x4, the sidecar implies 7x4"),
-            ("d_out", "5", "layer 3 record is 4x6, the sidecar implies 5x6"),
-            ("n_classes", "9", "prototypes record is 4x8, the sidecar implies 4x9"),
-            ("pca_d", "4", "pca mean record is 1x6, the sidecar implies 1x4"),
-            ("pca_k", "2", "prior input dim 3 != pca k 2"),
+            pytest.param(3, (7, 4), "layer 1 record is 7x4, expected 5x4", id="hidden"),
+            pytest.param(5, (5, 6), "prototypes record is 4x8, expected 5x8", id="d_out"),
+            pytest.param(6, (8, 4), "prototypes record is 8x4, expected 4x4", id="n_classes"),
+            pytest.param(1, (3, 4), "pca mean record is 1x6, expected 1x4", id="pca_d"),
+            pytest.param(1, (2, 6), "pca eigenvalues record is 1x3, expected 1x2", id="pca_k"),
+            pytest.param(0, (1, 7), "pca mean record is 1x7, expected 1x6", id="pca_mean"),
+            pytest.param(
+                2, (1, 2), "pca eigenvalues record is 1x2, expected 1x3", id="pca_eigenvalues"
+            ),
         ],
     )
-    def test_inconsistent_sidecar_is_format_error(self, tmp_path, key, value, problem):
-        artifact, _ = self.artifact()
+    def test_chain_breaks_are_format_errors(self, tmp_path, record, shape, problem):
+        artifact, _ = make_artifact()
         path = tmp_path / "prior.bin"
         save_prior(artifact, path)
-        meta = tmp_path / "prior.bin.meta"
-        fields = dict(part.split("=", 1) for part in meta.read_text().split())
-        fields[key] = value
-        meta.write_text(" ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        records = read_records(path, 7)
+        records[record] = FeatureMatrix(np.ones(shape))
+        write_records(path, records)
         with pytest.raises(FormatError, match=problem):
             load_prior(path)
 
@@ -486,12 +441,54 @@ class TestScoresAndArtifact:
         [("w2", (5, 4)), ("w3", (4, 4)), ("prototypes", (5, 8))],
     )
     def test_record_widths_that_disagree_are_format_errors(self, tmp_path, layer, shape):
-        artifact, _ = self.artifact()
+        artifact, _ = make_artifact()
         if layer == "prototypes":
-            artifact.prototypes = PrototypeMatrix(np.ones(shape), normalized=False)
+            artifact.prototypes = PrototypeMatrix(np.ones(shape))
         else:
             setattr(artifact.mlp, layer, np.ones(shape))
         path = tmp_path / "prior.bin"
         save_prior(artifact, path)
         with pytest.raises(FormatError, match="record is"):
             load_prior(path)
+
+
+def _damage(blob: bytes, data) -> bytes:
+    """One flipped byte, a truncation, or a rewritten 16-byte record header."""
+    kind = data.draw(st.sampled_from(["flip", "truncate", "header"]))
+    if kind == "flip":
+        at = data.draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([blob[at] ^ data.draw(st.integers(1, 255))]) + blob[at + 1 :]
+    if kind == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    # record headers sit at the file start and after each record's payload
+    starts, at = [], 0
+    while at < len(blob):
+        starts.append(at)
+        rows, dims = struct.unpack_from("<QQ", blob, at + 4)
+        at += 20 + 4 * rows * dims
+    at = data.draw(st.sampled_from(starts)) + 4
+    side = st.one_of(st.integers(0, 9), st.sampled_from([2**62, 2**63, 2**64 - 1]))
+    header = struct.pack("<QQ", data.draw(side), data.draw(side))
+    return blob[:at] + header + blob[at + 16 :]
+
+
+class TestArtifactFuzz:
+    """A damaged model file loads or raises FormatError, nothing else."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(prior=st.booleans(), data=st.data())
+    def test_damaged_artifacts_load_or_raise_format_error(
+        self, tmp_path_factory, prior, data
+    ):
+        path = tmp_path_factory.mktemp("artifact") / "model.bin"
+        artifact, _ = make_artifact()
+        if prior:
+            save_prior(artifact, path)
+        else:
+            save_pca(artifact.pca, path)
+        path.write_bytes(_damage(path.read_bytes(), data))
+        try:
+            loaded = (load_prior if prior else load_pca)(path)
+        except FormatError:
+            return
+        assert isinstance(loaded, PriorArtifact if prior else PcaModel)

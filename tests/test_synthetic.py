@@ -381,14 +381,11 @@ class TestOraclePredict:
         rng = np.random.default_rng(37)
         pca = fit_pca(bundle.metadata_features, k=3)
         mlp = PriorMlp.create(3, 8, 5, dropout_rate=0.0, seed=37)
-        proto = PrototypeMatrix(rng.standard_normal((5, 6)), normalized=False)
+        proto = PrototypeMatrix(rng.standard_normal((5, 6)))
         artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
 
         reduced = pca_transform(pca, bundle.metadata_features).values
-        prior_rows = [
-            prior_scores(mlp, reduced[i], proto).tolist()
-            for i in range(reduced.shape[0])
-        ]
+        prior_rows = prior_scores(mlp, reduced, proto).tolist()
         out = predict_dataset(
             bundle, prior=artifact, policy=EscalationPolicy(tau=0.4, top_k=3)
         )
