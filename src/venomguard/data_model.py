@@ -8,6 +8,7 @@ little-endian on disk and promoted to float64 for all computation.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import os
 import stat
@@ -23,6 +24,8 @@ from numpy.dtypes import StringDType
 from .errors import BundleValidationError, CsvParseError, FormatError
 
 MAGIC = b"VGF1"
+# bytes per read of a VGF1 payload from a pipe or other stream
+STREAM_CHUNK = 1 << 24
 
 CLASSES_FILENAME = "classes.csv"
 OBSERVATIONS_FILENAME = "observations.csv"
@@ -229,21 +232,34 @@ class DatasetBundle:
 # CSV manifests
 # ---------------------------------------------------------------------------
 
-def _open_csv(path: str | Path, expected_header: list[str]):
-    path = Path(path)
-    fh = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(fh)
+def _nul_line(text: str, at: int) -> int:
+    """The physical line holding ``text[at]``, counting line ends as
+    csv.reader does: ``\r\n``, ``\r`` and ``\n``."""
+    head = text[:at]
+    return 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+
+
+def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
+    """The manifest's text, positioned after its header line(s).
+
+    A NUL anywhere rejects the file first: numpy's strings end at one, and
+    csv.reader before Python 3.11 refuses it.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
+    nul = text.find("\x00")
+    if nul >= 0:
+        raise CsvParseError(str(path), _nul_line(text, nul), "NUL character in a field")
+    fh = io.StringIO(text, newline="")
     try:
-        header = next(reader)
+        header = next(csv.reader(fh))
     except StopIteration:
-        fh.close()
         raise CsvParseError(str(path), 1, "missing header")
     if [h.strip() for h in header[: len(expected_header)]] != expected_header:
-        fh.close()
         raise CsvParseError(
             str(path), 1, f"expected header {','.join(expected_header)}"
         )
-    return fh, reader
+    return fh
 
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -262,13 +278,14 @@ def read_manifest(
     """Data rows of a CSV manifest as a (rows, len(header)) string array.
 
     The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
-    blank lines are skipped and fields past the header's are ignored. The
+    blank lines are skipped and fields past the header's are ignored; a NUL
+    character anywhere rejects the file, naming its physical line. The
     second value is None, or the index (among non-blank data rows) of the
     first row with too few fields; the array then holds the rows before it.
     """
     n = len(header)
-    fh, _ = _open_csv(path, header)
-    with fh, warnings.catch_warnings():
+    fh = _open_csv(path, header)
+    with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             # a fresh dtype instance: after a failed load, numpy 2.x can leave
@@ -471,11 +488,20 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
             f"{source}: header declares {rows}x{dims} values ({n_bytes} bytes) "
             f"but only {left} bytes remain"
         )
-    payload = fh.read(n_bytes)
-    if len(payload) != n_bytes:
-        raise FormatError(
-            f"{source}: truncated payload, expected {n_bytes} bytes got {len(payload)}"
-        )
+    # a stream's length is unknown, so its header's size is not trusted: the
+    # payload arrives in bounded reads, the first short one ends it
+    chunk = n_bytes if left is not None else STREAM_CHUNK
+    parts, got = [], 0
+    while got < n_bytes:
+        want = min(chunk, n_bytes - got)
+        part = fh.read(want)
+        got += len(part)
+        if len(part) != want:
+            raise FormatError(
+                f"{source}: truncated payload, expected {n_bytes} bytes got {got}"
+            )
+        parts.append(part)
+    payload = b"".join(parts)
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if data.size and not np.all(np.isfinite(data)):
         raise FormatError(f"{source}: non-finite values in payload")

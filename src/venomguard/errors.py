@@ -26,4 +26,5 @@ class FormatError(VenomguardError):
 
 
 class BundleValidationError(VenomguardError):
-    """Strict-mode cross-reference validation failed."""
+    """A dataset's parts do not refer to each other consistently, or the
+    dataset does not fit the model applied to it."""

@@ -18,6 +18,7 @@ from .data_model import (
     sorted_unique,
     write_manifest,
 )
+from .errors import BundleValidationError
 from .linalg_pca import pca_transform
 from .losses import softmax
 from .prior_model import PriorArtifact, prior_scores
@@ -154,7 +155,10 @@ def predict_dataset(
 
     if prior is not None:
         if prior.prototypes.n_classes != n_classes:
-            raise ValueError("prior class count does not match the dataset")
+            raise BundleValidationError(
+                f"prior scores {prior.prototypes.n_classes} classes, "
+                f"the dataset has {n_classes}"
+            )
         loc_weights = _prior_weights_by_location(bundle, prior)
         combined = _joint_rows(raw, loc_weights[bundle.resolved_metadata_rows()])
     else:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data_model import FeatureMatrix, read_records, write_records
-from .errors import FormatError
+from .errors import BundleValidationError, FormatError
 
 
 @dataclass
@@ -62,8 +62,12 @@ def fit_pca(matrix: FeatureMatrix, k: int) -> PcaModel:
 
 
 def pca_transform(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
+    """Reduce ``matrix``'s rows; BundleValidationError if their width is not
+    the one the model was fitted on."""
     if matrix.dims != model.d_in:
-        raise ValueError(f"expected {model.d_in} input dims, got {matrix.dims}")
+        raise BundleValidationError(
+            f"PCA was fitted on {model.d_in} metadata dims, the data has {matrix.dims}"
+        )
     return FeatureMatrix((matrix.values - model.mean) @ model.components.T)
 
 

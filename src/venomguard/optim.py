@@ -30,7 +30,9 @@ def adamw_step(
 ) -> np.ndarray:
     """One bias-corrected Adam update with decay applied before the Adam delta.
 
-    Returns the new parameter vector; ``state`` is advanced in place.
+    Updates ``params`` (when it is already a float64 array), ``state.m`` and
+    ``state.v`` in place, advances ``state.t`` and returns the updated
+    parameter vector.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -44,14 +46,25 @@ def adamw_step(
         raise ValueError(f"non-finite gradient at index {bad}")
 
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1**state.t)
-    v_hat = state.v / (1.0 - state.beta2**state.t)
+    # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g g, in this rounding order
+    scaled = np.multiply(grads, 1.0 - state.beta1)
+    state.m *= state.beta1
+    state.m += scaled
+    np.multiply(grads, 1.0 - state.beta2, out=scaled)
+    scaled *= grads
+    state.v *= state.beta2
+    state.v += scaled
 
-    out = params * (1.0 - lr * state.weight_decay)
-    out = out - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return out
+    # params (1 - lr wd) - lr m_hat / (sqrt(v_hat) + eps)
+    delta = np.divide(state.m, 1.0 - state.beta1**state.t)
+    delta *= lr
+    np.divide(state.v, 1.0 - state.beta2**state.t, out=scaled)
+    np.sqrt(scaled, out=scaled)
+    scaled += state.eps
+    delta /= scaled
+    params *= 1.0 - lr * state.weight_decay
+    params -= delta
+    return params
 
 
 @dataclass

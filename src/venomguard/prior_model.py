@@ -45,6 +45,8 @@ class PriorMlp:
         self._mask_rng = np.random.default_rng(
             np.random.SeedSequence(self.rng_seed).spawn(2)[1]
         )
+        # work arrays that loc_loss_batch reuses while train_prior runs
+        self._train_buffers: _StepBuffers | None = None
 
     @classmethod
     def create(
@@ -73,16 +75,24 @@ class PriorMlp:
     def d_out(self) -> int:
         return self.w3.shape[0]
 
-    def draw_masks(self, batch: int) -> np.ndarray:
+    def draw_masks(self, batch: int, out: np.ndarray | None = None) -> np.ndarray:
         """Inverted-dropout masks for one location-loss evaluation, (4, batch, hidden).
 
         In order: both hidden layers of the observed-location pass, then both
-        of the random-location pass, drawn in one call.
+        of the random-location pass, drawn in one call. ``out``, a float64
+        array of that shape, receives the masks instead of a new array.
         """
+        shape = (4, batch, self.hidden)
         keep = 1.0 - self.dropout_rate
         if self.dropout_rate == 0.0:
-            return np.ones((4, batch, self.hidden))
-        return (self._mask_rng.random((4, batch, self.hidden)) < keep) / keep
+            masks = np.empty(shape) if out is None else out
+            masks.fill(1.0)
+            return masks
+        masks = self._mask_rng.random(shape, out=out)
+        # (uniform < keep) / keep, with the comparison written as 0.0 or 1.0
+        np.less(masks, keep, out=masks)
+        masks /= keep
+        return masks
 
 
 @dataclass
@@ -152,39 +162,97 @@ class PriorTrainConfig:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None):
-    """Batched forward pass; returns output and the cache backprop needs."""
-    z1 = x_rows @ model.w1.T + model.b1
-    a1 = np.maximum(z1, 0.0)
-    h1 = a1 if masks is None else a1 * masks[0]
-    z2 = h1 @ model.w2.T + model.b2
-    a2 = np.maximum(z2, 0.0)
-    h2 = a2 if masks is None else a2 * masks[1]
-    out = h2 @ model.w3.T + model.b3
+class _StepBuffers:
+    """Named work arrays for the forward and backward passes.
+
+    ``get`` returns the array made for a name on its first request, and a
+    new one when the requested shape or dtype differs. ``train_prior`` keeps
+    one instance for its whole run, so its steps write into the same arrays
+    instead of allocating and faulting in fresh pages every step; a fresh
+    instance allocates on every request.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            arr = self._arrays[name] = np.empty(shape, dtype)
+        return arr
+
+
+def _mul_blocks(a: np.ndarray, mask: np.ndarray) -> None:
+    """a *= mask in place; ``mask`` has a's shape, or a's rows split into
+    equal blocks, e.g. (2, rows // 2, hidden) against (rows, hidden)."""
+    view = a.reshape(mask.shape)
+    view *= mask
+
+
+def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None, work=None):
+    """Batched forward pass; returns output and the cache backprop needs.
+
+    ``masks`` holds one dropout mask per hidden layer (see ``_mul_blocks``
+    for their shapes); ``work`` supplies the arrays written.
+    """
+    work = _StepBuffers() if work is None else work
+    shape = (x_rows.shape[0], model.hidden)
+    z1 = np.matmul(x_rows, model.w1.T, out=work.get("z1", shape))
+    z1 += model.b1
+    h1 = np.maximum(z1, 0.0, out=work.get("h1", shape))
+    if masks is not None:
+        _mul_blocks(h1, masks[0])
+    z2 = np.matmul(h1, model.w2.T, out=work.get("z2", shape))
+    z2 += model.b2
+    h2 = np.maximum(z2, 0.0, out=work.get("h2", shape))
+    if masks is not None:
+        _mul_blocks(h2, masks[1])
+    out = np.matmul(h2, model.w3.T, out=work.get("emb", (shape[0], model.d_out)))
+    out += model.b3
     return out, (x_rows, z1, h1, z2, h2, masks)
 
 
-def _backward(model: PriorMlp, cache, d_out: np.ndarray) -> MlpGrads:
+def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=None) -> MlpGrads:
+    """Parameter gradients, as views of ``work``'s flat "grads" array in
+    ``pack_params`` order."""
+    work = _StepBuffers() if work is None else work
     x_rows, z1, h1, z2, h2, masks = cache
-    gw3 = d_out.T @ h2
-    gb3 = d_out.sum(axis=0)
-    dh2 = d_out @ model.w3
-    da2 = dh2 if masks is None else dh2 * masks[1]
-    dz2 = da2 * (z2 > 0)
-    gw2 = dz2.T @ h1
-    gb2 = dz2.sum(axis=0)
-    dh1 = dz2 @ model.w2
-    da1 = dh1 if masks is None else dh1 * masks[0]
-    dz1 = da1 * (z1 > 0)
-    gw1 = dz1.T @ x_rows
-    gb1 = dz1.sum(axis=0)
-    return MlpGrads(gw1, gb1, gw2, gb2, gw3, gb3)
+    relu = work.get("relu", z1.shape, bool)
+    flat = work.get("grads", (sum(getattr(model, f).size for f in _PARAM_FIELDS),))
+    g = MlpGrads(**_param_views(model, flat))
+    np.matmul(d_out.T, h2, out=g.w3)
+    np.sum(d_out, axis=0, out=g.b3)
+    # dh2, then through layer 2's dropout mask and ReLU to dz2
+    dz2 = np.matmul(d_out, model.w3, out=work.get("dz2", z2.shape))
+    if masks is not None:
+        _mul_blocks(dz2, masks[1])
+    dz2 *= np.greater(z2, 0.0, out=relu)
+    np.matmul(dz2.T, h1, out=g.w2)
+    np.sum(dz2, axis=0, out=g.b2)
+    dz1 = np.matmul(dz2, model.w2, out=work.get("dz1", z1.shape))
+    if masks is not None:
+        _mul_blocks(dz1, masks[0])
+    dz1 *= np.greater(z1, 0.0, out=relu)
+    np.matmul(dz1.T, x_rows, out=g.w1)
+    np.sum(dz1, axis=0, out=g.b1)
+    return g
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    """Stable logistic: 1 / (1 + e^-u) for u >= 0, e^u / (1 + e^u) below."""
-    e = np.exp(-np.abs(u))
-    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+def _sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Stable logistic: 1 / (1 + e^-u) for u >= 0, e^u / (1 + e^u) below.
+
+    The result goes to ``out`` (a new array when None); ``u`` is used as
+    scratch space and overwritten.
+    """
+    nonneg = u >= 0
+    e = np.abs(u, out=u)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # e^-|u| <= 1
+    den = np.add(e, 1.0, out=out)
+    # the numerator is 1 where u >= 0 and e^-|u| = e^u elsewhere; e <= 1
+    # makes the maximum pick exactly that
+    num = np.maximum(e, nonneg, out=e)
+    return np.divide(num, den, out=den)
 
 
 def loc_loss_batch(
@@ -200,31 +268,41 @@ def loc_loss_batch(
 
     Per example: -lam log s(g(x).o_y) - sum_{i!=y} log(1 - s(g(x).o_i))
     - sum_i log(1 - s(g(r).o_i)), s the logistic sigmoid, probabilities
-    clamped to [1e-12, 1 - 1e-12] before the log.
+    clamped to [1e-12, 1 - 1e-12] before the log. ``masks`` are the
+    (4, batch, hidden) ones of ``PriorMlp.draw_masks``. During
+    ``train_prior`` the gradients are views of arrays the next step reuses.
     """
     proto = prototypes.matrix
     batch = x_rows.shape[0]
+    rows = 2 * batch
+    work = model._train_buffers
+    if work is None:
+        work = _StepBuffers()
     # one pass over the observed rows stacked on the random rows; the
-    # backward pass then sums both halves' parameter gradients
-    stacked_masks = None
-    if masks is not None:
-        stacked_masks = (
-            np.concatenate((masks[0], masks[2])), np.concatenate((masks[1], masks[3]))
-        )
-    emb, cache = _forward(model, np.concatenate((x_rows, r_rows)), stacked_masks)
-    s = _sigmoid(emb @ proto)  # (2 * batch, C): observed rows, then random rows
-    rows = np.arange(batch)
+    # backward pass then sums both halves' parameter gradients. masks[0::2]
+    # are layer 1's masks of both halves and masks[1::2] layer 2's, each
+    # (2, batch, hidden) against the stacked (rows, hidden) activations.
+    x = np.concatenate((x_rows, r_rows), out=work.get("x", (rows, x_rows.shape[1])))
+    stacked_masks = None if masks is None else (masks[0::2], masks[1::2])
+    emb, cache = _forward(model, x, stacked_masks, work)
+    u = np.matmul(emb, proto, out=work.get("u", (rows, proto.shape[1])))
+    s = _sigmoid(u, out=work.get("s", u.shape))  # observed rows, then random rows
+    labels = (np.arange(batch), ys)
 
-    s_pos = np.clip(s[rows, ys], PROB_CLAMP, 1.0 - PROB_CLAMP)
-    neg_logs = np.log(np.clip(1.0 - s, PROB_CLAMP, 1.0 - PROB_CLAMP))
-    neg_logs[rows, ys] = 0.0
+    s_pos = np.clip(s[labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
+    neg_logs = np.subtract(1.0, s, out=u)  # u is spent
+    np.clip(neg_logs, PROB_CLAMP, 1.0 - PROB_CLAMP, out=neg_logs)
+    np.log(neg_logs, out=neg_logs)
+    neg_logs[labels] = 0.0
     total = -lam * np.log(s_pos).sum() - neg_logs.sum()
     if not np.isfinite(total):
         raise ValueError("non-finite location loss")
 
-    ds = s.copy()
-    ds[rows, ys] = -lam * (1.0 - s[rows, ys])
-    grads = _backward(model, cache, (ds @ proto.T) / batch)
+    # s becomes dL/du: s itself, but -lam (1 - s) at each observed label
+    s[labels] = -lam * (1.0 - s[labels])
+    d_emb = np.matmul(s, proto.T, out=emb)  # emb is spent
+    d_emb /= batch
+    grads = _backward(model, cache, d_emb, work)
     return PriorLossResult(value=float(total / batch), grads=grads)
 
 
@@ -373,7 +451,10 @@ def train_prior(
     schedule = CosineSchedule(
         warmup, total_steps, cfg.warmup_lr, cfg.base_lr, cfg.final_lr
     )
+    # the model's weights become views of params, which adamw_step updates
+    # in place
     params = pack_params(model)
+    unpack_params(model, params)
     opt = AdamWState.zeros(
         params.size,
         beta1=cfg.beta1,
@@ -381,26 +462,33 @@ def train_prior(
         eps=cfg.eps,
         weight_decay=cfg.weight_decay,
     )
+    work = _StepBuffers()
+    # _backward writes each step's gradients into this array
+    grads = work.get("grads", params.shape)
+    model._train_buffers = work
 
     trace: list[float] = []
     step = 0
     for _ in range(cfg.epochs):
+        # one draw per epoch: loc_rng draws nothing else, so each step's
+        # block holds what a per-step draw would
+        locations = loc_rng.uniform(lo, hi, size=(steps_per_epoch, cfg.batch_size, d_in))
         epoch_losses = []
-        for _ in range(steps_per_epoch):
+        for rb in locations:
             idx = sampler.draw(cfg.batch_size)
-            xb, yb = x_all[idx], y_all[idx]
-            rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
             masks = None
             if cfg.dropout_rate > 0.0:
-                masks = model.draw_masks(cfg.batch_size)
-            result = loc_loss_batch(model, xb, rb, yb, prototypes, cfg.lam, masks)
-            params = adamw_step(
-                params, pack_grads(result.grads), opt, lr_at(schedule, step)
+                masks = model.draw_masks(
+                    cfg.batch_size, out=work.get("masks", (4, cfg.batch_size, cfg.hidden))
+                )
+            result = loc_loss_batch(
+                model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks
             )
-            unpack_params(model, params)
+            adamw_step(params, grads, opt, lr_at(schedule, step))
             epoch_losses.append(result.value)
             step += 1
         trace.append(float(np.mean(epoch_losses)))
+    model._train_buffers = None
     return model, trace
 
 
@@ -428,12 +516,21 @@ def pack_grads(grads: MlpGrads) -> np.ndarray:
     return np.concatenate([getattr(grads, f).ravel() for f in _PARAM_FIELDS])
 
 
-def unpack_params(model: PriorMlp, flat: np.ndarray) -> None:
-    offset = 0
+def _param_views(model: PriorMlp, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Each parameter's slice of a ``pack_params``-ordered vector, shaped as
+    the parameter."""
+    views, offset = {}, 0
     for f in _PARAM_FIELDS:
-        arr = getattr(model, f)
-        setattr(model, f, flat[offset : offset + arr.size].reshape(arr.shape))
-        offset += arr.size
+        shape = getattr(model, f).shape
+        size = math.prod(shape)
+        views[f] = flat[offset : offset + size].reshape(shape)
+        offset += size
+    return views
+
+
+def unpack_params(model: PriorMlp, flat: np.ndarray) -> None:
+    for f, view in _param_views(model, flat).items():
+        setattr(model, f, view)
 
 
 # ---------------------------------------------------------------------------

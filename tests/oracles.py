@@ -1,10 +1,15 @@
 """Brute-force oracles that the tests compare the package against.
 
 Plain Python on purpose: no numpy, no imports from the modules they check.
+The one exception is ``reference_train_prior`` at the end: byte-equal
+weights need the same floating-point operations, so it restates the prior's
+training step with numpy, in its plain allocating form.
 """
 
 import csv
 import math
+
+import numpy as np
 
 
 def oracle_seesaw(logits, label, counts, p=0.8, q=2.0):
@@ -205,6 +210,11 @@ class Rejected(Exception):
 
 def _data_rows(path, header):
     with open(path, encoding="utf-8", newline="") as fh:
+        # checked before csv.reader runs, which before Python 3.11 raises on NUL
+        for line, text in enumerate(fh, start=1):
+            if "\x00" in text:
+                raise Rejected(line, "NUL character in a field")
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             first = next(reader)
@@ -299,3 +309,119 @@ def reference_predictions(path):
         except ValueError:
             raise Rejected(line, f"bad class_id {row[1]!r}")
     return out
+
+
+# ---------------------------------------------------------------------------
+# The prior's training step in its plain form: every intermediate a new
+# array, the two-branch sigmoid, the dropout masks concatenated per layer,
+# the loss gradient copied, AdamW returning new moments and parameters.
+# Initialisation, sampler, location bounds and learning-rate schedule come
+# from the package; the test checks the step, not them.
+# ---------------------------------------------------------------------------
+
+
+def reference_adamw(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):
+    """One AdamW update; returns (params, m, v) as new arrays, t the new step."""
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    out = params * (1.0 - lr * weight_decay)
+    out = out - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return out, m, v
+
+
+def _reference_sigmoid(u):
+    e = np.exp(-np.abs(u))
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
+
+
+def _reference_loss(w, x_rows, r_rows, ys, proto, lam, masks):
+    """(mean loss, {name: mean gradient}) of one stacked batch."""
+    batch = x_rows.shape[0]
+    x = np.concatenate((x_rows, r_rows))
+    m1 = m2 = None
+    if masks is not None:
+        m1 = np.concatenate((masks[0], masks[2]))
+        m2 = np.concatenate((masks[1], masks[3]))
+    z1 = x @ w["w1"].T + w["b1"]
+    h1 = np.maximum(z1, 0.0)
+    h1 = h1 if m1 is None else h1 * m1
+    z2 = h1 @ w["w2"].T + w["b2"]
+    h2 = np.maximum(z2, 0.0)
+    h2 = h2 if m2 is None else h2 * m2
+    emb = h2 @ w["w3"].T + w["b3"]
+    s = _reference_sigmoid(emb @ proto)
+    rows = np.arange(batch)
+    s_pos = np.clip(s[rows, ys], 1e-12, 1.0 - 1e-12)
+    neg_logs = np.log(np.clip(1.0 - s, 1e-12, 1.0 - 1e-12))
+    neg_logs[rows, ys] = 0.0
+    total = -lam * np.log(s_pos).sum() - neg_logs.sum()
+    ds = s.copy()
+    ds[rows, ys] = -lam * (1.0 - s[rows, ys])
+    d_out = (ds @ proto.T) / batch
+    g = {"w3": d_out.T @ h2, "b3": d_out.sum(axis=0)}
+    da2 = d_out @ w["w3"]
+    da2 = da2 if m2 is None else da2 * m2
+    dz2 = da2 * (z2 > 0)
+    g["w2"], g["b2"] = dz2.T @ h1, dz2.sum(axis=0)
+    da1 = dz2 @ w["w2"]
+    da1 = da1 if m1 is None else da1 * m1
+    dz1 = da1 * (z1 > 0)
+    g["w1"], g["b1"] = dz1.T @ x, dz1.sum(axis=0)
+    return float(total / batch), g
+
+
+def reference_train_prior(bundle, prototypes, cfg):
+    """(flat parameters in w1, b1, w2, b2, w3, b3 order, per-epoch mean
+    losses) of ``train_prior`` run with the plain step."""
+    from venomguard.optim import CosineSchedule, lr_at
+    from venomguard.prior_model import (
+        BalancedSampler, PriorMlp, feature_bounds, training_pairs,
+    )
+
+    names = ("w1", "b1", "w2", "b2", "w3", "b3")
+    x_all, y_all = training_pairs(bundle)
+    n, d_in = x_all.shape
+    model_seed, sampler_seed, loc_seed = (
+        int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
+    )
+    init = PriorMlp.create(d_in, cfg.hidden, prototypes.d_out, cfg.dropout_rate,
+                           seed=model_seed)
+    w = {k: getattr(init, k) for k in names}
+    mask_rng = np.random.default_rng(np.random.SeedSequence(model_seed).spawn(2)[1])
+    sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed),
+                              prototypes.n_classes)
+    loc_rng = np.random.default_rng(loc_seed)
+    lo, hi = cfg.feature_bounds if cfg.feature_bounds else feature_bounds(x_all)
+    steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
+    schedule = CosineSchedule(steps_per_epoch if cfg.epochs > 1 else 0,
+                              cfg.epochs * steps_per_epoch,
+                              cfg.warmup_lr, cfg.base_lr, cfg.final_lr)
+    params = np.concatenate([w[k].ravel() for k in names])
+    m, v = np.zeros(params.size), np.zeros(params.size)
+    keep = 1.0 - cfg.dropout_rate
+    trace, step = [], 0
+    for _ in range(cfg.epochs):
+        losses = []
+        for _ in range(steps_per_epoch):
+            idx = sampler.draw(cfg.batch_size)
+            rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
+            masks = None
+            if cfg.dropout_rate > 0.0:
+                masks = (mask_rng.random((4, cfg.batch_size, cfg.hidden)) < keep) / keep
+            value, g = _reference_loss(w, x_all[idx], rb, y_all[idx],
+                                       prototypes.matrix, cfg.lam, masks)
+            grads = np.concatenate([g[k].ravel() for k in names])
+            params, m, v = reference_adamw(
+                params, grads, m, v, step + 1, lr_at(schedule, step),
+                cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay,
+            )
+            offset = 0
+            for k in names:
+                w[k] = params[offset:offset + w[k].size].reshape(w[k].shape)
+                offset += w[k].size
+            losses.append(value)
+            step += 1
+        trace.append(float(np.mean(losses)))
+    return params, trace

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import os
 
 import pytest
 
@@ -345,6 +346,15 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(data))
         assert code == 2
 
+    def test_nul_in_manifest_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        lines = (data / "observations.csv").read_text().splitlines()
+        lines[3] = "\x00" + lines[3]
+        (data / "observations.csv").write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "validate", str(data))
+        assert code == 2
+        assert "observations.csv:4: NUL character in a field" in err
+
     def test_missing_directory_exits_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == 3
@@ -397,6 +407,19 @@ class TestFormatErrors:
         code, _, err = run(capsys, "pca", str(bad), "-o", str(tmp_path / "p.bin"))
         assert code == 3
         assert "only 0 bytes remain" in err
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_oversized_header_on_a_pipe_exits_three(self, capsys, tmp_path):
+        r, w = os.pipe()
+        header = (2**40).to_bytes(8, "little") + (2**20).to_bytes(8, "little")
+        os.write(w, b"VGF1" + header)
+        os.close(w)
+        try:
+            code, _, err = run(capsys, "pca", f"/dev/fd/{r}", "-o", str(tmp_path / "p.bin"))
+        finally:
+            os.close(r)
+        assert code == 3
+        assert "truncated payload" in err
 
     def test_missing_feature_file_exits_three(self, capsys, tmp_path):
         code, _, _ = run(
@@ -461,6 +484,55 @@ class TestFormatErrors:
         )
         assert code == 1
         assert "out of range" in err
+
+
+class TestModelDoesNotFitData:
+    """A model applied to a dataset it does not fit exits 2, naming both sizes."""
+
+    def train(self, capsys, tmp_path, data, name):
+        pca_path, prior_path = tmp_path / f"{name}.pca", tmp_path / f"{name}.prior"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        code, _, _ = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(prior_path), "--epochs", "1", "--hidden", "8",
+        )
+        assert code == 0
+        return pca_path, prior_path
+
+    def test_prior_with_other_class_count_exits_two(self, capsys, tmp_path):
+        eight = make_dataset(capsys, tmp_path / "eight", classes=8)
+        ten = make_dataset(capsys, tmp_path / "ten", classes=10)
+        _, prior_path = self.train(capsys, tmp_path, eight, "eight")
+        code, _, err = run(
+            capsys, "infer", str(ten), "--prior", str(prior_path),
+            "-o", str(tmp_path / "preds.csv"),
+        )
+        assert code == 2
+        assert "prior scores 8 classes, the dataset has 10" in err
+
+    def test_pca_fitted_on_other_metadata_width_exits_two(self, capsys, tmp_path):
+        config = tmp_path / "six.cfg"
+        config.write_text("synth_dims_meta = 6\n")
+        code, _, _ = run(capsys, "synth", "--config", str(config), "--observations", "120",
+                         "--classes", "8", "-o", str(tmp_path / "six"))
+        assert code == 0
+        pca_path, prior_path = self.train(capsys, tmp_path, tmp_path / "six", "six")
+        data = make_dataset(capsys, tmp_path / "data")  # 8 metadata dims
+        code, _, err = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
+        )
+        assert code == 2
+        assert "PCA was fitted on 6 metadata dims, the data has 8" in err
+        code, _, err = run(
+            capsys, "infer", str(data), "--prior", str(prior_path),
+            "-o", str(tmp_path / "preds.csv"),
+        )
+        assert code == 2
+        assert "PCA was fitted on 6 metadata dims, the data has 8" in err
 
 
 class TestGradcheckCommand:

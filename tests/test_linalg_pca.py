@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from venomguard.data_model import FeatureMatrix, read_records, write_records
-from venomguard.errors import FormatError
+from venomguard.errors import BundleValidationError, FormatError
 from venomguard.linalg_pca import fit_pca, load_pca, pca_inverse, pca_transform, save_pca
 
 from oracles import oracle_eigvals_jacobi
@@ -114,7 +114,7 @@ class TestTransform:
 
     def test_dimension_mismatches_rejected(self):
         model = fit_pca(random_matrix(1, 6, 4), k=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BundleValidationError, match="on 4 metadata dims, the data has 5"):
             pca_transform(model, fm(np.zeros((2, 5))))
         with pytest.raises(ValueError):
             pca_inverse(model, fm(np.zeros((2, 3))))

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from venomguard.optim import AdamWState, CosineSchedule, adamw_step, lr_at
+
+from oracles import reference_adamw
 
 
 class TestAdamW:
@@ -63,6 +66,33 @@ class TestAdamW:
         state = AdamWState.zeros(len(g), weight_decay=0.0)
         theta = adamw_step(np.zeros(len(g)), g, state, lr=lr)
         assert np.all(np.abs(theta) <= lr * (1.0 + 1e-9))
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 8),
+        steps=st.integers(1, 5),
+        lr=st.floats(0.0, 1.0),
+        weight_decay=st.floats(0.0, 0.5),
+    )
+    def test_in_place_update_matches_reference_bit_for_bit(
+        self, data, n, steps, lr, weight_decay
+    ):
+        values = hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
+        params = data.draw(values)
+        expected, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        state = AdamWState.zeros(n, weight_decay=weight_decay)
+        for t in range(1, steps + 1):
+            grads = data.draw(values)
+            out = adamw_step(params, grads, state, lr)
+            expected, m, v = reference_adamw(
+                expected, grads, m, v, t, lr, 0.9, 0.999, 1e-8, weight_decay
+            )
+            assert out is params
+            assert out.tobytes() == expected.tobytes()
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
 
 
 class TestCosineSchedule:

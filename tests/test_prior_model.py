@@ -40,6 +40,8 @@ from venomguard.prior_model import (
 )
 from venomguard.synthetic import SynthConfig, generate
 
+from oracles import reference_train_prior
+
 
 def zero_mlp(d_in=2, hidden=3, d_out=2, dropout=0.0):
     model = PriorMlp.create(d_in, hidden, d_out, dropout_rate=dropout, seed=0)
@@ -360,6 +362,19 @@ class TestTraining:
         b, trace_b = train_prior(bundle, proto, cfg)
         assert np.array_equal(pack_params(a), pack_params(b))
         assert trace_a == trace_b
+
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_matches_plain_step_byte_for_byte(self, seed, dropout):
+        # 80 observations in batches of 24: the last batch of an epoch wraps
+        bundle, proto = self.small_data()
+        cfg = PriorTrainConfig(epochs=4, batch_size=24, hidden=16, seed=seed,
+                               dropout_rate=dropout, base_lr=5e-3, warmup_lr=5e-5)
+        model, trace = train_prior(bundle, proto, cfg)
+        params, expected_trace = reference_train_prior(bundle, proto, cfg)
+        assert pack_params(model).tobytes() == params.tobytes()
+        assert trace == expected_trace
+        assert model._train_buffers is None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
