@@ -488,20 +488,21 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
             f"{source}: header declares {rows}x{dims} values ({n_bytes} bytes) "
             f"but only {left} bytes remain"
         )
-    # a stream's length is unknown, so its header's size is not trusted: the
-    # payload arrives in bounded reads, the first short one ends it
-    chunk = n_bytes if left is not None else STREAM_CHUNK
-    parts, got = [], 0
-    while got < n_bytes:
-        want = min(chunk, n_bytes - got)
-        part = fh.read(want)
-        got += len(part)
-        if len(part) != want:
-            raise FormatError(
-                f"{source}: truncated payload, expected {n_bytes} bytes got {got}"
-            )
-        parts.append(part)
-    payload = b"".join(parts)
+    if left is not None:
+        payload = fh.read(n_bytes)
+    else:
+        # a stream's length is unknown, so its header's size is not trusted:
+        # the payload grows in bounded reads until it is whole or the stream ends
+        payload = bytearray()
+        while len(payload) < n_bytes:
+            part = fh.read(min(STREAM_CHUNK, n_bytes - len(payload)))
+            if not part:
+                break
+            payload += part
+    if len(payload) != n_bytes:
+        raise FormatError(
+            f"{source}: truncated payload, expected {n_bytes} bytes got {len(payload)}"
+        )
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if data.size and not np.all(np.isfinite(data)):
         raise FormatError(f"{source}: non-finite values in payload")

@@ -30,9 +30,9 @@ def adamw_step(
 ) -> np.ndarray:
     """One bias-corrected Adam update with decay applied before the Adam delta.
 
-    Updates ``params`` (when it is already a float64 array), ``state.m`` and
-    ``state.v`` in place, advances ``state.t`` and returns the updated
-    parameter vector.
+    Returns the new parameter vector and leaves ``params`` as it was;
+    ``state.m`` and ``state.v`` are updated in place and ``state.t`` is
+    advanced.
     """
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -62,9 +62,9 @@ def adamw_step(
     np.sqrt(scaled, out=scaled)
     scaled += state.eps
     delta /= scaled
-    params *= 1.0 - lr * state.weight_decay
-    params -= delta
-    return params
+    out = np.multiply(params, 1.0 - lr * state.weight_decay)
+    out -= delta
+    return out
 
 
 @dataclass

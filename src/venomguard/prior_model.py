@@ -163,23 +163,34 @@ class PriorTrainConfig:
 # ---------------------------------------------------------------------------
 
 class _StepBuffers:
-    """Named work arrays for the forward and backward passes.
+    """Work arrays for the location loss of one batch, its observed rows
+    stacked on its random rows.
 
-    ``get`` returns the array made for a name on its first request, and a
-    new one when the requested shape or dtype differs. ``train_prior`` keeps
-    one instance for its whole run, so its steps write into the same arrays
-    instead of allocating and faulting in fresh pages every step; a fresh
-    instance allocates on every request.
+    ``train_prior`` sizes one set for its whole run, so its steps write into
+    the same arrays instead of faulting in fresh pages every step; numpy
+    raises if a step's shapes differ. A bare instance holds None everywhere,
+    and each op given one of its slots then allocates its result.
     """
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
+    x = z1 = h1 = z2 = h2 = emb = relu = dz1 = dz2 = u = s = masks = grads = None
 
-    def get(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            arr = self._arrays[name] = np.empty(shape, dtype)
-        return arr
+    @classmethod
+    def sized(cls, model: PriorMlp, batch: int, n_classes: int) -> "_StepBuffers":
+        work = cls()
+        rows, hidden = 2 * batch, model.hidden
+        work.x = np.empty((rows, model.d_in))
+        work.z1, work.h1, work.z2, work.h2, work.dz1, work.dz2 = (
+            np.empty((rows, hidden)) for _ in range(6)
+        )
+        work.relu = np.empty((rows, hidden), bool)
+        work.emb = np.empty((rows, model.d_out))
+        work.u, work.s = np.empty((rows, n_classes)), np.empty((rows, n_classes))
+        work.masks = np.empty((4, batch, hidden))
+        work.grads = np.empty(_n_params(model))
+        return work
+
+
+_ALLOCATE = _StepBuffers()
 
 
 def _mul_blocks(a: np.ndarray, mask: np.ndarray) -> None:
@@ -189,50 +200,46 @@ def _mul_blocks(a: np.ndarray, mask: np.ndarray) -> None:
     view *= mask
 
 
-def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None, work=None):
+def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None, work=_ALLOCATE):
     """Batched forward pass; returns output and the cache backprop needs.
 
     ``masks`` holds one dropout mask per hidden layer (see ``_mul_blocks``
     for their shapes); ``work`` supplies the arrays written.
     """
-    work = _StepBuffers() if work is None else work
-    shape = (x_rows.shape[0], model.hidden)
-    z1 = np.matmul(x_rows, model.w1.T, out=work.get("z1", shape))
+    z1 = np.matmul(x_rows, model.w1.T, out=work.z1)
     z1 += model.b1
-    h1 = np.maximum(z1, 0.0, out=work.get("h1", shape))
+    h1 = np.maximum(z1, 0.0, out=work.h1)
     if masks is not None:
         _mul_blocks(h1, masks[0])
-    z2 = np.matmul(h1, model.w2.T, out=work.get("z2", shape))
+    z2 = np.matmul(h1, model.w2.T, out=work.z2)
     z2 += model.b2
-    h2 = np.maximum(z2, 0.0, out=work.get("h2", shape))
+    h2 = np.maximum(z2, 0.0, out=work.h2)
     if masks is not None:
         _mul_blocks(h2, masks[1])
-    out = np.matmul(h2, model.w3.T, out=work.get("emb", (shape[0], model.d_out)))
+    out = np.matmul(h2, model.w3.T, out=work.emb)
     out += model.b3
     return out, (x_rows, z1, h1, z2, h2, masks)
 
 
-def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=None) -> MlpGrads:
-    """Parameter gradients, as views of ``work``'s flat "grads" array in
-    ``pack_params`` order."""
-    work = _StepBuffers() if work is None else work
+def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=_ALLOCATE) -> MlpGrads:
+    """Parameter gradients, as views of one flat vector in ``pack_params``
+    order: ``work.grads`` when it is set."""
     x_rows, z1, h1, z2, h2, masks = cache
-    relu = work.get("relu", z1.shape, bool)
-    flat = work.get("grads", (sum(getattr(model, f).size for f in _PARAM_FIELDS),))
+    flat = np.empty(_n_params(model)) if work.grads is None else work.grads
     g = MlpGrads(**_param_views(model, flat))
     np.matmul(d_out.T, h2, out=g.w3)
     np.sum(d_out, axis=0, out=g.b3)
     # dh2, then through layer 2's dropout mask and ReLU to dz2
-    dz2 = np.matmul(d_out, model.w3, out=work.get("dz2", z2.shape))
+    dz2 = np.matmul(d_out, model.w3, out=work.dz2)
     if masks is not None:
         _mul_blocks(dz2, masks[1])
-    dz2 *= np.greater(z2, 0.0, out=relu)
+    dz2 *= np.greater(z2, 0.0, out=work.relu)
     np.matmul(dz2.T, h1, out=g.w2)
     np.sum(dz2, axis=0, out=g.b2)
-    dz1 = np.matmul(dz2, model.w2, out=work.get("dz1", z1.shape))
+    dz1 = np.matmul(dz2, model.w2, out=work.dz1)
     if masks is not None:
         _mul_blocks(dz1, masks[0])
-    dz1 *= np.greater(z1, 0.0, out=relu)
+    dz1 *= np.greater(z1, 0.0, out=work.relu)
     np.matmul(dz1.T, x_rows, out=g.w1)
     np.sum(dz1, axis=0, out=g.b1)
     return g
@@ -274,19 +281,16 @@ def loc_loss_batch(
     """
     proto = prototypes.matrix
     batch = x_rows.shape[0]
-    rows = 2 * batch
-    work = model._train_buffers
-    if work is None:
-        work = _StepBuffers()
+    work = _ALLOCATE if model._train_buffers is None else model._train_buffers
     # one pass over the observed rows stacked on the random rows; the
     # backward pass then sums both halves' parameter gradients. masks[0::2]
     # are layer 1's masks of both halves and masks[1::2] layer 2's, each
     # (2, batch, hidden) against the stacked (rows, hidden) activations.
-    x = np.concatenate((x_rows, r_rows), out=work.get("x", (rows, x_rows.shape[1])))
+    x = np.concatenate((x_rows, r_rows), out=work.x)
     stacked_masks = None if masks is None else (masks[0::2], masks[1::2])
     emb, cache = _forward(model, x, stacked_masks, work)
-    u = np.matmul(emb, proto, out=work.get("u", (rows, proto.shape[1])))
-    s = _sigmoid(u, out=work.get("s", u.shape))  # observed rows, then random rows
+    u = np.matmul(emb, proto, out=work.u)
+    s = _sigmoid(u, out=work.s)  # observed rows, then random rows
     labels = (np.arange(batch), ys)
 
     s_pos = np.clip(s[labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -451,8 +455,7 @@ def train_prior(
     schedule = CosineSchedule(
         warmup, total_steps, cfg.warmup_lr, cfg.base_lr, cfg.final_lr
     )
-    # the model's weights become views of params, which adamw_step updates
-    # in place
+    # the model's weights become views of params, which each step overwrites
     params = pack_params(model)
     unpack_params(model, params)
     opt = AdamWState.zeros(
@@ -462,33 +465,30 @@ def train_prior(
         eps=cfg.eps,
         weight_decay=cfg.weight_decay,
     )
-    work = _StepBuffers()
-    # _backward writes each step's gradients into this array
-    grads = work.get("grads", params.shape)
-    model._train_buffers = work
+    # loc_loss_batch finds the buffers on the model; _backward writes each
+    # step's gradients into work.grads
+    work = model._train_buffers = _StepBuffers.sized(model, cfg.batch_size, n_classes)
 
     trace: list[float] = []
     step = 0
-    for _ in range(cfg.epochs):
-        # one draw per epoch: loc_rng draws nothing else, so each step's
-        # block holds what a per-step draw would
-        locations = loc_rng.uniform(lo, hi, size=(steps_per_epoch, cfg.batch_size, d_in))
-        epoch_losses = []
-        for rb in locations:
-            idx = sampler.draw(cfg.batch_size)
-            masks = None
-            if cfg.dropout_rate > 0.0:
-                masks = model.draw_masks(
-                    cfg.batch_size, out=work.get("masks", (4, cfg.batch_size, cfg.hidden))
+    try:
+        for _ in range(cfg.epochs):
+            epoch_losses = []
+            for _ in range(steps_per_epoch):
+                idx = sampler.draw(cfg.batch_size)
+                rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
+                masks = None
+                if cfg.dropout_rate > 0.0:
+                    masks = model.draw_masks(cfg.batch_size, out=work.masks)
+                result = loc_loss_batch(
+                    model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks
                 )
-            result = loc_loss_batch(
-                model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks
-            )
-            adamw_step(params, grads, opt, lr_at(schedule, step))
-            epoch_losses.append(result.value)
-            step += 1
-        trace.append(float(np.mean(epoch_losses)))
-    model._train_buffers = None
+                params[:] = adamw_step(params, work.grads, opt, lr_at(schedule, step))
+                epoch_losses.append(result.value)
+                step += 1
+            trace.append(float(np.mean(epoch_losses)))
+    finally:
+        model._train_buffers = None
     return model, trace
 
 
@@ -514,6 +514,10 @@ def pack_params(model: PriorMlp) -> np.ndarray:
 
 def pack_grads(grads: MlpGrads) -> np.ndarray:
     return np.concatenate([getattr(grads, f).ravel() for f in _PARAM_FIELDS])
+
+
+def _n_params(model: PriorMlp) -> int:
+    return sum(getattr(model, f).size for f in _PARAM_FIELDS)
 
 
 def _param_views(model: PriorMlp, flat: np.ndarray) -> dict[str, np.ndarray]:

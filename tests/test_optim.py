@@ -29,9 +29,20 @@ class TestAdamW:
     def test_zero_gradient_zero_decay_is_identity(self):
         state = AdamWState.zeros(2, weight_decay=0.0)
         theta = np.array([0.7, -0.3])
+        start = theta.copy()
         out = adamw_step(theta, np.zeros(2), state, lr=1e-2)
-        assert np.array_equal(out, theta)
+        assert np.array_equal(out, start)
         assert state.t == 1
+
+    def test_inputs_are_left_unchanged(self):
+        state = AdamWState.zeros(3)
+        theta, grads = np.array([0.7, -0.3, 2.0]), np.array([1.0, -4.0, 0.5])
+        theta.flags.writeable = grads.flags.writeable = False
+        out = adamw_step(theta, grads, state, lr=1e-2)
+        assert out is not theta
+        assert theta.tolist() == [0.7, -0.3, 2.0]
+        assert grads.tolist() == [1.0, -4.0, 0.5]
+        assert not np.array_equal(out, theta)
 
     def test_minimizes_quadratic(self):
         state = AdamWState.zeros(1, weight_decay=0.0)
@@ -67,7 +78,6 @@ class TestAdamW:
         theta = adamw_step(np.zeros(len(g)), g, state, lr=lr)
         assert np.all(np.abs(theta) <= lr * (1.0 + 1e-9))
 
-
     @settings(max_examples=100, deadline=None)
     @given(
         data=st.data(),
@@ -76,7 +86,7 @@ class TestAdamW:
         lr=st.floats(0.0, 1.0),
         weight_decay=st.floats(0.0, 0.5),
     )
-    def test_in_place_update_matches_reference_bit_for_bit(
+    def test_update_matches_reference_bit_for_bit(
         self, data, n, steps, lr, weight_decay
     ):
         values = hnp.arrays(np.float64, n, elements=st.floats(-1e3, 1e3))
@@ -85,14 +95,16 @@ class TestAdamW:
         state = AdamWState.zeros(n, weight_decay=weight_decay)
         for t in range(1, steps + 1):
             grads = data.draw(values)
+            start = params.copy()
             out = adamw_step(params, grads, state, lr)
             expected, m, v = reference_adamw(
                 expected, grads, m, v, t, lr, 0.9, 0.999, 1e-8, weight_decay
             )
-            assert out is params
+            assert params.tobytes() == start.tobytes()
             assert out.tobytes() == expected.tobytes()
             assert state.m.tobytes() == m.tobytes()
             assert state.v.tobytes() == v.tobytes()
+            params = out
 
 
 class TestCosineSchedule:
