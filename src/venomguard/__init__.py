@@ -40,6 +40,7 @@ from .prior_model import (
     PriorTrainConfig,
     PrototypeMatrix,
     compute_prototypes,
+    fit_prior,
     loc_loss,
     train_prior,
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .data_model import (
@@ -21,22 +20,14 @@ from .data_model import (
 from .errors import BundleValidationError, CsvParseError, FormatError
 from .gradcheck import LOSS_NAMES, run_checks
 from .inference import EscalationPolicy, predict_dataset, write_predictions_csv
-from .linalg_pca import fit_pca, load_pca, pca_transform, save_pca
+from .linalg_pca import fit_pca, load_pca, save_pca
 from .metrics import (
     MetricWeights,
     report_json,
     report_text,
     score_predictions,
 )
-from .prior_model import (
-    PriorArtifact,
-    PriorTrainConfig,
-    compute_prototypes,
-    load_prior,
-    prototype_inputs,
-    save_prior,
-    train_prior,
-)
+from .prior_model import PriorTrainConfig, fit_prior, load_prior, save_prior
 from .synthetic import SynthConfig, generate, write_dataset
 
 # One flat namespace for every tunable default; subcommands read the slice
@@ -257,12 +248,6 @@ def _cmd_train_prior(args) -> int:
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     pca = load_pca(args.pca)
-
-    feats, labels = prototype_inputs(bundle)
-    prototypes = compute_prototypes(feats, labels, bundle.classes.n_classes)
-    reduced = pca_transform(pca, bundle.metadata_features)
-    train_bundle = replace(bundle, metadata_features=reduced)
-
     train_cfg = PriorTrainConfig(
         lam=float(cfg["prior_lambda"]),
         epochs=int(cfg["prior_epochs"]),
@@ -278,8 +263,8 @@ def _cmd_train_prior(args) -> int:
         beta2=float(cfg["beta2"]),
         eps=float(cfg["adam_eps"]),
     )
-    model, trace = train_prior(train_bundle, prototypes, train_cfg)
-    save_prior(PriorArtifact(mlp=model, prototypes=prototypes, pca=pca), args.output)
+    artifact, trace = fit_prior(bundle, pca, train_cfg)
+    save_prior(artifact, args.output)
 
     trace_path = args.trace or f"{args.output}.trace.csv"
     lines = ["epoch,mean_loss"]

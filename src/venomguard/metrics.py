@@ -198,6 +198,15 @@ def score_predictions(
         if extra:
             parts.append(f"predictions for unknown observations {extra[:10]}")
         raise BundleValidationError("; ".join(parts))
+    n = classes.n_classes
+    for path, labels in ((truth_path, truth), (pred_path, pred)):
+        bad = np.flatnonzero((labels < 0) | (labels >= n))
+        if bad.size:
+            k = bad[0]
+            raise BundleValidationError(
+                f"{path}: observation {truth_ids[k]} has class id {labels[k]}, "
+                f"outside [0, {n})"
+            )
     return build_report(
         truth, pred, classes, weights=weights, pdenom=pdenom, all_classes=all_classes
     )

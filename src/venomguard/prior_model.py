@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .data_model import DatasetBundle, FeatureMatrix, read_records, write_records
 from .errors import BundleValidationError
-from .linalg_pca import PcaModel, check_record_shapes, pca_from_records, pca_records
+from .linalg_pca import (
+    PcaModel, check_record_shapes, pca_from_records, pca_records, pca_transform,
+)
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
 PROB_CLAMP = 1e-12
@@ -127,12 +129,18 @@ class PrototypeMatrix:
 
 
 @dataclass
+class PriorArtifact:
+    mlp: PriorMlp
+    prototypes: PrototypeMatrix
+    pca: PcaModel
+
+
+@dataclass
 class PriorTrainConfig:
     lam: float = 10.0
     epochs: int = 30
     batch_size: int = 256
     seed: int = 0
-    feature_bounds: tuple[np.ndarray, np.ndarray] | None = None
     hidden: int = 256
     dropout_rate: float = 0.3
     base_lr: float = 2e-5
@@ -148,14 +156,6 @@ class PriorTrainConfig:
             raise ValueError("lambda must be non-negative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-        if self.feature_bounds is not None:
-            lo, hi = self.feature_bounds
-            lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
-            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-                raise ValueError("feature bounds must be finite")
-            if np.any(lo > hi):
-                raise ValueError("feature bounds need min <= max per dimension")
-            self.feature_bounds = (lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +332,9 @@ def loc_loss(
 # ---------------------------------------------------------------------------
 
 def compute_prototypes(
-    features: FeatureMatrix, labels: np.ndarray, n_classes: int, normalize: bool = True
+    features: FeatureMatrix, labels: np.ndarray, n_classes: int
 ) -> PrototypeMatrix:
-    """Per-class mean of feature rows, L2-normalized columns by default."""
+    """Per-class mean of feature rows as L2-normalized columns."""
     labels = np.asarray(labels)
     if labels.shape != (features.rows,):
         raise ValueError("need one label per feature row")
@@ -349,12 +349,10 @@ def compute_prototypes(
             continue
         mean = members.mean(axis=0)
         norm = np.linalg.norm(mean)
-        if normalize:
-            if norm == 0.0:
-                empty.append(c)
-                continue
-            mean = mean / norm
-        out[:, c] = mean
+        if norm == 0.0:
+            empty.append(c)
+            continue
+        out[:, c] = mean / norm
     if empty:
         warnings.warn(f"zero prototype columns for classes {empty[:10]}")
     return PrototypeMatrix(out)
@@ -393,7 +391,9 @@ class BalancedSampler:
         counts = np.bincount(labels, minlength=c)
         empty = np.flatnonzero(counts[:c] == 0)
         if empty.size:
-            raise ValueError(f"classes with no examples: {empty[:10].tolist()}")
+            raise BundleValidationError(
+                f"classes with no labeled observation: {empty[:10].tolist()}"
+            )
         self.n_classes = c
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
@@ -447,7 +447,7 @@ def train_prior(
 
     sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed), n_classes)
     loc_rng = np.random.default_rng(loc_seed)
-    lo, hi = cfg.feature_bounds if cfg.feature_bounds else feature_bounds(x_all)
+    lo, hi = feature_bounds(x_all)
 
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
@@ -490,6 +490,18 @@ def train_prior(
     finally:
         model._train_buffers = None
     return model, trace
+
+
+def fit_prior(
+    bundle: DatasetBundle, pca: PcaModel, cfg: PriorTrainConfig
+) -> tuple[PriorArtifact, list[float]]:
+    """Prototypes from the bundle's labeled images, then the prior trained on
+    its metadata reduced by ``pca``; returns the artifact and the loss trace
+    of ``train_prior``."""
+    prototypes = compute_prototypes(*prototype_inputs(bundle), bundle.classes.n_classes)
+    reduced = pca_transform(pca, bundle.metadata_features)
+    mlp, trace = train_prior(replace(bundle, metadata_features=reduced), prototypes, cfg)
+    return PriorArtifact(mlp=mlp, prototypes=prototypes, pca=pca), trace
 
 
 def prior_scores(
@@ -541,13 +553,6 @@ def unpack_params(model: PriorMlp, flat: np.ndarray) -> None:
 # Serialization: the PCA reduction's three records, one augmented [W | b]
 # matrix per layer and the prototypes, as seven records of one VGF1 file.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PriorArtifact:
-    mlp: PriorMlp
-    prototypes: PrototypeMatrix
-    pca: PcaModel
-
 
 def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
     m = artifact.mlp

@@ -393,7 +393,7 @@ def reference_train_prior(bundle, prototypes, cfg):
     sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed),
                               prototypes.n_classes)
     loc_rng = np.random.default_rng(loc_seed)
-    lo, hi = cfg.feature_bounds if cfg.feature_bounds else feature_bounds(x_all)
+    lo, hi = feature_bounds(x_all)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     schedule = CosineSchedule(steps_per_epoch if cfg.epochs > 1 else 0,
                               cfg.epochs * steps_per_epoch,

@@ -251,6 +251,28 @@ class TestPipeline:
         assert code == 2
         assert f"missing predictions for ['{dropped}']" in err
 
+    @pytest.mark.parametrize("which", ["truth", "pred"])
+    @pytest.mark.parametrize("bad", ["-1", "999"])
+    def test_class_id_outside_class_range_exits_two(self, capsys, tmp_path, which, bad):
+        data = make_dataset(capsys, tmp_path / "data")
+        header, first, *rest = (data / "truth.csv").read_text().splitlines()
+        obs_id = first.split(",")[0]
+        edited = tmp_path / f"{which}.csv"
+        edited.write_text("\n".join([header, f"{obs_id},{bad}", *rest]) + "\n")
+        files = {"truth": data / "truth.csv", "pred": data / "truth.csv", which: edited}
+        code, _, err = run(
+            capsys,
+            "score",
+            "--truth",
+            str(files["truth"]),
+            "--pred",
+            str(files["pred"]),
+            "--classes",
+            str(data / "classes.csv"),
+        )
+        assert code == 2
+        assert f"{edited}: observation {obs_id} has class id {bad}, outside [0, 8)" in err
+
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -389,6 +411,29 @@ class TestValidateCommand:
         )
         assert code == 2
         assert "embeddings have 10 rows" in err
+
+    def test_class_without_labeled_observation_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        obs = data / "observations.csv"
+        header, *rows = obs.read_text().splitlines()
+        fields = [row.split(",") for row in rows]
+        rarest = min(range(8), key=lambda c: sum(f[2] == str(c) for f in fields))
+        for f in fields:
+            if f[2] == str(rarest):
+                f[2] = ""  # unlabeled
+        obs.write_text("\n".join([header, *map(",".join, fields)]) + "\n")
+        pca_path = tmp_path / "pca.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        with pytest.warns(UserWarning, match="zero prototype columns"):
+            code, _, err = run(
+                capsys, "train-prior", str(data), "--pca", str(pca_path),
+                "-o", str(tmp_path / "prior.bin"), "--epochs", "1",
+            )
+        assert code == 2
+        assert f"classes with no labeled observation: [{rarest}]" in err
 
 
 class TestFormatErrors:

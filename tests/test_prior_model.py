@@ -27,6 +27,7 @@ from venomguard.prior_model import (
     _sigmoid,
     compute_prototypes,
     feature_bounds,
+    fit_prior,
     loc_loss,
     loc_loss_batch,
     pack_grads,
@@ -148,11 +149,6 @@ class TestPrototypes:
         proto = compute_prototypes(feats, labels, 4)
         norms = np.linalg.norm(proto.matrix, axis=0)
         assert np.allclose(norms, 1.0, atol=1e-9)
-
-    def test_unnormalized_keeps_class_means(self):
-        feats = FeatureMatrix(np.array([[2.0, 0.0], [4.0, 0.0]]))
-        proto = compute_prototypes(feats, np.array([0, 0]), 1, normalize=False)
-        assert np.allclose(proto.matrix[:, 0], [3.0, 0.0], atol=1e-12)
 
     def test_label_validation(self):
         feats = FeatureMatrix(np.ones((2, 3)))
@@ -311,7 +307,7 @@ class TestSampling:
         assert seen == set(range(8))
 
     def test_empty_class_rejected_up_front(self):
-        with pytest.raises(ValueError, match="no examples"):
+        with pytest.raises(BundleValidationError, match=r"no labeled observation: \[1\]"):
             BalancedSampler(np.array([0, 0, 2]), np.random.default_rng(0), n_classes=3)
 
 
@@ -376,6 +372,25 @@ class TestTraining:
         assert trace == expected_trace
         assert model._train_buffers is None
 
+    @pytest.mark.parametrize("dropout", [0.3, 0.0])
+    def test_fit_prior_matches_the_hand_chain(self, dropout):
+        bundle, _ = self.small_data()
+        cfg = PriorTrainConfig(epochs=3, batch_size=24, hidden=16, seed=5,
+                               dropout_rate=dropout, base_lr=5e-3, warmup_lr=5e-5)
+        artifact, trace = fit_prior(bundle, fit_pca(bundle.metadata_features, 3), cfg)
+
+        pca = fit_pca(bundle.metadata_features, 3)
+        proto = compute_prototypes(*prototype_inputs(bundle), bundle.classes.n_classes)
+        reduced = pca_transform(pca, bundle.metadata_features)
+        mlp, expected_trace = train_prior(
+            replace(bundle, metadata_features=reduced), proto, cfg
+        )
+        assert pack_params(artifact.mlp).tobytes() == pack_params(mlp).tobytes()
+        assert artifact.prototypes.matrix.tobytes() == proto.matrix.tobytes()
+        for field in ("mean", "components", "eigenvalues"):
+            assert getattr(artifact.pca, field).tobytes() == getattr(pca, field).tobytes()
+        assert trace == expected_trace
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PriorTrainConfig(lam=-1.0)
@@ -383,8 +398,6 @@ class TestTraining:
             PriorTrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             PriorTrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            PriorTrainConfig(feature_bounds=(np.ones(2), np.zeros(2)))
 
 
 class TestScoresAndArtifact:
