@@ -41,7 +41,6 @@ from .prior_model import (
     PrototypeMatrix,
     compute_prototypes,
     fit_prior,
-    loc_loss,
     train_prior,
 )
 from .synthetic import SynthConfig, generate, write_dataset

@@ -232,7 +232,7 @@ class DatasetBundle:
 # CSV manifests
 # ---------------------------------------------------------------------------
 
-def _nul_line(text: str, at: int) -> int:
+def _line_at(text: str, at: int) -> int:
     """The physical line holding ``text[at]``, counting line ends as
     csv.reader does: ``\r\n``, ``\r`` and ``\n``."""
     head = text[:at]
@@ -242,19 +242,30 @@ def _nul_line(text: str, at: int) -> int:
 def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
     """The manifest's text, positioned after its header line(s).
 
-    A NUL anywhere rejects the file first: numpy's strings end at one, and
-    csv.reader before Python 3.11 refuses it.
+    Before any row is read, a byte that is not UTF-8 rejects the file, then
+    a NUL does (numpy's strings end at one, and csv.reader before Python
+    3.11 refuses it); either error names the physical line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[: exc.start].decode("utf-8")
+        raise CsvParseError(
+            str(path), _line_at(head, len(head)), f"byte {raw[exc.start]:#04x} is not UTF-8"
+        ) from None
     nul = text.find("\x00")
     if nul >= 0:
-        raise CsvParseError(str(path), _nul_line(text, nul), "NUL character in a field")
+        raise CsvParseError(str(path), _line_at(text, nul), "NUL character in a field")
     fh = io.StringIO(text, newline="")
+    reader = csv.reader(fh)
     try:
-        header = next(csv.reader(fh))
+        header = next(reader)
     except StopIteration:
         raise CsvParseError(str(path), 1, "missing header")
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise CsvParseError(str(path), reader.line_num, str(exc)) from None
     if [h.strip() for h in header[: len(expected_header)]] != expected_header:
         raise CsvParseError(
             str(path), 1, f"expected header {','.join(expected_header)}"
@@ -266,10 +277,13 @@ def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(physical line, fields) of each non-blank data row, as csv.reader sees it."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+        try:
+            next(reader, None)
+            for row in reader:
+                if row:
+                    yield reader.line_num, row
+        except csv.Error as exc:  # a field over csv.field_size_limit()
+            raise CsvParseError(str(path), reader.line_num, str(exc)) from None
 
 
 def read_manifest(
@@ -278,10 +292,11 @@ def read_manifest(
     """Data rows of a CSV manifest as a (rows, len(header)) string array.
 
     The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
-    blank lines are skipped and fields past the header's are ignored; a NUL
-    character anywhere rejects the file, naming its physical line. The
-    second value is None, or the index (among non-blank data rows) of the
-    first row with too few fields; the array then holds the rows before it.
+    blank lines are skipped and fields past the header's are ignored; a
+    byte that is not UTF-8 or a NUL character anywhere rejects the file,
+    naming its physical line. The second value is None, or the index (among
+    non-blank data rows) of the first row with too few fields; the array
+    then holds the rows before it.
     """
     n = len(header)
     fh = _open_csv(path, header)

@@ -20,8 +20,8 @@ from .prior_model import (
     PriorMlp,
     PrototypeMatrix,
     _forward,
-    loc_loss,
-    pack_grads,
+    draw_masks,
+    loc_loss_batch,
     pack_params,
     unpack_params,
 )
@@ -107,7 +107,8 @@ def _check_rwwce(rng: np.random.Generator, step: float) -> float:
 
 
 def _loc_instance(rng: np.random.Generator):
-    """Random small prior-loss instance where finite differences are valid.
+    """Random small prior-loss instance, one (observed, random) location
+    pair, where finite differences are valid.
 
     Resamples away from ReLU kinks and from affinities saturated enough to
     hit the probability clamp, where the loss goes flat but the exact
@@ -118,11 +119,9 @@ def _loc_instance(rng: np.random.Generator):
         hidden = int(rng.integers(2, 7))
         d_out = int(rng.integers(2, 7))
         c = int(rng.integers(1, 8))
-        model = PriorMlp.create(
-            d_in, hidden, d_out,
-            dropout_rate=0.3 if rng.random() < 0.5 else 0.0,
-            seed=int(rng.integers(2**31)),
-        )
+        rate = 0.3 if rng.random() < 0.5 else 0.0
+        seed = int(rng.integers(2**31))
+        model = PriorMlp.create(d_in, hidden, d_out, seed=seed)
         # He init on tiny nets is too small to stay clear of kinks; rescale
         for name in ("w1", "w2", "w3"):
             setattr(model, name, getattr(model, name) * 2.0)
@@ -131,11 +130,15 @@ def _loc_instance(rng: np.random.Generator):
         proto = rng.standard_normal((d_out, c))
         proto /= np.linalg.norm(proto, axis=0, keepdims=True)
         prototypes = PrototypeMatrix(proto)
-        x = rng.normal(0.0, 1.0, d_in)
-        r = rng.normal(0.0, 1.0, d_in)
-        y = int(rng.integers(c))
+        x = rng.normal(0.0, 1.0, (1, d_in))
+        r = rng.normal(0.0, 1.0, (1, d_in))
+        y = rng.integers(c, size=1)
         lam = float(rng.uniform(0.5, 5.0))
-        masks = model.draw_masks(1) if model.dropout_rate > 0.0 else None
+        masks = None
+        if rate > 0.0:
+            # the stream train_prior would draw this model's masks from
+            mask_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+            masks = draw_masks(mask_rng, rate, 1, hidden)
         margin, peak = _fd_margins(model, x, r, masks, proto)
         # peak < 10 keeps 1 - sigmoid(u) well away from cancellation, which
         # would otherwise swamp the finite-difference quotient
@@ -150,7 +153,7 @@ def _fd_margins(model: PriorMlp, x, r, masks, proto) -> tuple[float, float]:
     peak = 0.0
     for vec, m in ((x, None if masks is None else masks[:2]),
                    (r, None if masks is None else masks[2:])):
-        out, cache = _forward(model, vec.reshape(1, -1), m)
+        out, cache = _forward(model, vec, m)
         _, z1, _, z2, _, _ = cache
         margin = min(margin, float(np.abs(z1).min()), float(np.abs(z2).min()))
         peak = max(peak, float(np.abs(out @ proto).max()))
@@ -159,12 +162,12 @@ def _fd_margins(model: PriorMlp, x, r, masks, proto) -> tuple[float, float]:
 
 def _check_loc(rng: np.random.Generator, step: float) -> float:
     model, x, r, y, prototypes, lam, masks = _loc_instance(rng)
-    analytic = pack_grads(loc_loss(model, x, r, prototypes, y, lam, masks).grads)
+    _, analytic = loc_loss_batch(model, x, r, y, prototypes, lam, masks)
     probe = copy.deepcopy(model)
 
     def fn(flat: np.ndarray) -> float:
         unpack_params(probe, flat)
-        return loc_loss(probe, x, r, prototypes, y, lam, masks).value
+        return loc_loss_batch(probe, x, r, y, prototypes, lam, masks)[0]
 
     numeric = central_difference(fn, pack_params(model), step)
     return relative_error(analytic, numeric)

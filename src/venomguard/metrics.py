@@ -188,6 +188,8 @@ def score_predictions(
 ) -> MetricReport:
     """Join truth and prediction CSVs on observation id and score them."""
     truth_ids, truth = read_predictions_csv(truth_path)
+    if not truth_ids.size:
+        raise BundleValidationError(f"{truth_path}: no observations to score")
     pred_ids, pred = read_predictions_csv(pred_path)
     if not np.array_equal(truth_ids, pred_ids):
         missing = np.setdiff1d(truth_ids, pred_ids).tolist()

@@ -23,11 +23,13 @@ from .linalg_pca import (
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 
 PROB_CLAMP = 1e-12
+# the parameters in ``pack_params`` order
+_PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
 @dataclass
 class PriorMlp:
-    """Weights for d_in -> hidden -> hidden -> d_out with ReLU and dropout."""
+    """Weights for d_in -> hidden -> hidden -> d_out with ReLU."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -35,25 +37,14 @@ class PriorMlp:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
-    dropout_rate: float = 0.3
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        for name in _PARAM_FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"non-finite values in {name}")
-        self._mask_rng = np.random.default_rng(
-            np.random.SeedSequence(self.rng_seed).spawn(2)[1]
-        )
-        # work arrays that loc_loss_batch reuses while train_prior runs
-        self._train_buffers: _StepBuffers | None = None
 
     @classmethod
-    def create(
-        cls, d_in: int, hidden: int, d_out: int, dropout_rate: float = 0.3, seed: int = 0
-    ) -> "PriorMlp":
+    def create(cls, d_in: int, hidden: int, d_out: int, seed: int = 0) -> "PriorMlp":
         init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[0])
 
         def layer(n_out, n_in):
@@ -63,7 +54,7 @@ class PriorMlp:
         w1, b1 = layer(hidden, d_in)
         w2, b2 = layer(hidden, hidden)
         w3, b3 = layer(d_out, hidden)
-        return cls(w1, b1, w2, b2, w3, b3, dropout_rate=dropout_rate, rng_seed=seed)
+        return cls(w1, b1, w2, b2, w3, b3)
 
     @property
     def d_in(self) -> int:
@@ -77,40 +68,23 @@ class PriorMlp:
     def d_out(self) -> int:
         return self.w3.shape[0]
 
-    def draw_masks(self, batch: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Inverted-dropout masks for one location-loss evaluation, (4, batch, hidden).
 
-        In order: both hidden layers of the observed-location pass, then both
-        of the random-location pass, drawn in one call. ``out``, a float64
-        array of that shape, receives the masks instead of a new array.
-        """
-        shape = (4, batch, self.hidden)
-        keep = 1.0 - self.dropout_rate
-        if self.dropout_rate == 0.0:
-            masks = np.empty(shape) if out is None else out
-            masks.fill(1.0)
-            return masks
-        masks = self._mask_rng.random(shape, out=out)
-        # (uniform < keep) / keep, with the comparison written as 0.0 or 1.0
-        np.less(masks, keep, out=masks)
-        masks /= keep
-        return masks
+def draw_masks(
+    rng: np.random.Generator, rate: float, batch: int, hidden: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inverted-dropout masks for one location-loss evaluation, (4, batch, hidden).
 
-
-@dataclass
-class MlpGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-
-@dataclass
-class PriorLossResult:
-    value: float
-    grads: MlpGrads
+    In order: both hidden layers of the observed-location pass, then both
+    of the random-location pass, drawn from ``rng`` in one call. ``out``, a
+    float64 array of that shape, receives the masks instead of a new array.
+    """
+    keep = 1.0 - rate
+    masks = rng.random((4, batch, hidden), out=out)
+    # (uniform < keep) / keep, with the comparison written as 0.0 or 1.0
+    np.less(masks, keep, out=masks)
+    masks /= keep
+    return masks
 
 
 @dataclass
@@ -156,6 +130,10 @@ class PriorTrainConfig:
             raise ValueError("lambda must be non-negative")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ValueError("dropout_rate must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +144,11 @@ class _StepBuffers:
     """Work arrays for the location loss of one batch, its observed rows
     stacked on its random rows.
 
-    ``train_prior`` sizes one set for its whole run, so its steps write into
-    the same arrays instead of faulting in fresh pages every step; numpy
-    raises if a step's shapes differ. A bare instance holds None everywhere,
-    and each op given one of its slots then allocates its result.
+    ``train_prior`` sizes one set for its whole run and passes it to every
+    step, so the steps write into the same arrays instead of faulting in
+    fresh pages; numpy raises if a step's shapes differ. A bare instance
+    holds None everywhere, and each op given one of its slots then
+    allocates its result.
     """
 
     x = z1 = h1 = z2 = h2 = emb = relu = dz1 = dz2 = u = s = masks = grads = None
@@ -221,28 +200,28 @@ def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None, work=_ALLOCATE):
     return out, (x_rows, z1, h1, z2, h2, masks)
 
 
-def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=_ALLOCATE) -> MlpGrads:
-    """Parameter gradients, as views of one flat vector in ``pack_params``
-    order: ``work.grads`` when it is set."""
+def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=_ALLOCATE) -> np.ndarray:
+    """Parameter gradients as one flat vector in ``pack_params`` order:
+    ``work.grads`` when it is set."""
     x_rows, z1, h1, z2, h2, masks = cache
     flat = np.empty(_n_params(model)) if work.grads is None else work.grads
-    g = MlpGrads(**_param_views(model, flat))
-    np.matmul(d_out.T, h2, out=g.w3)
-    np.sum(d_out, axis=0, out=g.b3)
+    g = _param_views(model, flat)
+    np.matmul(d_out.T, h2, out=g["w3"])
+    np.sum(d_out, axis=0, out=g["b3"])
     # dh2, then through layer 2's dropout mask and ReLU to dz2
     dz2 = np.matmul(d_out, model.w3, out=work.dz2)
     if masks is not None:
         _mul_blocks(dz2, masks[1])
     dz2 *= np.greater(z2, 0.0, out=work.relu)
-    np.matmul(dz2.T, h1, out=g.w2)
-    np.sum(dz2, axis=0, out=g.b2)
+    np.matmul(dz2.T, h1, out=g["w2"])
+    np.sum(dz2, axis=0, out=g["b2"])
     dz1 = np.matmul(dz2, model.w2, out=work.dz1)
     if masks is not None:
         _mul_blocks(dz1, masks[0])
     dz1 *= np.greater(z1, 0.0, out=work.relu)
-    np.matmul(dz1.T, x_rows, out=g.w1)
-    np.sum(dz1, axis=0, out=g.b1)
-    return g
+    np.matmul(dz1.T, x_rows, out=g["w1"])
+    np.sum(dz1, axis=0, out=g["b1"])
+    return flat
 
 
 def _sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -270,18 +249,21 @@ def loc_loss_batch(
     prototypes: PrototypeMatrix,
     lam: float,
     masks=None,
-) -> PriorLossResult:
-    """Mean location loss over a batch, with mean parameter gradients.
+    work=_ALLOCATE,
+) -> tuple[float, np.ndarray]:
+    """Mean location loss over a batch, and its mean parameter gradients as
+    one flat vector in ``pack_params`` order.
 
     Per example: -lam log s(g(x).o_y) - sum_{i!=y} log(1 - s(g(x).o_i))
     - sum_i log(1 - s(g(r).o_i)), s the logistic sigmoid, probabilities
     clamped to [1e-12, 1 - 1e-12] before the log. ``masks`` are the
-    (4, batch, hidden) ones of ``PriorMlp.draw_masks``. During
-    ``train_prior`` the gradients are views of arrays the next step reuses.
+    (4, batch, hidden) ones of ``draw_masks``. ``work`` supplies the arrays
+    written, the returned gradients included (see ``_StepBuffers``).
     """
     proto = prototypes.matrix
     batch = x_rows.shape[0]
-    work = _ALLOCATE if model._train_buffers is None else model._train_buffers
+    if ys.min() < 0 or ys.max() >= prototypes.n_classes:
+        raise ValueError(f"class labels outside [0, {prototypes.n_classes})")
     # one pass over the observed rows stacked on the random rows; the
     # backward pass then sums both halves' parameter gradients. masks[0::2]
     # are layer 1's masks of both halves and masks[1::2] layer 2's, each
@@ -306,25 +288,7 @@ def loc_loss_batch(
     s[labels] = -lam * (1.0 - s[labels])
     d_emb = np.matmul(s, proto.T, out=emb)  # emb is spent
     d_emb /= batch
-    grads = _backward(model, cache, d_emb, work)
-    return PriorLossResult(value=float(total / batch), grads=grads)
-
-
-def loc_loss(
-    model: PriorMlp,
-    x: np.ndarray,
-    r: np.ndarray,
-    prototypes: PrototypeMatrix,
-    y: int,
-    lam: float,
-    masks=None,
-) -> PriorLossResult:
-    """Location loss for a single (observed, random) location pair."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    r = np.asarray(r, dtype=np.float64).reshape(1, -1)
-    if not 0 <= y < prototypes.n_classes:
-        raise ValueError(f"class {y} out of range")
-    return loc_loss_batch(model, x, r, np.array([y]), prototypes, lam, masks)
+    return float(total / batch), _backward(model, cache, d_emb, work)
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +403,15 @@ def train_prior(
     model_seed, sampler_seed, loc_seed = (
         int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
     )
-    model = PriorMlp.create(
-        d_in, cfg.hidden, prototypes.d_out, cfg.dropout_rate, seed=model_seed
-    )
+    model = PriorMlp.create(d_in, cfg.hidden, prototypes.d_out, seed=model_seed)
     if cfg.epochs == 0:
         return model, []
 
     sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed), n_classes)
     loc_rng = np.random.default_rng(loc_seed)
+    # the dropout stream: the second child of the seed whose first child
+    # drew the initial weights
+    mask_rng = np.random.default_rng(np.random.SeedSequence(model_seed).spawn(2)[1])
     lo, hi = feature_bounds(x_all)
 
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
@@ -465,30 +430,27 @@ def train_prior(
         eps=cfg.eps,
         weight_decay=cfg.weight_decay,
     )
-    # loc_loss_batch finds the buffers on the model; _backward writes each
-    # step's gradients into work.grads
-    work = model._train_buffers = _StepBuffers.sized(model, cfg.batch_size, n_classes)
+    work = _StepBuffers.sized(model, cfg.batch_size, n_classes)
 
     trace: list[float] = []
     step = 0
-    try:
-        for _ in range(cfg.epochs):
-            epoch_losses = []
-            for _ in range(steps_per_epoch):
-                idx = sampler.draw(cfg.batch_size)
-                rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
-                masks = None
-                if cfg.dropout_rate > 0.0:
-                    masks = model.draw_masks(cfg.batch_size, out=work.masks)
-                result = loc_loss_batch(
-                    model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks
+    for _ in range(cfg.epochs):
+        epoch_losses = []
+        for _ in range(steps_per_epoch):
+            idx = sampler.draw(cfg.batch_size)
+            rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
+            masks = None
+            if cfg.dropout_rate > 0.0:
+                masks = draw_masks(
+                    mask_rng, cfg.dropout_rate, cfg.batch_size, cfg.hidden, out=work.masks
                 )
-                params[:] = adamw_step(params, work.grads, opt, lr_at(schedule, step))
-                epoch_losses.append(result.value)
-                step += 1
-            trace.append(float(np.mean(epoch_losses)))
-    finally:
-        model._train_buffers = None
+            loss, grads = loc_loss_batch(
+                model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks, work
+            )
+            params[:] = adamw_step(params, grads, opt, lr_at(schedule, step))
+            epoch_losses.append(loss)
+            step += 1
+        trace.append(float(np.mean(epoch_losses)))
     return model, trace
 
 
@@ -517,15 +479,8 @@ def prior_scores(
 # Parameter packing (for the flat-vector optimizer)
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-
-
 def pack_params(model: PriorMlp) -> np.ndarray:
     return np.concatenate([getattr(model, f).ravel() for f in _PARAM_FIELDS])
-
-
-def pack_grads(grads: MlpGrads) -> np.ndarray:
-    return np.concatenate([getattr(grads, f).ravel() for f in _PARAM_FIELDS])
 
 
 def _n_params(model: PriorMlp) -> int:
@@ -570,11 +525,7 @@ def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
 
 def load_prior(path: str | Path) -> PriorArtifact:
     """Read an artifact written by ``save_prior`` for inference; any record
-    whose shape breaks the chain raises FormatError.
-
-    The network comes back without dropout: training always starts from
-    ``PriorMlp.create``, never from an artifact.
-    """
+    whose shape breaks the chain raises FormatError."""
     records = read_records(path, 7)
     check_record_shapes(path, records)
     l1, l2, l3, proto = (r.values for r in records[3:])
@@ -585,7 +536,6 @@ def load_prior(path: str | Path) -> PriorArtifact:
         b2=l2[:, -1],
         w3=l3[:, :-1],
         b3=l3[:, -1],
-        dropout_rate=0.0,
     )
     return PriorArtifact(
         mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca_from_records(records[:3])

@@ -72,7 +72,7 @@ def constant_prior_artifact(bundle: DatasetBundle, d_out: int = 6) -> PriorArtif
     n_classes = bundle.classes.n_classes
     k = min(2, bundle.metadata_features.dims)
     pca = fit_pca(bundle.metadata_features, k)
-    mlp = PriorMlp.create(k, 4, d_out, dropout_rate=0.0, seed=0)
+    mlp = PriorMlp.create(k, 4, d_out, seed=0)
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         setattr(mlp, name, np.zeros_like(getattr(mlp, name)))
     proto = np.ones((d_out, n_classes))

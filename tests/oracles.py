@@ -386,8 +386,7 @@ def reference_train_prior(bundle, prototypes, cfg):
     model_seed, sampler_seed, loc_seed = (
         int(s) for s in np.random.SeedSequence(cfg.seed).generate_state(3)
     )
-    init = PriorMlp.create(d_in, cfg.hidden, prototypes.d_out, cfg.dropout_rate,
-                           seed=model_seed)
+    init = PriorMlp.create(d_in, cfg.hidden, prototypes.d_out, seed=model_seed)
     w = {k: getattr(init, k) for k in names}
     mask_rng = np.random.default_rng(np.random.SeedSequence(model_seed).spawn(2)[1])
     sampler = BalancedSampler(y_all, np.random.default_rng(sampler_seed),

@@ -273,6 +273,18 @@ class TestPipeline:
         assert code == 2
         assert f"{edited}: observation {obs_id} has class id {bad}, outside [0, 8)" in err
 
+    def test_header_only_truth_exits_two(self, capsys, tmp_path):
+        classes = tmp_path / "classes.csv"
+        classes.write_text("class_id,name,venomous\n0,adder,1\n1,grass snake,0\n")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("observation_id,class_id\n")
+        code, _, err = run(
+            capsys, "score", "--truth", str(truth), "--pred", str(truth),
+            "--classes", str(classes),
+        )
+        assert code == 2
+        assert f"{truth}: no observations to score" in err
+
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -376,6 +388,43 @@ class TestValidateCommand:
         code, _, err = run(capsys, "validate", str(data))
         assert code == 2
         assert "observations.csv:4: NUL character in a field" in err
+
+    @pytest.mark.parametrize("command", ["validate", "infer", "train-prior", "score"])
+    def test_non_utf8_manifest_exits_two(self, capsys, tmp_path, command):
+        data = make_dataset(capsys, tmp_path / "data")
+        pca_path = tmp_path / "pca.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        # score reads no observations.csv; it gets a damaged prediction file
+        source = data / ("truth.csv" if command == "score" else "observations.csv")
+        damaged = tmp_path / "preds.csv" if command == "score" else source
+        lines = source.read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        damaged.write_bytes(b"\n".join(lines))
+        argv = {
+            "validate": ["validate", str(data)],
+            "infer": ["infer", str(data), "-o", str(tmp_path / "out.csv")],
+            "train-prior": ["train-prior", str(data), "--pca", str(pca_path),
+                            "-o", str(tmp_path / "prior.bin"), "--epochs", "1"],
+            "score": ["score", "--truth", str(source), "--pred", str(damaged),
+                      "--classes", str(data / "classes.csv")],
+        }[command]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{damaged}:4: byte 0xff is not UTF-8" in err
+
+    def test_over_long_header_field_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        classes = data / "classes.csv"
+        header, rest = classes.read_text().split("\n", 1)
+        # an extra column whose name is past csv.reader's 131072-character limit
+        classes.write_text(f"{header},{'x' * 131073}\n{rest}")
+        code, _, err = run(capsys, "validate", str(data))
+        assert code == 2
+        assert f"{classes}:1: field larger than field limit" in err
+        assert "Traceback" not in err
 
     def test_missing_directory_exits_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
@@ -529,6 +578,27 @@ class TestFormatErrors:
         )
         assert code == 1
         assert "out of range" in err
+
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--hidden", "0", "hidden must be >= 1"),
+         ("--dropout", "1.0", "dropout_rate must be in [0, 1)")],
+    )
+    def test_bad_prior_shape_exits_one(self, capsys, tmp_path, flag, value, message):
+        data = make_dataset(capsys, tmp_path / "data")
+        pca_path = tmp_path / "pca.bin"
+        code, _, _ = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "-k", "4", "-o", str(pca_path)
+        )
+        assert code == 0
+        code, _, err = run(
+            capsys, "train-prior", str(data), "--pca", str(pca_path),
+            "-o", str(tmp_path / "prior.bin"), "--epochs", "1", flag, value,
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {message}"
+        assert "Traceback" not in err
 
 
 class TestModelDoesNotFitData:

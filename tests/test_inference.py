@@ -246,7 +246,7 @@ class TestPredictDataset:
         bundle = replace(tiny_bundle, observations=ObservationTable.from_rows(rows))
         rng = np.random.default_rng(5)
         pca = fit_pca(bundle.metadata_features, k=2)
-        mlp = PriorMlp.create(2, 8, 4, dropout_rate=0.0, seed=5)
+        mlp = PriorMlp.create(2, 8, 4, seed=5)
         proto = PrototypeMatrix(rng.standard_normal((4, 5)))
         artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
         reduced = pca_transform(pca, bundle.metadata_features).values

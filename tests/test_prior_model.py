@@ -1,6 +1,6 @@
 import math
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,11 +26,10 @@ from venomguard.prior_model import (
     _forward,
     _sigmoid,
     compute_prototypes,
+    draw_masks,
     feature_bounds,
     fit_prior,
-    loc_loss,
     loc_loss_batch,
-    pack_grads,
     pack_params,
     prior_scores,
     prototype_inputs,
@@ -44,11 +43,18 @@ from venomguard.synthetic import SynthConfig, generate
 from oracles import reference_train_prior
 
 
-def zero_mlp(d_in=2, hidden=3, d_out=2, dropout=0.0):
-    model = PriorMlp.create(d_in, hidden, d_out, dropout_rate=dropout, seed=0)
+def zero_mlp(d_in=2, hidden=3, d_out=2):
+    model = PriorMlp.create(d_in, hidden, d_out, seed=0)
     for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
         setattr(model, name, np.zeros_like(getattr(model, name)))
     return model
+
+
+def one_pair_loss(model, x, r, proto, y, lam, masks=None):
+    """``loc_loss_batch`` on one (observed, random) location pair."""
+    return loc_loss_batch(
+        model, x.reshape(1, -1), r.reshape(1, -1), np.array([y]), proto, lam, masks
+    )
 
 
 def make_artifact(seed=15):
@@ -56,7 +62,7 @@ def make_artifact(seed=15):
     rng = np.random.default_rng(seed)
     raw = FeatureMatrix(rng.standard_normal((30, 6)))
     pca = fit_pca(raw, k=3)
-    mlp = PriorMlp.create(3, 5, 4, dropout_rate=0.3, seed=seed)
+    mlp = PriorMlp.create(3, 5, 4, seed=seed)
     proto = PrototypeMatrix(rng.standard_normal((4, 8)))
     return PriorArtifact(mlp=mlp, prototypes=proto, pca=pca), raw
 
@@ -68,6 +74,8 @@ class TestMlp:
         assert model.w2.shape == (8, 8)
         assert model.w3.shape == (6, 8)
         assert (model.d_in, model.hidden, model.d_out) == (4, 8, 6)
+        # the model is its weights; training state lives in train_prior
+        assert [f.name for f in fields(PriorMlp)] == ["w1", "b1", "w2", "b2", "w3", "b3"]
 
     def test_create_is_seed_deterministic(self):
         a = PriorMlp.create(3, 5, 4, seed=9)
@@ -83,25 +91,24 @@ class TestMlp:
         assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_eval_mode_is_deterministic_despite_dropout(self):
-        model = PriorMlp.create(3, 6, 4, dropout_rate=0.5, seed=2)
-        untouched = PriorMlp.create(3, 6, 4, dropout_rate=0.5, seed=2)
+        model = PriorMlp.create(3, 6, 4, seed=2)
         x = np.array([[0.1, 0.2, 0.3], [0.4, -0.5, 0.6]])
         proto = PrototypeMatrix(np.eye(4))
-        assert np.array_equal(prior_scores(model, x, proto), prior_scores(model, x, proto))
-        # scoring draws no dropout masks
-        assert np.array_equal(model.draw_masks(3), untouched.draw_masks(3))
+        scores = prior_scores(model, x, proto)
+        assert np.array_equal(scores, prior_scores(model, x, proto))
+        # scoring is the forward pass with every unit kept
+        emb, _ = _forward(model, x, np.ones((2, 2, 6)))
+        assert np.array_equal(scores, emb @ proto.matrix)
 
     def test_train_mode_consumes_mask_stream(self):
-        a = PriorMlp.create(3, 16, 4, dropout_rate=0.5, seed=3)
-        b = PriorMlp.create(3, 16, 4, dropout_rate=0.5, seed=3)
-        assert np.array_equal(a.draw_masks(1), b.draw_masks(1))
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        assert np.array_equal(draw_masks(a, 0.5, 1, 16), draw_masks(b, 0.5, 1, 16))
         # Repeated draws advance the stream, so masks generally differ.
-        outs = {a.draw_masks(1).tobytes() for _ in range(8)}
+        outs = {draw_masks(a, 0.5, 1, 16).tobytes() for _ in range(8)}
         assert len(outs) > 1
 
     def test_dropout_masks_scale_by_keep_probability(self):
-        model = PriorMlp.create(2, 50, 2, dropout_rate=0.3, seed=4)
-        masks = model.draw_masks(10)
+        masks = draw_masks(np.random.default_rng(4), 0.3, 10, 50)
         assert masks.shape == (4, 10, 50)
         keep = 1.0 - 0.3
         for m in masks:
@@ -111,17 +118,19 @@ class TestMlp:
             assert near_zero.any() and near_scaled.any()
 
     def test_one_mask_draw_equals_four_sequential_draws(self):
-        model = PriorMlp.create(2, 7, 2, dropout_rate=0.4, seed=5)
-        rng = np.random.default_rng(np.random.SeedSequence(5).spawn(2)[1])
+        rng = np.random.default_rng(5)
         expected = np.stack([(rng.random((6, 7)) < 0.6) / 0.6 for _ in range(4)])
-        assert np.array_equal(model.draw_masks(6), expected)
+        out = np.empty((4, 6, 7))
+        masks = draw_masks(np.random.default_rng(5), 0.4, 6, 7, out=out)
+        assert masks is out
+        assert np.array_equal(masks, expected)
 
     def test_invalid_inputs_rejected(self):
         model = PriorMlp.create(3, 4, 2, seed=0)
         with pytest.raises(ValueError):
             prior_scores(model, np.zeros((1, 5)), PrototypeMatrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            PriorMlp.create(3, 4, 2, dropout_rate=1.0)
+        with pytest.raises(ValueError, match="dropout_rate"):
+            PriorTrainConfig(dropout_rate=1.0)
 
 
 class TestPrototypes:
@@ -185,60 +194,57 @@ class TestLocLoss:
     def test_zero_model_single_class_hand_value(self):
         model = zero_mlp(d_in=2, hidden=3, d_out=2)
         proto = PrototypeMatrix(np.array([[1.0], [0.0]]))
-        result = loc_loss(model, np.zeros(2), np.zeros(2), proto, 0, lam=1.0)
-        assert result.value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
+        value, _ = one_pair_loss(model, np.zeros(2), np.zeros(2), proto, 0, lam=1.0)
+        assert value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
 
     def test_strong_negatives_drive_loss_to_zero_when_lam_zero(self):
         model = zero_mlp(d_in=2, hidden=3, d_out=2)
         model.b3 = np.full(2, -40.0)
         proto = PrototypeMatrix(np.eye(2))
-        result = loc_loss(model, np.zeros(2), np.zeros(2), proto, 0, lam=0.0)
-        assert 0.0 <= result.value < 1e-10
+        value, _ = one_pair_loss(model, np.zeros(2), np.zeros(2), proto, 0, lam=0.0)
+        assert 0.0 <= value < 1e-10
 
     def test_value_increases_with_lambda(self):
-        model = PriorMlp.create(3, 5, 4, dropout_rate=0.0, seed=6)
+        model = PriorMlp.create(3, 5, 4, seed=6)
         proto = PrototypeMatrix(np.random.default_rng(6).standard_normal((4, 3)))
         x = np.array([0.2, 0.8, -0.1])
         r = np.array([0.5, 0.5, 0.5])
-        v1 = loc_loss(model, x, r, proto, 1, lam=1.0).value
-        v2 = loc_loss(model, x, r, proto, 1, lam=2.0).value
+        v1, _ = one_pair_loss(model, x, r, proto, 1, lam=1.0)
+        v2, _ = one_pair_loss(model, x, r, proto, 1, lam=2.0)
         assert v2 >= v1
 
     def test_value_non_negative(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            model = PriorMlp.create(3, 4, 3, dropout_rate=0.0, seed=int(rng.integers(1e6)))
+            model = PriorMlp.create(3, 4, 3, seed=int(rng.integers(1e6)))
             proto = PrototypeMatrix(rng.standard_normal((3, 4)))
             x, r = rng.standard_normal(3), rng.standard_normal(3)
             y = int(rng.integers(4))
-            assert loc_loss(model, x, r, proto, y, lam=10.0).value >= 0.0
+            assert one_pair_loss(model, x, r, proto, y, lam=10.0)[0] >= 0.0
 
     def test_batch_equals_mean_of_singles(self):
         rng = np.random.default_rng(8)
-        model = PriorMlp.create(4, 5, 3, dropout_rate=0.0, seed=11)
+        model = PriorMlp.create(4, 5, 3, seed=11)
         proto = PrototypeMatrix(rng.standard_normal((3, 5)))
         xs = rng.standard_normal((6, 4))
         rs = rng.standard_normal((6, 4))
         ys = rng.integers(0, 5, size=6)
-        batch = loc_loss_batch(model, xs, rs, ys, proto, lam=3.0)
+        value, grads = loc_loss_batch(model, xs, rs, ys, proto, lam=3.0)
         singles = [
-            loc_loss(model, xs[i], rs[i], proto, int(ys[i]), lam=3.0)
+            one_pair_loss(model, xs[i], rs[i], proto, int(ys[i]), lam=3.0)
             for i in range(6)
         ]
-        assert batch.value == pytest.approx(
-            np.mean([s.value for s in singles]), abs=1e-12
-        )
-        for f in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            mean_grad = np.mean([getattr(s.grads, f) for s in singles], axis=0)
-            assert np.allclose(getattr(batch.grads, f), mean_grad, atol=1e-12)
+        assert value == pytest.approx(np.mean([v for v, _ in singles]), abs=1e-12)
+        assert grads.shape == pack_params(model).shape
+        assert np.allclose(grads, np.mean([g for _, g in singles], axis=0), atol=1e-12)
 
     def test_stacked_batch_matches_separate_passes(self):
         rng = np.random.default_rng(16)
-        model = PriorMlp.create(4, 9, 3, dropout_rate=0.3, seed=17)
+        model = PriorMlp.create(4, 9, 3, seed=17)
         proto = PrototypeMatrix(rng.standard_normal((3, 6)))
         xs, rs = rng.standard_normal((8, 4)), rng.standard_normal((8, 4))
         ys = rng.integers(0, 6, size=8)
-        masks = model.draw_masks(8)
+        masks = draw_masks(rng, 0.3, 8, 9)
         lam, rows = 4.0, np.arange(8)
         # reference: one forward/backward for the observed rows, one for the
         # random rows, gradients added
@@ -254,12 +260,12 @@ class TestLocLoss:
         ) / 8
         du = su.copy()
         du[rows, ys] = -lam * (1.0 - su[rows, ys])
-        grad = pack_grads(_backward(model, cache_x, du @ proto.matrix.T / 8)) + pack_grads(
-            _backward(model, cache_r, sv @ proto.matrix.T / 8)
+        grad = _backward(model, cache_x, du @ proto.matrix.T / 8) + _backward(
+            model, cache_r, sv @ proto.matrix.T / 8
         )
-        result = loc_loss_batch(model, xs, rs, ys, proto, lam, masks)
-        assert result.value == pytest.approx(value, abs=1e-12)
-        assert np.allclose(pack_grads(result.grads), grad)
+        result, grads = loc_loss_batch(model, xs, rs, ys, proto, lam, masks)
+        assert result == pytest.approx(value, abs=1e-12)
+        assert np.allclose(grads, grad)
 
     def test_sigmoid_matches_two_branch_form_bit_for_bit(self):
         u = np.concatenate([
@@ -279,8 +285,10 @@ class TestLocLoss:
     def test_class_out_of_range_rejected(self):
         model = zero_mlp()
         proto = PrototypeMatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            loc_loss(model, np.zeros(2), np.zeros(2), proto, 3, lam=1.0)
+        # a negative label would otherwise index from the end
+        for y in (3, -1):
+            with pytest.raises(ValueError, match="outside"):
+                one_pair_loss(model, np.zeros(2), np.zeros(2), proto, y, lam=1.0)
 
     def test_gradients_match_finite_differences(self):
         result = check_loss("loc", trials=5, seed=42)
@@ -339,7 +347,7 @@ class TestTraining:
         model, trace = train_prior(bundle, proto, cfg)
         assert trace == []
         fresh_seed = int(np.random.SeedSequence(5).generate_state(3)[0])
-        fresh = PriorMlp.create(4, cfg.hidden, 6, cfg.dropout_rate, seed=fresh_seed)
+        fresh = PriorMlp.create(4, cfg.hidden, 6, seed=fresh_seed)
         assert np.array_equal(pack_params(model), pack_params(fresh))
 
     def test_training_reduces_loss(self):
@@ -370,7 +378,6 @@ class TestTraining:
         params, expected_trace = reference_train_prior(bundle, proto, cfg)
         assert pack_params(model).tobytes() == params.tobytes()
         assert trace == expected_trace
-        assert model._train_buffers is None
 
     @pytest.mark.parametrize("dropout", [0.3, 0.0])
     def test_fit_prior_matches_the_hand_chain(self, dropout):
@@ -398,6 +405,10 @@ class TestTraining:
             PriorTrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             PriorTrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="hidden"):
+            PriorTrainConfig(hidden=0)
+        with pytest.raises(ValueError, match="dropout_rate"):
+            PriorTrainConfig(dropout_rate=-0.1)
 
 
 class TestScoresAndArtifact:
@@ -407,7 +418,7 @@ class TestScoresAndArtifact:
         assert np.array_equal(prior_scores(model, np.zeros((3, 2)), proto), np.zeros((3, 6)))
 
     def test_scores_are_embedding_prototype_dots(self):
-        model = PriorMlp.create(3, 5, 4, dropout_rate=0.0, seed=14)
+        model = PriorMlp.create(3, 5, 4, seed=14)
         proto = PrototypeMatrix(np.random.default_rng(14).standard_normal((4, 7)))
         x = np.array([[0.4, -0.6, 0.2], [-1.0, 0.3, 0.8]])
         emb, _ = _forward(model, x)
@@ -420,7 +431,6 @@ class TestScoresAndArtifact:
         save_prior(artifact, path)
         assert [p.name for p in tmp_path.iterdir()] == ["prior.bin"]
         loaded = load_prior(path)
-        assert loaded.mlp.dropout_rate == 0.0
         assert loaded.prototypes.n_classes == 8
         # Storage quantizes to single precision.
         assert np.allclose(

@@ -380,7 +380,7 @@ class TestOraclePredict:
         # Any fixed prior exercises the joint rule; no training needed.
         rng = np.random.default_rng(37)
         pca = fit_pca(bundle.metadata_features, k=3)
-        mlp = PriorMlp.create(3, 8, 5, dropout_rate=0.0, seed=37)
+        mlp = PriorMlp.create(3, 8, 5, seed=37)
         proto = PrototypeMatrix(rng.standard_normal((5, 6)))
         artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
 
