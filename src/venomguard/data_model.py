@@ -518,9 +518,11 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
         raise FormatError(
             f"{source}: truncated payload, expected {n_bytes} bytes got {len(payload)}"
         )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if data.size and not np.all(np.isfinite(data)):
+    raw = np.frombuffer(payload, dtype="<f4")
+    # checked before the cast: widening a signalling NaN raises FP "invalid"
+    if raw.size and not np.all(np.isfinite(raw)):
         raise FormatError(f"{source}: non-finite values in payload")
+    data = raw.astype(np.float64)
     try:
         values = data.reshape(rows, dims)
     except ValueError as exc:  # an empty shape past numpy's dimension limits

@@ -247,6 +247,15 @@ class TestBinaryFormat:
         with pytest.raises(FormatError):
             read_records(path, 1)
 
+    def test_signalling_nan_payload_is_format_error(self, tmp_path):
+        # widening a signalling NaN to float64 raises FP "invalid"; the loader
+        # must report the bad payload, not that warning
+        path = tmp_path / "m.bin"
+        header = MAGIC + (1).to_bytes(8, "little") + (1).to_bytes(8, "little")
+        path.write_bytes(header + (0x7F800001).to_bytes(4, "little"))
+        with pytest.raises(FormatError, match="non-finite"):
+            read_records(path, 1)
+
     def test_empty_and_single_shapes(self, tmp_path):
         for arr in (np.empty((0, 3)), np.array([[7.5]])):
             path = tmp_path / "m.bin"
