@@ -42,9 +42,9 @@ def run(seed: int, epochs: int, taus: list[float]) -> None:
     rows += [(f"prior tau={tau:.2f}", artifact, tau) for tau in taus]
     for name, prior, tau in rows:
         out = predict_dataset(bundle, prior=prior, policy=EscalationPolicy(tau=tau, top_k=5))
-        pred = np.array([r.class_id for r in out.results])
-        moved = sum(r.class_id != r.pre_escalation_class_id for r in out.results)
-        r = build_report(truth, pred, bundle.classes)
+        preds = out.results
+        moved = int(np.count_nonzero(preds.class_id != preds.pre_escalation_class_id))
+        r = build_report(truth, preds.class_id, bundle.classes)
         print(
             f"{name:<16} {moved:>9d} {r.macro_f1:>9.4f} {r.p1:>7.3f} "
             f"{r.p2:>7.3f} {r.p3:>7.3f} {r.composite:>10.4f}"

@@ -20,6 +20,7 @@ from .data_model import (
 from .inference import (
     EscalationPolicy,
     PredictionResult,
+    Predictions,
     escalate_venomous,
     joint_scores,
     predict_dataset,

@@ -245,9 +245,7 @@ def _cmd_train_prior(args) -> int:
             "seed": args.seed,
         },
     )
-    bundle = load_bundle(args.directory, allow_unlabeled=True)
-    bundle, _ = validate_bundle(bundle, mode="strict")
-    pca = load_pca(args.pca)
+    # a bad setting exits before any file is read
     train_cfg = PriorTrainConfig(
         lam=float(cfg["prior_lambda"]),
         epochs=int(cfg["prior_epochs"]),
@@ -263,6 +261,9 @@ def _cmd_train_prior(args) -> int:
         beta2=float(cfg["beta2"]),
         eps=float(cfg["adam_eps"]),
     )
+    bundle = load_bundle(args.directory, allow_unlabeled=True)
+    bundle, _ = validate_bundle(bundle, mode="strict")
+    pca = load_pca(args.pca)
     artifact, trace = fit_prior(bundle, pca, train_cfg)
     save_prior(artifact, args.output)
 

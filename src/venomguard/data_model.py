@@ -244,7 +244,8 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
 
     Before any row is read, a byte that is not UTF-8 rejects the file, then
     a NUL does (numpy's strings end at one, and csv.reader before Python
-    3.11 refuses it); either error names the physical line.
+    3.11 refuses it); either error names the physical line. One leading
+    byte-order mark is dropped.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -255,6 +256,7 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
         raise CsvParseError(
             str(path), _line_at(head, len(head)), f"byte {raw[exc.start]:#04x} is not UTF-8"
         ) from None
+    text = text.removeprefix("\ufeff")
     nul = text.find("\x00")
     if nul >= 0:
         raise CsvParseError(str(path), _line_at(text, nul), "NUL character in a field")
@@ -275,7 +277,7 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """(physical line, fields) of each non-blank data row, as csv.reader sees it."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             next(reader, None)
@@ -294,16 +296,18 @@ def read_manifest(
     The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
     blank lines are skipped and fields past the header's are ignored; a
     byte that is not UTF-8 or a NUL character anywhere rejects the file,
-    naming its physical line. The second value is None, or the index (among
-    non-blank data rows) of the first row with too few fields; the array
-    then holds the rows before it.
+    naming its physical line, and so does a field, in any column, longer
+    than ``csv.field_size_limit()``. The second value is None, or the index
+    (among non-blank data rows) of the first row with too few fields; the
+    array then holds the rows before it.
     """
     n = len(header)
     fh = _open_csv(path, header)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            # a fresh dtype instance: after a failed load, numpy 2.x can leave
+            # every column, so that the length check sees every field; a
+            # fresh dtype instance: after a failed load, numpy 2.x can leave
             # the instance's string allocator unusable
             cells = np.loadtxt(
                 fh,
@@ -311,12 +315,20 @@ def read_manifest(
                 delimiter=",",
                 quotechar='"',
                 comments=None,
-                usecols=range(n),
                 ndmin=2,
             )
-            return cells, None
-        except ValueError:  # a short row; the file is rejected
-            pass
+        except ValueError:  # rows of unequal width; csv.reader reads them below
+            cells = None
+    if cells is not None and not cells.size:
+        return cells.reshape(0, n), None
+    if cells is not None and cells.shape[1] >= n:
+        limit = csv.field_size_limit()
+        too_long = np.strings.str_len(cells).max(axis=1) > limit
+        # csv.reader, which rescans the file for the line, stops at the field
+        reject_first(
+            path, [(too_long, lambda k: f"field larger than field limit ({limit})")], None, ""
+        )
+        return cells[:, :n], None
     rows = [row for _, row in _data_rows(path)]
     short = next((k for k, row in enumerate(rows) if len(row) < n), None)
     kept = [row[:n] for row in (rows if short is None else rows[:short])]

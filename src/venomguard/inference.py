@@ -6,6 +6,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -47,16 +48,38 @@ class PredictionResult:
 
 
 @dataclass
-class PredictionOutput:
-    """Final predictions plus every intermediate score stage.
+class Predictions:
+    """One prediction per observation, sorted by observation id, as columns.
 
-    raw and combined rows align with the rows of bundle.observations;
+    Iterating yields a PredictionResult per observation.
+    """
+
+    ids: np.ndarray
+    class_id: np.ndarray
+    pre_escalation_class_id: np.ndarray
+    confidence: np.ndarray
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self) -> Iterator[PredictionResult]:
+        return map(
+            PredictionResult,
+            self.ids.tolist(),
+            self.class_id.tolist(),
+            self.pre_escalation_class_id.tolist(),
+            self.confidence.tolist(),
+        )
+
+
+@dataclass
+class PredictionOutput:
+    """Final predictions, and the per-observation scores they were made from.
+
     aggregated rows align with results (sorted by observation id).
     """
 
-    results: list[PredictionResult]
-    raw: np.ndarray
-    combined: np.ndarray
+    results: Predictions
     aggregated: np.ndarray
 
 
@@ -134,73 +157,74 @@ def predict_dataset(
     policy: EscalationPolicy | None = None,
     scores_are_logits: bool = True,
 ) -> PredictionOutput:
-    """Predict one class per observation, sorted by observation id."""
+    """Predict one class per observation, sorted by observation id.
+
+    Each stage writes over the one before it, so at most two (rows, C)
+    arrays are alive at once, while the prior reweights the image rows.
+    """
     policy = policy or EscalationPolicy()
     n_classes = len(bundle.classes.entries)
     scores = bundle.image_scores.values
     if scores.shape[1] != n_classes:
         raise ValueError(f"score width {scores.shape[1]} != class count {n_classes}")
-    if scores_are_logits:
-        probs = softmax(scores)
-    else:
+    obs = bundle.observations
+    if not scores_are_logits:
         if np.any(scores < 0.0):
             raise ValueError("probability scores must be non-negative")
         sums = scores.sum(axis=1)
         if np.any(sums <= 0.0):
             raise ValueError("probability score rows must have positive sum")
-        probs = scores / sums[:, None]
-
-    obs = bundle.observations
-    raw = probs[obs.image_index]
-
+    loc_weights = None
     if prior is not None:
         if prior.prototypes.n_classes != n_classes:
             raise BundleValidationError(
                 f"prior scores {prior.prototypes.n_classes} classes, "
                 f"the dataset has {n_classes}"
             )
+        # before the image rows, so that the prior pass's arrays are gone first
         loc_weights = _prior_weights_by_location(bundle, prior)
-        combined = _joint_rows(raw, loc_weights[bundle.resolved_metadata_rows()])
-    else:
-        combined = raw.copy()
 
-    # ids are in Python str order; np.add.at sums each group's rows in file
+    # each row is normalized on its own, so the rows can be gathered first
+    if scores_are_logits:
+        joint = softmax(scores[obs.image_index])
+    else:
+        joint = scores[obs.image_index]
+        joint /= sums[obs.image_index, None]
+
+    if loc_weights is not None:
+        joint = _joint_rows(joint, loc_weights[bundle.resolved_metadata_rows()])
+        del loc_weights
+
+    # ids are in Python str order; bincount sums each group's rows in file
     # order, as a per-group mean would
     ids, group = obs.ids, obs.group
-    aggregated = np.zeros((ids.size, n_classes))
-    np.add.at(aggregated, group, combined)
+    aggregated = np.empty((ids.size, n_classes))
+    for j in range(n_classes):
+        aggregated[:, j] = np.bincount(group, weights=joint[:, j], minlength=ids.size)
+    # freed before escalation, whose sort of the uncertain rows needs room too
+    del joint
     aggregated /= np.bincount(group, minlength=ids.size)[:, None]
 
     base = aggregated.argmax(axis=1)
     final = _escalate_rows(aggregated, base, bundle.classes.venomous_flags, policy)
     confidence = aggregated[np.arange(ids.size), base]
-    results = [
-        PredictionResult(obs_id, cls, pre, conf)
-        for obs_id, cls, pre, conf in zip(
-            ids.tolist(), final.tolist(), base.tolist(), confidence.tolist()
-        )
-    ]
     return PredictionOutput(
-        results=results, raw=raw, combined=combined, aggregated=aggregated
+        results=Predictions(ids, final, base, confidence), aggregated=aggregated
     )
 
 
 def write_predictions_csv(
-    path: str | Path, results: list[PredictionResult], explain: bool = False
+    path: str | Path, predictions: Predictions, explain: bool = False
 ) -> None:
     header = ["observation_id", "class_id"]
+    columns = [predictions.ids.tolist(), predictions.class_id.tolist()]
     if explain:
         header += ["pre_escalation_class_id", "confidence"]
-    write_manifest(
-        path,
-        header,
-        (
-            [r.observation_id, r.class_id, r.pre_escalation_class_id, repr(r.confidence)]
-            if explain
-            else [r.observation_id, r.class_id]
-            for r in results
-        ),
-    )
+        columns += [
+            predictions.pre_escalation_class_id.tolist(),
+            map(repr, predictions.confidence.tolist()),
+        ]
+    write_manifest(path, header, zip(*columns))
 
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

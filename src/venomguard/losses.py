@@ -77,9 +77,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    # one result array: shifted, exponentiated and normalized in place
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _check_target(z: np.ndarray, y: int) -> np.ndarray:

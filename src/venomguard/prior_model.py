@@ -168,6 +168,15 @@ class _StepBuffers:
         work.grads = np.empty(_n_params(model))
         return work
 
+    @classmethod
+    def eval_only(cls, model: PriorMlp, rows: int) -> "_StepBuffers":
+        """A forward pass without the backward cache: z1 and h1 share one
+        array, z2 and h2 another, as ReLU can overwrite its input."""
+        work = cls()
+        work.z1 = work.h1 = np.empty((rows, model.hidden))
+        work.z2 = work.h2 = np.empty((rows, model.hidden))
+        return work
+
 
 _ALLOCATE = _StepBuffers()
 
@@ -471,7 +480,11 @@ def prior_scores(
 ) -> np.ndarray:
     """Raw class affinities g(x) . prototype_c, (rows, d_in) -> (rows, C), in
     eval mode (no dropout); softmax happens downstream."""
-    emb, _ = _forward(model, x_rows)
+    work = _StepBuffers.eval_only(model, x_rows.shape[0])
+    emb = _forward(model, x_rows, work=work)[0]
+    # dropped here, not with the cache tuple, which frees the hidden arrays
+    # in reverse order: that left infer-50k's peak RSS 17 MiB higher (glibc)
+    del work
     return emb @ prototypes.matrix
 
 

@@ -426,6 +426,20 @@ class TestValidateCommand:
         assert f"{classes}:1: field larger than field limit" in err
         assert "Traceback" not in err
 
+    def test_over_long_field_in_a_well_formed_file_exits_two(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        classes = data / "classes.csv"
+        lines = classes.read_text().splitlines()
+        # a class name past csv.reader's 131072-character limit, in a file
+        # whose rows are otherwise all good
+        class_id, _, venomous = lines[2].split(",")
+        lines[2] = f"{class_id},{'x' * 131073},{venomous}"
+        classes.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "validate", str(data))
+        assert code == 2
+        assert f"{classes}:3: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_missing_directory_exits_three(self, capsys, tmp_path):
         code, _, _ = run(capsys, "validate", str(tmp_path / "nope"))
         assert code == 3
@@ -599,6 +613,16 @@ class TestFormatErrors:
         assert code == 1
         assert err.splitlines()[-1] == f"error: {message}"
         assert "Traceback" not in err
+
+    def test_bad_prior_shape_exits_one_before_reading_the_bundle(self, capsys, tmp_path):
+        # the bundle and the PCA are missing, which would exit 3 once read
+        code, _, err = run(
+            capsys, "train-prior", str(tmp_path / "nope"), "--pca", str(tmp_path / "pca.bin"),
+            "-o", str(tmp_path / "prior.bin"), "--hidden", "0",
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == "error: hidden must be >= 1"
+        assert not (tmp_path / "prior.bin").exists()
 
 
 class TestModelDoesNotFitData:

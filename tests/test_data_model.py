@@ -52,6 +52,13 @@ def write(tmp_path, name, text):
     return path
 
 
+def as_lists(parsed):
+    """A dict or tuple of columns with each array as a list, for ==."""
+    if isinstance(parsed, dict):
+        return {k: as_lists(v) for k, v in parsed.items()}
+    return [v.tolist() for v in parsed] if isinstance(parsed, tuple) else parsed.tolist()
+
+
 class TestClassesCsv:
     def test_parses_three_classes(self, tmp_path):
         table = parse_classes_csv(write(tmp_path, "c.csv", CLASSES_OK))
@@ -506,11 +513,53 @@ class TestManifestReaderMatchesCsvReader:
             parse(path)
 
     def test_over_long_field_in_a_rejected_file_names_its_line(self, tmp_path):
-        # csv.reader, which rescans a rejected file, stops at the long field
-        # on line 3 before it reaches the bad row on line 4
-        path = write(tmp_path, "l.csv", "location_code,metadata_index\n"
-                     f"loc_a,0\nloc_{'b' * 131073},1\nloc_c,x\n")
-        with pytest.raises(CsvParseError, match=":3: field larger than field limit"):
+        # the long field is reported whether it comes before the bad row
+        # (line 3 against 4) or after it (line 4 against 3)
+        long_row = f"loc_{'b' * 131073},1\n"
+        for text, line in [
+            (f"loc_a,0\n{long_row}loc_c,x\n", 3),
+            (f"loc_a,0\nloc_c,x\n{long_row}", 4),
+        ]:
+            path = write(tmp_path, "l.csv", f"location_code,metadata_index\n{text}")
+            with pytest.raises(CsvParseError, match=f":{line}: field larger than field limit"):
+                parse_locations_csv(path)
+
+    @pytest.mark.parametrize("row, line", [
+        # in a column that is read, quoted across a line break: csv.reader
+        # names line 4, where the field passes the limit
+        (f'"loc_{"b" * 65536}\n{"b" * 65536}",1\n', 4),
+        # in a column past the header's, which is otherwise ignored
+        (f"loc_b,1,{'b' * 131073}\n", 3),
+    ], ids=["quoted-read-column", "extra-column"])
+    def test_over_long_field_in_a_well_formed_file_is_rejected(self, tmp_path, row, line):
+        path = write(tmp_path, "l.csv", f"location_code,metadata_index\nloc_a,0\n{row}")
+        with pytest.raises(CsvParseError, match=f":{line}: field larger than field limit"):
+            parse_locations_csv(path)
+
+    @pytest.mark.parametrize("name", [
+        "classes.csv", "observations.csv", "locations.csv", "truth.csv",
+    ])
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, written_bundle, name):
+        classes = parse_classes_csv(written_bundle / "classes.csv")
+        parse = {
+            "classes.csv": parse_classes_csv,
+            "observations.csv": lambda path: vars(
+                parse_observations_csv(path, classes, allow_unlabeled=True)
+            ),
+            "locations.csv": parse_locations_csv,
+            "truth.csv": read_predictions_csv,
+        }[name]
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (written_bundle / name).read_bytes())
+        ours, plain = parse(path), parse(written_bundle / name)
+        if name in ("observations.csv", "truth.csv"):
+            ours, plain = as_lists(ours), as_lists(plain)
+        assert ours == plain
+
+    def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
+        path = tmp_path / "l.csv"
+        path.write_bytes(b"\xef\xbb\xbflocation_code,metadata_index\nloc_a,0\nloc_b,x\n")
+        with pytest.raises(CsvParseError, match=":3: bad metadata_index 'x'"):
             parse_locations_csv(path)
 
     def test_integer_beyond_int64_is_a_bad_value(self, tmp_path):

@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.dtypes import StringDType
 
 from conftest import constant_prior_artifact
 from venomguard.data_model import FeatureMatrix, LocationTable, ObservationRow, ObservationTable
@@ -13,6 +15,7 @@ from venomguard.errors import BundleValidationError, CsvParseError
 from venomguard.inference import (
     EscalationPolicy,
     PredictionResult,
+    Predictions,
     escalate_venomous,
     joint_scores,
     predict_dataset,
@@ -20,6 +23,7 @@ from venomguard.inference import (
     write_predictions_csv,
 )
 from venomguard.linalg_pca import fit_pca, pca_transform
+from venomguard.losses import softmax
 from venomguard.prior_model import (
     PriorArtifact,
     PriorMlp,
@@ -192,11 +196,17 @@ class TestPredictDataset:
 
     def test_intermediates_align_with_rows_and_results(self, tiny_bundle):
         out = predict_dataset(tiny_bundle)
-        n_rows = len(tiny_bundle.observations.rows)
-        assert out.raw.shape == (n_rows, 5)
-        assert out.combined.shape == (n_rows, 5)
-        assert out.aggregated.shape == (len(out.results), 5)
-        for i, r in enumerate(out.results):
+        obs = tiny_bundle.observations
+        results = out.results
+        assert out.aggregated.shape == (len(results), 5)
+        assert results.ids.tolist() == obs.ids.tolist()
+        for column in (results.class_id, results.pre_escalation_class_id, results.confidence):
+            assert column.shape == (len(results),)
+        # each aggregated row is the mean of its observation's softmaxed image rows
+        probs = softmax(tiny_bundle.image_scores.values[obs.image_index])
+        for i in range(len(results)):
+            assert np.array_equal(out.aggregated[i], probs[obs.group == i].mean(axis=0))
+        for i, r in enumerate(results):
             assert out.aggregated[i].argmax() == r.pre_escalation_class_id
             assert r.confidence == pytest.approx(out.aggregated[i].max())
 
@@ -212,7 +222,12 @@ class TestPredictDataset:
     def test_probability_scores_mode(self, tiny_bundle):
         # Raw scores are non-negative, so they can be read as unnormalized probs.
         out = predict_dataset(tiny_bundle, scores_are_logits=False)
-        assert np.allclose(out.raw.sum(axis=1), 1.0, atol=1e-12)
+        scores = tiny_bundle.image_scores.values
+        probs = scores / scores.sum(axis=1, keepdims=True)
+        assert np.allclose(out.aggregated.sum(axis=1), 1.0, atol=1e-12)
+        # obs_a averages image rows 0 and 1; obs_b and obs_c have one row each
+        assert np.allclose(out.aggregated[0], probs[:2].mean(axis=0), atol=1e-12)
+        assert np.array_equal(out.aggregated[1:], probs[2:])
 
     def test_probability_mode_rejects_negative_scores(self, tiny_bundle):
         from dataclasses import replace
@@ -251,6 +266,8 @@ class TestPredictDataset:
         artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
         reduced = pca_transform(pca, bundle.metadata_features).values
         prior_rows = prior_scores(mlp, reduced, proto).tolist()
+        probs = softmax(bundle.image_scores.values[bundle.observations.image_index])
+        metadata_rows = bundle.resolved_metadata_rows()
         oracle_input = [
             (
                 obs_id,
@@ -268,10 +285,16 @@ class TestPredictDataset:
                     oracle_input, flags, tau=tau, top_k=3, prior_logits=logits
                 )
                 assert {r.observation_id: r.class_id for r in out.results} == expected
-                # obs_a is the file-order mean of rows 0 and 2
-                assert np.array_equal(
-                    out.aggregated[0], out.combined[[0, 2]].mean(axis=0)
+                # obs_a is the file-order mean of rows 0 and 2, each reweighted
+                # by the prior of its own location
+                combined = (
+                    probs
+                    if prior is None
+                    else np.array(
+                        [joint_scores(p, prior_rows[m]) for p, m in zip(probs, metadata_rows)]
+                    )
                 )
+                assert np.array_equal(out.aggregated[0], combined[[0, 2]].mean(axis=0))
 
     def test_vanishing_joint_row_falls_back_alone(self, tiny_bundle):
         # The prior puts all its weight on class 0; row 2 has no class-0 mass.
@@ -295,14 +318,52 @@ class TestPredictDataset:
         assert [str(w.message) for w in caught] == [
             "joint scores vanished; falling back to image scores"
         ]
-        assert np.array_equal(out.combined[2], out.raw[2])
-        for i in (0, 1, 3):
-            assert np.array_equal(out.combined[i], [1.0, 0.0, 0.0, 0.0, 0.0])
+        # obs_b is row 2 alone and keeps its image probabilities; obs_a (rows 0
+        # and 1) and obs_c (row 3) take the prior's class 0
+        assert np.array_equal(out.aggregated[1], scores[2] / scores[2].sum())
+        for i in (0, 2):
+            assert np.array_equal(out.aggregated[i], [1.0, 0.0, 0.0, 0.0, 0.0])
 
     def test_results_sorted_by_observation_id(self, synth7):
         out = predict_dataset(synth7.bundle)
         ids = [r.observation_id for r in out.results]
         assert ids == sorted(ids)
+
+    def test_results_iterate_as_rows_of_the_columns(self, tiny_bundle):
+        results = predict_dataset(tiny_bundle, policy=EscalationPolicy(tau=0.9)).results
+        assert len(results) == 3
+        assert list(results) == [
+            PredictionResult(obs_id, cls, pre, conf)
+            for obs_id, cls, pre, conf in zip(
+                results.ids.tolist(),
+                results.class_id.tolist(),
+                results.pre_escalation_class_id.tolist(),
+                results.confidence.tolist(),
+            )
+        ]
+        assert [type(v) for v in astuple(next(iter(results)))] == [str, int, int, float]
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_peak_memory_stays_under_three_score_arrays(self, synth7, with_prior):
+        # rows * C * 8 bytes is one float64 score array over the image rows;
+        # the prior's reweighting needs two of them and the (locations, C)
+        # weights, half of one here
+        bundle = synth7.bundle
+        n_classes = bundle.classes.n_classes
+        prior = None
+        if with_prior:
+            pca = fit_pca(bundle.metadata_features, k=8)
+            proto = np.random.default_rng(0).standard_normal((16, n_classes))
+            mlp = PriorMlp.create(8, 64, 16, seed=0)
+            prior = PriorArtifact(mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca)
+        tracemalloc.start()
+        try:
+            predict_dataset(bundle, prior=prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one_array = len(bundle.observations) * n_classes * 8
+        assert peak < 3 * one_array
 
 
 def read_map(path):
@@ -312,12 +373,18 @@ def read_map(path):
     return dict(zip(ids.tolist(), class_ids.tolist()))
 
 
+def predictions(ids, class_id, pre_escalation_class_id, confidence):
+    return Predictions(
+        np.array(ids, dtype=StringDType()),
+        np.array(class_id, dtype=np.int64),
+        np.array(pre_escalation_class_id, dtype=np.int64),
+        np.array(confidence, dtype=np.float64),
+    )
+
+
 class TestPredictionCsv:
     def results(self):
-        return [
-            PredictionResult("obs_a", 3, 1, 0.42),
-            PredictionResult("obs_b", 0, 0, 0.97),
-        ]
+        return predictions(["obs_a", "obs_b"], [3, 0], [1, 0], [0.42, 0.97])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "preds.csv"
@@ -336,7 +403,8 @@ class TestPredictionCsv:
         explain=st.booleans(),
     )
     def test_round_trip_ids_with_commas_and_quotes(self, tmp_path_factory, ids, explain):
-        results = [PredictionResult(obs_id, i, i, 0.5) for i, obs_id in enumerate(ids)]
+        n = len(ids)
+        results = predictions(ids, range(n), range(n), [0.5] * n)
         path = tmp_path_factory.mktemp("preds") / "preds.csv"
         write_predictions_csv(path, results, explain=explain)
         assert read_map(path) == {obs_id: i for i, obs_id in enumerate(ids)}
@@ -346,7 +414,7 @@ class TestPredictionCsv:
         write_predictions_csv(path, self.results(), explain=True)
         lines = path.read_text().splitlines()
         assert lines[0] == "observation_id,class_id,pre_escalation_class_id,confidence"
-        assert lines[1].startswith("obs_a,3,1,")
+        assert lines[1:] == ["obs_a,3,1,0.42", "obs_b,0,0,0.97"]
         # explain files still satisfy the minimal reader
         assert read_map(path) == {"obs_a": 3, "obs_b": 0}
 
