@@ -363,7 +363,14 @@ def parse_ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sorted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values in sorted order, each row's index into them, and a
-    mask of the rows whose value already occurs in an earlier row."""
+    mask of the rows whose value already occurs in an earlier row.
+
+    Values already in order, as in every manifest this package writes, are
+    not sorted again."""
+    if np.all(values[1:] >= values[:-1]):
+        first = np.ones(values.shape, dtype=bool)
+        first[1:] = values[1:] != values[:-1]
+        return values[first], np.cumsum(first) - 1, ~first
     order = np.argsort(values, kind="stable")
     ordered = values[order]
     first = np.ones(values.shape, dtype=bool)

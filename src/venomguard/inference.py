@@ -24,6 +24,9 @@ from .linalg_pca import pca_transform
 from .losses import softmax
 from .prior_model import PriorArtifact, prior_scores
 
+# image rows per step of predict_dataset's pass over the image rows
+_BLOCK_ROWS = 4096
+
 
 @dataclass
 class EscalationPolicy:
@@ -91,11 +94,14 @@ def joint_scores(image_probs: np.ndarray, prior_logits: np.ndarray) -> np.ndarra
         raise ValueError("image scores and prior must have matching length")
     if np.any(image_probs < 0.0):
         raise ValueError("image scores must be non-negative")
-    return _joint_rows(image_probs[None, :], softmax(prior_logits)[None, :])[0]
+    joint, fallbacks = _joint_rows(image_probs[None, :], softmax(prior_logits)[None, :])
+    _warn_fallbacks(fallbacks, 1)
+    return joint[0]
 
 
-def _joint_rows(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Row-wise renormalized probs * weights; consumes weights in place.
+def _joint_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
+    """Row-wise renormalized probs * weights, and how many rows fell back;
+    consumes weights in place.
 
     A row whose product sums to <= 0 keeps its image probabilities.
     """
@@ -103,12 +109,20 @@ def _joint_rows(probs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     joint *= probs
     totals = joint.sum(axis=1)
     vanished = totals <= 0.0
-    if vanished.any():
-        warnings.warn("joint scores vanished; falling back to image scores")
+    fallbacks = int(np.count_nonzero(vanished))
+    if fallbacks:
         totals[vanished] = 1.0
         joint[vanished] = probs[vanished]
     joint /= totals[:, None]
-    return joint
+    return joint, fallbacks
+
+
+def _warn_fallbacks(fallbacks: int, rows: int) -> None:
+    if fallbacks:
+        warnings.warn(
+            f"joint scores vanished on {fallbacks} of {rows} rows; "
+            "falling back to image scores"
+        )
 
 
 def escalate_venomous(
@@ -159,8 +173,11 @@ def predict_dataset(
 ) -> PredictionOutput:
     """Predict one class per observation, sorted by observation id.
 
-    Each stage writes over the one before it, so at most two (rows, C)
-    arrays are alive at once, while the prior reweights the image rows.
+    The prior's (locations, C) weights come first, from one pass over all
+    locations. The image rows then stream in file order, _BLOCK_ROWS at a
+    time, into ``aggregated``. After the prior pass, memory holds the
+    weights, ``aggregated`` and one block, however many images there are.
+    At most one warning names the rows whose joint scores fell back.
     """
     policy = policy or EscalationPolicy()
     n_classes = len(bundle.classes.entries)
@@ -181,28 +198,30 @@ def predict_dataset(
                 f"prior scores {prior.prototypes.n_classes} classes, "
                 f"the dataset has {n_classes}"
             )
-        # before the image rows, so that the prior pass's arrays are gone first
+        # unblocked: splitting the prior's matmuls by rows changes their bits
         loc_weights = _prior_weights_by_location(bundle, prior)
+        meta_rows = bundle.resolved_metadata_rows()
 
-    # each row is normalized on its own, so the rows can be gathered first
-    if scores_are_logits:
-        joint = softmax(scores[obs.image_index])
-    else:
-        joint = scores[obs.image_index]
-        joint /= sums[obs.image_index, None]
-
-    if loc_weights is not None:
-        joint = _joint_rows(joint, loc_weights[bundle.resolved_metadata_rows()])
-        del loc_weights
-
-    # ids are in Python str order; bincount sums each group's rows in file
-    # order, as a per-group mean would
-    ids, group = obs.ids, obs.group
-    aggregated = np.empty((ids.size, n_classes))
-    for j in range(n_classes):
-        aggregated[:, j] = np.bincount(group, weights=joint[:, j], minlength=ids.size)
+    ids, group, image_index = obs.ids, obs.group, obs.image_index
+    aggregated = np.zeros((ids.size, n_classes))
+    fallbacks = 0
+    for start in range(0, len(obs), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        # each row is normalized on its own, so blocks give the same values
+        if scores_are_logits:
+            joint = softmax(scores[image_index[block]])
+        else:
+            joint = scores[image_index[block]]
+            joint /= sums[image_index[block], None]
+        if loc_weights is not None:
+            joint, vanished = _joint_rows(joint, loc_weights[meta_rows[block]])
+            fallbacks += vanished
+        # ids are in Python str order; add.at adds each group's rows in file
+        # order, as a per-group mean would
+        np.add.at(aggregated, group[block], joint)
+    _warn_fallbacks(fallbacks, len(obs))
     # freed before escalation, whose sort of the uncertain rows needs room too
-    del joint
+    del loc_weights
     aggregated /= np.bincount(group, minlength=ids.size)[:, None]
 
     base = aggregated.argmax(axis=1)

@@ -1,9 +1,11 @@
 """Brute-force oracles that the tests compare the package against.
 
 Plain Python on purpose: no numpy, no imports from the modules they check.
-The one exception is ``reference_train_prior`` at the end: byte-equal
-weights need the same floating-point operations, so it restates the prior's
-training step with numpy, in its plain allocating form.
+Two exceptions use numpy. ``reference_sorted_unique`` is built on
+``np.unique``, which shares no code with the package's sort. And
+``reference_train_prior`` at the end: byte-equal weights need the same
+floating-point operations, so it restates the prior's training step with
+numpy, in its plain allocating form.
 """
 
 import csv
@@ -318,6 +320,15 @@ def reference_predictions(path):
 # Initialisation, sampler, location bounds and learning-rate schedule come
 # from the package; the test checks the step, not them.
 # ---------------------------------------------------------------------------
+
+
+def reference_sorted_unique(values):
+    """data_model.sorted_unique from np.unique: the distinct values in order,
+    each row's index into them, and whether an earlier row holds its value."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    repeat = np.ones(values.shape, dtype=bool)
+    repeat[first] = False
+    return distinct, inverse.reshape(values.shape), repeat
 
 
 def reference_adamw(params, grads, m, v, t, lr, beta1, beta2, eps, weight_decay):

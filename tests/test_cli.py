@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import random
+import shutil
 
 import pytest
 
@@ -284,6 +286,42 @@ class TestPipeline:
         )
         assert code == 2
         assert f"{truth}: no observations to score" in err
+
+    def test_shuffled_observation_rows_predict_the_same(self, capsys, tmp_path):
+        data = make_dataset(capsys, tmp_path / "data")
+        shuffled = tmp_path / "shuffled"
+        shutil.copytree(data, shuffled)
+        path = shuffled / "observations.csv"
+        header, *rows = path.read_text().splitlines(keepends=True)
+        # interleave the observations, but keep each one's rows in their
+        # relative order, so that its scores are added in the same order
+        by_obs = {}
+        for row in rows:
+            by_obs.setdefault(row.split(",")[0], []).append(row)
+        queues = {obs_id: iter(group) for obs_id, group in by_obs.items()}
+        order = random.Random(0).sample(rows, len(rows))
+        mixed = [next(queues[row.split(",")[0]]) for row in order]
+        ids = [row.split(",")[0] for row in mixed]
+        assert ids != sorted(ids)  # so the loader's sort runs
+        path.write_text(header + "".join(mixed))
+
+        pca, prior = tmp_path / "pca.bin", tmp_path / "prior.bin"
+        metadata = str(data / "metadata_features.vgf1")
+        assert run(capsys, "pca", metadata, "-k", "4", "-o", str(pca))[0] == 0
+        code, out, _ = run(
+            capsys, "train-prior", str(data), "--pca", str(pca), "-o", str(prior),
+            "--epochs", "2", "--batch", "32", "--hidden", "8", "--base-lr", "5e-3",
+        )
+        assert code == 0, out
+        preds = []
+        for bundle in (data, shuffled):
+            preds.append(tmp_path / f"{bundle.name}.csv")
+            code, out, _ = run(
+                capsys, "infer", str(bundle), "--prior", str(prior), "--tau", "0.2",
+                "--explain", "-o", str(preds[-1]),
+            )
+            assert code == 0, out
+        assert preds[0].read_bytes() == preds[1].read_bytes()
 
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")

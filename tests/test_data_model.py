@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.dtypes import StringDType
 
 from venomguard import data_model
 from venomguard.data_model import (
@@ -25,6 +26,7 @@ from venomguard.data_model import (
     read_feature_matrix,
     read_record,
     read_records,
+    sorted_unique,
     validate_bundle,
     write_feature_matrix,
     write_record,
@@ -40,6 +42,7 @@ from oracles import (
     reference_locations,
     reference_observations,
     reference_predictions,
+    reference_sorted_unique,
 )
 
 CLASSES_OK = "class_id,name,venomous\n0,adder,1\n1,grass snake,0\n2,asp,1\n"
@@ -156,6 +159,71 @@ class TestLocationsCsv:
         text = "location_code,metadata_index\nloc_a,0\nloc_a,1\n"
         with pytest.raises(CsvParseError):
             parse_locations_csv(write(tmp_path, "l.csv", text))
+
+
+class TestSortedUnique:
+    """sorted_unique against np.unique; in-order input skips the sort."""
+
+    @staticmethod
+    def arranged(values, arrangement, draw):
+        if arrangement == "sorted":
+            return np.sort(values)
+        if arrangement == "reversed":
+            return np.sort(values)[::-1].copy()
+        return values[draw(st.permutations(range(values.size)))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["int64", "str"]),
+        arrangement=st.sampled_from(["sorted", "reversed", "shuffled"]),
+        size=st.sampled_from([0, 1, 2, 5, 40]),
+    )
+    def test_matches_np_unique(self, data, kind, arrangement, size):
+        if kind == "int64":
+            elements = st.integers(-3, 3) | st.integers(-(2**63), 2**63 - 1)
+            values = np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                              dtype=np.int64)
+        else:
+            # code points beyond ASCII and the BMP: both branches order by code point
+            elements = st.text(alphabet="ab_\u00e9\U0001f40d", max_size=3)
+            values = np.array(data.draw(st.lists(elements, min_size=size, max_size=size)),
+                              dtype=StringDType())
+        values = self.arranged(values, arrangement, data.draw)
+        got = sorted_unique(values)
+        want = reference_sorted_unique(values)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        assert got[1].dtype == np.intp and got[2].dtype == bool
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([-4, -4, 0, 7, 7, 7, 9], dtype=np.int64),
+            np.array(["a", "a", "a_", "b", "\u00e9", "\u00e9"], dtype=StringDType()),
+            np.array([], dtype=np.int64),
+            np.array(["only"], dtype=StringDType()),
+        ],
+    )
+    def test_in_order_values_are_not_sorted_again(self, monkeypatch, values):
+        def no_argsort(*args, **kwargs):
+            raise AssertionError("argsort called on in-order values")
+
+        monkeypatch.setattr(np, "argsort", no_argsort)
+        got = sorted_unique(values)
+        monkeypatch.undo()
+        assert [a.tolist() for a in got] == [
+            a.tolist() for a in reference_sorted_unique(values)
+        ]
+
+    def test_out_of_order_values_take_the_sort(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        ids, inverse, repeat = sorted_unique(np.array(["b", "a", "b"], dtype=StringDType()))
+        assert calls == [1]
+        assert (ids.tolist(), inverse.tolist(), repeat.tolist()) == (
+            ["a", "b"], [1, 0, 1], [False, False, True]
+        )
 
 
 class TestCsvLineNumbers:

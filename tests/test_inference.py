@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from numpy.dtypes import StringDType
 
 from conftest import constant_prior_artifact
+from venomguard import inference
 from venomguard.data_model import FeatureMatrix, LocationTable, ObservationRow, ObservationTable
 from venomguard.errors import BundleValidationError, CsvParseError
 from venomguard.inference import (
@@ -30,6 +31,7 @@ from venomguard.prior_model import (
     PrototypeMatrix,
     prior_scores,
 )
+from venomguard.synthetic import SynthConfig, generate
 
 from oracles import oracle_predict
 
@@ -184,6 +186,25 @@ class TestEscalation:
                 assert final == int(np.argmax(row))
 
 
+def class_zero_prior(bundle):
+    """A prior that puts all its weight on class 0 at every location."""
+    prior = constant_prior_artifact(bundle)
+    prior.mlp.b3 = np.ones_like(prior.mlp.b3)
+    proto = np.full(prior.prototypes.matrix.shape, -200.0)
+    proto[:, 0] = 200.0
+    prior.prototypes = PrototypeMatrix(proto)
+    return prior
+
+
+def random_prior(bundle):
+    """An untrained prior over PCA-8 metadata, for shape and memory checks."""
+    n_classes = bundle.classes.n_classes
+    pca = fit_pca(bundle.metadata_features, k=8)
+    proto = np.random.default_rng(0).standard_normal((16, n_classes))
+    mlp = PriorMlp.create(8, 64, 16, seed=0)
+    return PriorArtifact(mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca)
+
+
 class TestPredictDataset:
     def test_argmax_of_averaged_softmax_without_prior(self, tiny_bundle):
         out = predict_dataset(
@@ -307,16 +328,12 @@ class TestPredictDataset:
             ]
         )
         bundle = replace(tiny_bundle, image_scores=FeatureMatrix(scores))
-        prior = constant_prior_artifact(bundle)
-        prior.mlp.b3 = np.ones_like(prior.mlp.b3)
-        proto = np.full(prior.prototypes.matrix.shape, -200.0)
-        proto[:, 0] = 200.0
-        prior.prototypes = PrototypeMatrix(proto)
+        prior = class_zero_prior(bundle)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = predict_dataset(bundle, prior=prior, scores_are_logits=False)
         assert [str(w.message) for w in caught] == [
-            "joint scores vanished; falling back to image scores"
+            "joint scores vanished on 1 of 4 rows; falling back to image scores"
         ]
         # obs_b is row 2 alone and keeps its image probabilities; obs_a (rows 0
         # and 1) and obs_c (row 3) take the prior's class 0
@@ -364,6 +381,88 @@ class TestPredictDataset:
             tracemalloc.stop()
         one_array = len(bundle.observations) * n_classes * 8
         assert peak < 3 * one_array
+
+
+class TestBlockwisePass:
+    """predict_dataset streams the image rows in blocks of _BLOCK_ROWS."""
+
+    @pytest.fixture(scope="class")
+    def scattered(self, synth7):
+        """synth7 with its image rows shuffled: an observation's rows fall
+        far apart, so small blocks split them."""
+        obs = synth7.bundle.observations
+        order = np.random.default_rng(0).permutation(len(obs))
+        table = ObservationTable.from_columns(
+            obs.ids[obs.group][order],
+            obs.image_index[order],
+            obs.class_id[order],
+            obs.codes[obs.location][order],
+        )
+        return replace(synth7.bundle, observations=table)
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    @pytest.mark.parametrize("case", ["logits", "probabilities", "empty"])
+    def test_block_size_changes_nothing(self, scattered, monkeypatch, case, with_prior):
+        bundle, logits = scattered, case != "probabilities"
+        if not logits:
+            bundle = replace(bundle, image_scores=FeatureMatrix(np.exp(bundle.image_scores.values)))
+        if case == "empty":
+            bundle = replace(bundle, observations=bundle.observations.take(
+                np.zeros(len(bundle.observations), dtype=bool)))
+        prior = random_prior(bundle) if with_prior else None
+        outs = []
+        for rows in (1, 3, 4096, len(bundle.observations) + 1):
+            monkeypatch.setattr(inference, "_BLOCK_ROWS", rows)
+            outs.append(predict_dataset(bundle, prior=prior, scores_are_logits=logits))
+        first = outs[0]
+        assert len(first.results) == (0 if case == "empty" else 5000)
+        for out in outs[1:]:
+            for name in ("ids", "class_id", "pre_escalation_class_id", "confidence"):
+                assert np.array_equal(getattr(out.results, name), getattr(first.results, name))
+            assert np.array_equal(out.aggregated, first.aggregated)
+
+    def test_fallbacks_in_two_blocks_warn_once_with_the_total(self, tiny_bundle, monkeypatch):
+        # rows 0 and 3 have no class-0 mass; blocks of two rows put them apart
+        scores = np.array(
+            [
+                [0.0, 4.0, 1.0, 0.0, 0.0],
+                [3.0, 1.0, 0.0, 0.0, 0.0],
+                [1.0, 2.0, 1.0, 0.0, 0.0],
+                [0.0, 0.5, 0.0, 2.5, 0.0],
+            ]
+        )
+        bundle = replace(tiny_bundle, image_scores=FeatureMatrix(scores))
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = predict_dataset(bundle, prior=class_zero_prior(bundle), scores_are_logits=False)
+        assert [str(w.message) for w in caught] == [
+            "joint scores vanished on 2 of 4 rows; falling back to image scores"
+        ]
+        # obs_c is row 3 alone and keeps its image probabilities
+        assert np.array_equal(out.aggregated[2], scores[3] / scores[3].sum())
+
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_peak_memory_does_not_grow_with_images_per_observation(
+        self, monkeypatch, with_prior
+    ):
+        # in (observations, C) float64 arrays, one location per observation:
+        # the prior pass (hidden 64 > C) or escalation's sort of the uncertain
+        # rows sets the peak, 3.1 arrays here; the image rows add one block
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 256)
+        peaks = []
+        for images in ((1, 3), (2, 6)):
+            bundle = generate(SynthConfig(seed=7, images_per_observation=images)).bundle
+            prior = random_prior(bundle) if with_prior else None
+            tracemalloc.start()
+            try:
+                predict_dataset(bundle, prior=prior)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak / (bundle.observations.ids.size * bundle.classes.n_classes * 8))
+        assert max(peaks) < 3.5
+        assert abs(peaks[1] / peaks[0] - 1.0) <= 0.10
 
 
 def read_map(path):
