@@ -1,9 +1,10 @@
-"""Venom-aware snake species classification: decision layer and training losses.
+"""Venom-aware snake species classification: the decision layer.
 
 The package covers everything downstream of an image classifier's raw
 scores: a geographic prior trained on location metadata, joint inference,
-venom-aware escalation, the weighted evaluation metric, long-tail training
-losses, and a small self-contained optimization and serialization stack.
+venom-aware escalation, the weighted evaluation metric, and a small
+self-contained optimization and serialization stack. The long-tail loss
+that trains the image classifier is outside the package.
 """
 
 from .data_model import (
@@ -21,17 +22,7 @@ from .inference import (
     EscalationPolicy,
     PredictionResult,
     Predictions,
-    escalate_venomous,
-    joint_scores,
     predict_dataset,
-)
-from .losses import (
-    CostMatrix,
-    SeesawState,
-    build_cost_matrix,
-    cross_entropy,
-    rwwce_loss,
-    seesaw_loss,
 )
 from .metrics import MetricReport, MetricWeights, score_predictions, track1_metric
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at

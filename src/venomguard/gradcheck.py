@@ -1,4 +1,4 @@
-"""Finite-difference verification of every analytic gradient in the package."""
+"""Finite-difference verification of the location loss's analytic gradient."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ from typing import Callable
 
 import numpy as np
 
-from .losses import (
-    CostMatrix,
-    SeesawState,
-    cross_entropy,
-    rwwce_loss,
-    seesaw_loss,
-    seesaw_weights,
-)
 from .prior_model import (
     PriorMlp,
     PrototypeMatrix,
@@ -28,7 +20,6 @@ from .prior_model import (
 
 DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-4
-LOSS_NAMES = ("ce", "seesaw", "rwwce", "loc")
 
 
 def central_difference(
@@ -56,7 +47,6 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 @dataclass
 class GradCheckResult:
-    loss: str
     trials: int
     max_rel_err: float
     tolerance: float = DEFAULT_TOL
@@ -64,46 +54,6 @@ class GradCheckResult:
     @property
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
-
-
-def _check_ce(rng: np.random.Generator, step: float) -> float:
-    c = int(rng.integers(2, 8))
-    z = rng.normal(0.0, 2.0, c)
-    y = int(rng.integers(c))
-    analytic = cross_entropy(z, y).grad
-    numeric = central_difference(lambda v: cross_entropy(v, y).value, z, step)
-    return relative_error(analytic, numeric)
-
-
-def _check_seesaw(rng: np.random.Generator, step: float) -> float:
-    c = int(rng.integers(2, 8))
-    z = rng.normal(0.0, 2.0, c)
-    y = int(rng.integers(c))
-    counts = rng.integers(0, 20, c)
-    state = SeesawState(counts, p=float(rng.uniform(0, 1.5)), q=float(rng.uniform(0, 3)))
-    # compensation depends on the logits; freeze it at the center point so
-    # the finite difference sees the same stop-gradient loss surface
-    pinned = seesaw_weights(z, y, state)
-    analytic = seesaw_loss(z, y, state, weights=pinned).grad
-    numeric = central_difference(
-        lambda v: seesaw_loss(v, y, state, weights=pinned).value, z, step
-    )
-    return relative_error(analytic, numeric)
-
-
-def _check_rwwce(rng: np.random.Generator, step: float) -> float:
-    c = int(rng.integers(2, 8))
-    z = rng.normal(0.0, 2.0, c)
-    y = int(rng.integers(c))
-    cost = rng.uniform(0.0, 3.0, (c, c))
-    np.fill_diagonal(cost, 0.0)
-    cost_m = CostMatrix(cost)
-    fn_weight = rng.uniform(0.5, 3.0, c)
-    analytic = rwwce_loss(z, y, cost_m, fn_weight).grad
-    numeric = central_difference(
-        lambda v: rwwce_loss(v, y, cost_m, fn_weight).value, z, step
-    )
-    return relative_error(analytic, numeric)
 
 
 def _loc_instance(rng: np.random.Generator):
@@ -173,31 +123,16 @@ def _check_loc(rng: np.random.Generator, step: float) -> float:
     return relative_error(analytic, numeric)
 
 
-_CHECKS = {
-    "ce": _check_ce,
-    "seesaw": _check_seesaw,
-    "rwwce": _check_rwwce,
-    "loc": _check_loc,
-}
-
-
-def check_loss(
-    name: str,
+def check_loc_loss(
     trials: int = 20,
     seed: int = 0,
     step: float = DEFAULT_STEP,
     tolerance: float = DEFAULT_TOL,
 ) -> GradCheckResult:
-    if name not in _CHECKS:
-        raise ValueError(f"unknown loss {name!r}, expected one of {LOSS_NAMES}")
+    """Worst relative error of the location loss's gradient over random
+    instances drawn from ``seed``."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, _CHECKS[name](rng, step))
-    return GradCheckResult(loss=name, trials=trials, max_rel_err=worst, tolerance=tolerance)
-
-
-def run_checks(
-    names=None, trials: int = 20, seed: int = 0
-) -> list[GradCheckResult]:
-    return [check_loss(n, trials=trials, seed=seed) for n in (names or LOSS_NAMES)]
+    worst = max(_check_loc(rng, step) for _ in range(trials))
+    return GradCheckResult(trials=trials, max_rel_err=worst, tolerance=tolerance)

@@ -11,7 +11,6 @@ from typing import Iterator
 import numpy as np
 
 from .data_model import (
-    ClassTable,
     DatasetBundle,
     parse_ints,
     read_manifest,
@@ -21,7 +20,6 @@ from .data_model import (
 )
 from .errors import BundleValidationError
 from .linalg_pca import pca_transform
-from .losses import softmax
 from .prior_model import PriorArtifact, prior_scores
 
 # image rows per step of predict_dataset's pass over the image rows
@@ -86,17 +84,16 @@ class PredictionOutput:
     aggregated: np.ndarray
 
 
-def joint_scores(image_probs: np.ndarray, prior_logits: np.ndarray) -> np.ndarray:
-    """Reweight image probabilities by softmax of the prior, renormalized."""
-    image_probs = np.asarray(image_probs, dtype=np.float64)
-    prior_logits = np.asarray(prior_logits, dtype=np.float64)
-    if image_probs.shape != prior_logits.shape:
-        raise ValueError("image scores and prior must have matching length")
-    if np.any(image_probs < 0.0):
-        raise ValueError("image scores must be non-negative")
-    joint, fallbacks = _joint_rows(image_probs[None, :], softmax(prior_logits)[None, :])
-    _warn_fallbacks(fallbacks, 1)
-    return joint[0]
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, so a matrix is normalized row by row."""
+    z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits must be finite")
+    # one result array: shifted, exponentiated and normalized in place
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _joint_rows(probs: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, int]:
@@ -123,23 +120,6 @@ def _warn_fallbacks(fallbacks: int, rows: int) -> None:
             f"joint scores vanished on {fallbacks} of {rows} rows; "
             "falling back to image scores"
         )
-
-
-def escalate_venomous(
-    row: np.ndarray, classes: ClassTable, policy: EscalationPolicy
-) -> int:
-    """Argmax when confident; otherwise prefer a venomous top-k candidate.
-
-    Ties resolve to the lower class id throughout.
-    """
-    row = np.asarray(row, dtype=np.float64)
-    flags = classes.venomous_flags
-    if row.shape != flags.shape:
-        raise ValueError("probability row and class table must align")
-    if abs(row.sum() - 1.0) > 1e-9:
-        raise ValueError("probability row must sum to 1")
-    base = np.argmax(row, keepdims=True)
-    return int(_escalate_rows(row[None, :], base, flags, policy)[0])
 
 
 def _escalate_rows(

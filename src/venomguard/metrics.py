@@ -33,6 +33,8 @@ class MetricWeights:
 
     def __post_init__(self):
         vals = self.as_tuple()
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("weights must be finite")
         if any(w < 0 for w in vals):
             raise ValueError("weights must be non-negative")
         if sum(vals) <= 0:

@@ -126,6 +126,12 @@ class PriorTrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
+        for name in (
+            "lam", "base_lr", "warmup_lr", "final_lr", "weight_decay", "beta1", "beta2", "eps"
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
         if self.epochs < 0 or self.batch_size < 1:

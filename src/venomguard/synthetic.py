@@ -58,8 +58,8 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.n_classes, self.dims_meta, self.dims_proto, self.n_observations) < 1:
             raise ValueError("counts must be >= 1")
-        if self.imbalance_ratio < 1:
-            raise ValueError("imbalance_ratio must be >= 1")
+        if not 1 <= self.imbalance_ratio < math.inf:
+            raise ValueError("imbalance_ratio must be finite and >= 1")
         if not 0.0 <= self.venom_fraction <= 1.0:
             raise ValueError("venom_fraction must be in [0, 1]")
         if not 0.0 <= self.location_informativeness <= 1.0:

@@ -14,29 +14,6 @@ import math
 import numpy as np
 
 
-def oracle_seesaw(logits, label, counts, p=0.8, q=2.0):
-    """Loop-based seesaw loss value on Python lists."""
-    n = len(logits)
-    exp_z = [math.exp(v) for v in logits]
-    z_sum = sum(exp_z)
-    sigma = [v / z_sum for v in exp_z]
-    total = sum(counts)
-    denom = exp_z[label]
-    for j in range(n):
-        if j == label:
-            continue
-        if p > 0 and total > 0 and counts[label] > 0:
-            mitigation = min(1.0, (counts[j] / counts[label]) ** p)
-        else:
-            mitigation = 1.0
-        if q > 0:
-            compensation = max(1.0, (sigma[j] / sigma[label]) ** q)
-        else:
-            compensation = 1.0
-        denom += mitigation * compensation * exp_z[j]
-    return -math.log(exp_z[label] / denom)
-
-
 def oracle_metric(
     truth,
     pred,

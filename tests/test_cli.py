@@ -74,7 +74,7 @@ class TestConfigFile:
     def test_keys_no_command_reads_are_rejected(self, capsys, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1.0\n")
-        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--loss", "ce")
+        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
         assert code == 1
         assert "unknown config key" in err
 
@@ -663,6 +663,56 @@ class TestFormatErrors:
         assert not (tmp_path / "prior.bin").exists()
 
 
+class TestNonFiniteSettings:
+    """NaN and infinite settings exit 1 before any file is read: the inputs
+    named here do not exist, which would exit 3 once read."""
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--base-lr", "nan"], "", "base_lr must be finite, got nan"),
+            (["--lambda", "nan"], "", "lam must be finite, got nan"),
+            (["--warmup-lr", "inf"], "", "warmup_lr must be finite, got inf"),
+            ([], "beta2 = -inf\n", "beta2 must be finite, got -inf"),
+            ([], "weight_decay = nan\n", "weight_decay must be finite, got nan"),
+        ],
+        ids=["base-lr-nan", "lambda-nan", "warmup-lr-inf", "beta2-minus-inf", "decay-nan"],
+    )
+    def test_train_prior(self, capsys, tmp_path, flags, config, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        code, _, err = run(
+            capsys, "train-prior", str(tmp_path / "nope"), "--pca", str(tmp_path / "pca.bin"),
+            "-o", str(tmp_path / "prior.bin"), "--config", str(path), *flags,
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {message}"
+        assert not (tmp_path / "prior.bin").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_score(self, capsys, tmp_path, value):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"w4 = {value}\n")
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "score", "--config", str(path), "--truth", str(tmp_path / "truth.csv"),
+            "--pred", str(tmp_path / "preds.csv"), "--classes", str(tmp_path / "classes.csv"),
+            "--json", str(report),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: weights must be finite"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_synth(self, capsys, tmp_path, ratio):
+        code, _, err = run(capsys, "synth", "--ratio", ratio, "-o", str(tmp_path / "d"))
+        assert code == 1
+        assert err.splitlines()[-1] == "error: imbalance_ratio must be finite and >= 1"
+        assert "Traceback" not in err
+        assert not (tmp_path / "d").exists()
+
+
 class TestModelDoesNotFitData:
     """A model applied to a dataset it does not fit exits 2, naming both sizes."""
 
@@ -714,16 +764,28 @@ class TestModelDoesNotFitData:
 
 class TestGradcheckCommand:
     def test_single_loss_passes(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--loss", "ce", "--trials", "3")
+        code, out, _ = run(capsys, "gradcheck", "--trials", "3")
         assert code == 0
-        assert out.startswith("ce: trials=3")
+        assert out.startswith("loc: trials=3")
         assert "PASS" in out
 
     def test_all_losses_by_default(self, capsys):
+        # the location loss is the only loss the package trains, so the
+        # default run checks it and prints exactly one line
         code, out, _ = run(capsys, "gradcheck", "--trials", "2")
         assert code == 0
-        for name in ("ce", "seesaw", "rwwce", "loc"):
-            assert f"{name}:" in out
+        assert [line.split(":")[0] for line in out.splitlines()] == ["loc"]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_fewer_than_one_trial_exits_one(self, capsys, trials):
+        code, out, err = run(capsys, "gradcheck", "--trials", trials)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: trials must be >= 1, got {trials}"
+
+    def test_loss_flag_is_gone(self, capsys):
+        code, _, _ = run(capsys, "gradcheck", "--loss", "loc", "--trials", "1")
+        assert code == 1
 
 
 class TestSynthCommand:

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from venomguard.gradcheck import (
-    LOSS_NAMES,
-    central_difference,
-    check_loss,
-    relative_error,
-    run_checks,
-)
+from venomguard.gradcheck import central_difference, check_loc_loss, relative_error
 
 
 class TestHelpers:
@@ -28,28 +22,22 @@ class TestHelpers:
 
 
 class TestChecks:
-    @pytest.mark.parametrize("name", LOSS_NAMES)
-    def test_each_loss_passes(self, name):
-        result = check_loss(name, trials=8, seed=1)
-        assert result.passed, f"{name}: max rel err {result.max_rel_err}"
-        assert result.loss == name
+    def test_loc_loss_passes(self):
+        result = check_loc_loss(trials=8, seed=1)
+        assert result.passed, f"max rel err {result.max_rel_err}"
         assert result.trials == 8
 
-    def test_run_checks_covers_every_loss(self):
-        results = run_checks(trials=3, seed=2)
-        assert [r.loss for r in results] == list(LOSS_NAMES)
-        assert all(r.passed for r in results)
-
-    def test_unknown_loss_rejected(self):
-        with pytest.raises(ValueError, match="unknown loss"):
-            check_loss("hinge")
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_fewer_than_one_trial_rejected(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            check_loc_loss(trials=trials)
 
     def test_deterministic_per_seed(self):
-        a = check_loss("seesaw", trials=5, seed=3)
-        b = check_loss("seesaw", trials=5, seed=3)
+        a = check_loc_loss(trials=5, seed=3)
+        b = check_loc_loss(trials=5, seed=3)
         assert a.max_rel_err == b.max_rel_err
 
     def test_loose_tolerance_reflected_in_result(self):
-        result = check_loss("ce", trials=3, seed=4, tolerance=1e-2)
+        result = check_loc_loss(trials=3, seed=4, tolerance=1e-2)
         assert result.tolerance == 1e-2
         assert result.passed

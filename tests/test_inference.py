@@ -17,14 +17,15 @@ from venomguard.inference import (
     EscalationPolicy,
     PredictionResult,
     Predictions,
-    escalate_venomous,
-    joint_scores,
+    _escalate_rows,
+    _joint_rows,
+    _warn_fallbacks,
     predict_dataset,
     read_predictions_csv,
+    softmax,
     write_predictions_csv,
 )
 from venomguard.linalg_pca import fit_pca, pca_transform
-from venomguard.losses import softmax
 from venomguard.prior_model import (
     PriorArtifact,
     PriorMlp,
@@ -35,52 +36,58 @@ from venomguard.synthetic import SynthConfig, generate
 
 from oracles import oracle_predict
 
-prob_rows = st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8).map(
-    lambda xs: np.array(xs) / np.sum(xs)
-)
+
+@st.composite
+def prob_batches(draw):
+    """(n, C) image probabilities, rows summing to 1, and (n, C) prior logits."""
+    n = draw(st.integers(1, 6))
+    c = draw(st.integers(2, 8))
+    raw = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n * c, max_size=n * c)))
+    probs = raw.reshape(n, c)
+    probs /= probs.sum(axis=1, keepdims=True)
+    prior = draw(st.lists(st.floats(-10, 10), min_size=n * c, max_size=n * c))
+    return probs, np.array(prior).reshape(n, c)
+
+
+def joint(probs, prior_logits):
+    """_joint_rows on (n, C) image probabilities and (n, C) prior logits."""
+    return _joint_rows(np.asarray(probs, dtype=float), softmax(prior_logits))
 
 
 class TestJointScores:
     def test_hand_case_flips_argmax(self):
-        out = joint_scores(np.array([0.6, 0.4]), np.array([0.0, math.log(3.0)]))
-        assert np.allclose(out, [1.0 / 3.0, 2.0 / 3.0], atol=1e-12)
-        assert int(np.argmax(out)) == 1
+        out, fallbacks = joint([[0.6, 0.4]], np.array([[0.0, math.log(3.0)]]))
+        assert fallbacks == 0
+        assert np.allclose(out, [[1.0 / 3.0, 2.0 / 3.0]], atol=1e-12)
+        assert out.argmax(axis=1).tolist() == [1]
 
     def test_uniform_prior_changes_nothing(self):
-        probs = np.array([0.2, 0.5, 0.3])
-        out = joint_scores(probs, np.zeros(3))
+        probs = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        out, _ = joint(probs, np.zeros((2, 3)))
         assert np.allclose(out, probs, atol=1e-12)
 
     def test_one_hot_image_scores_survive_any_prior(self):
-        probs = np.array([0.0, 1.0, 0.0])
-        out = joint_scores(probs, np.array([5.0, -3.0, 2.0]))
+        probs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        out, _ = joint(probs, np.array([[5.0, -3.0, 2.0], [-1.0, 4.0, 0.5]]))
         assert np.allclose(out, probs, atol=1e-12)
 
     def test_vanishing_product_falls_back_with_warning(self):
-        # An extreme prior underflows to exactly zero on the only supported class.
-        probs = np.array([0.0, 1.0])
+        # An extreme prior underflows to exactly zero on row 0's only
+        # supported class; row 1 keeps some joint mass.
+        probs = np.array([[0.0, 1.0], [0.5, 0.5]])
+        out, fallbacks = joint(probs, np.array([[1000.0, -1000.0], [0.0, 0.0]]))
+        assert fallbacks == 1
+        assert np.array_equal(out[0], probs[0])
+        assert np.allclose(out[1], [0.5, 0.5], atol=1e-12)
         with pytest.warns(UserWarning, match="falling back"):
-            out = joint_scores(probs, np.array([1000.0, -1000.0]))
-        assert np.array_equal(out, probs)
-
-    def test_shape_and_sign_validation(self):
-        with pytest.raises(ValueError):
-            joint_scores(np.array([0.5, 0.5]), np.zeros(3))
-        with pytest.raises(ValueError):
-            joint_scores(np.array([-0.1, 1.1]), np.zeros(2))
+            _warn_fallbacks(fallbacks, 2)
 
     @settings(max_examples=50, deadline=None)
-    @given(probs=prob_rows, data=st.data())
-    def test_output_is_normalized(self, probs, data):
-        logits = np.array(
-            data.draw(
-                st.lists(
-                    st.floats(-10, 10), min_size=len(probs), max_size=len(probs)
-                )
-            )
-        )
-        out = joint_scores(probs, logits)
-        assert out.sum() == pytest.approx(1.0, abs=1e-9)
+    @given(batch=prob_batches())
+    def test_output_is_normalized(self, batch):
+        probs, prior = batch
+        out, _ = joint(probs, prior)
+        assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out >= 0)
 
 
@@ -120,45 +127,45 @@ class TestAggregate:
         )
 
 
+def escalate(rows, classes, policy):
+    """_escalate_rows on (n, C) probabilities, from their argmax."""
+    rows = np.asarray(rows, dtype=float)
+    return _escalate_rows(rows, rows.argmax(axis=1), classes.venomous_flags, policy)
+
+
 class TestEscalation:
     def test_confident_argmax_stands(self, five_classes):
-        row = np.array([0.9, 0.05, 0.03, 0.01, 0.01])
+        rows = [[0.9, 0.05, 0.03, 0.01, 0.01]]
         policy = EscalationPolicy(tau=0.5, top_k=5)
-        assert escalate_venomous(row, five_classes, policy) == 0
+        assert escalate(rows, five_classes, policy).tolist() == [0]
 
     def test_uncertain_row_escalates_to_best_venomous(self, five_classes):
         # classes 1 and 3 are venomous; 0.30 < tau picks the 0.25 venomous entry
-        row = np.array([0.30, 0.25, 0.20, 0.15, 0.10])
+        rows = [[0.30, 0.25, 0.20, 0.15, 0.10]]
         policy = EscalationPolicy(tau=0.5, top_k=5)
-        assert escalate_venomous(row, five_classes, policy) == 1
+        assert escalate(rows, five_classes, policy).tolist() == [1]
 
     def test_no_venomous_in_top_k_keeps_argmax(self, five_classes):
-        row = np.array([0.4, 0.05, 0.35, 0.05, 0.15])
+        rows = [[0.4, 0.05, 0.35, 0.05, 0.15]]
         policy = EscalationPolicy(tau=0.5, top_k=2)
         # top-2 are classes 0 and 2, both harmless
-        assert escalate_venomous(row, five_classes, policy) == 0
+        assert escalate(rows, five_classes, policy).tolist() == [0]
 
     def test_tau_zero_is_identity(self, five_classes):
-        rng = np.random.default_rng(1)
+        rows = np.random.default_rng(1).dirichlet(np.ones(5), size=50)
         policy = EscalationPolicy(tau=0.0, top_k=5)
-        for _ in range(50):
-            row = rng.dirichlet(np.ones(5))
-            assert escalate_venomous(row, five_classes, policy) == int(np.argmax(row))
+        assert np.array_equal(escalate(rows, five_classes, policy), rows.argmax(axis=1))
 
     def test_score_ties_resolve_to_lower_id(self, five_classes):
-        row = np.array([0.3, 0.175, 0.175, 0.175, 0.175])
+        rows = [[0.3, 0.175, 0.175, 0.175, 0.175]]
         policy = EscalationPolicy(tau=0.5, top_k=5)
         # venomous classes 1 and 3 tie; lower id wins
-        assert escalate_venomous(row, five_classes, policy) == 1
+        assert escalate(rows, five_classes, policy).tolist() == [1]
 
     def test_top_k_larger_than_classes_is_clipped(self, five_classes):
-        row = np.array([0.25, 0.05, 0.25, 0.2, 0.25])
+        rows = [[0.25, 0.05, 0.25, 0.2, 0.25]]
         policy = EscalationPolicy(tau=0.9, top_k=50)
-        assert escalate_venomous(row, five_classes, policy) == 3
-
-    def test_row_must_be_a_distribution(self, five_classes):
-        with pytest.raises(ValueError, match="sum"):
-            escalate_venomous(np.full(5, 0.3), five_classes, EscalationPolicy())
+        assert escalate(rows, five_classes, policy).tolist() == [3]
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -167,23 +174,18 @@ class TestEscalation:
             EscalationPolicy(top_k=0)
 
     def test_never_downgrades_a_venomous_argmax(self, five_classes):
-        rng = np.random.default_rng(2)
+        rows = np.random.default_rng(2).dirichlet(np.ones(5), size=200)
         policy = EscalationPolicy(tau=0.6, top_k=5)
         flags = five_classes.venomous_flags
-        for _ in range(200):
-            row = rng.dirichlet(np.ones(5))
-            final = escalate_venomous(row, five_classes, policy)
-            if flags[int(np.argmax(row))]:
-                assert flags[final]
+        final = escalate(rows, five_classes, policy)
+        assert np.all(flags[final[flags[rows.argmax(axis=1)]]])
 
     def test_only_fires_below_tau(self, five_classes):
-        rng = np.random.default_rng(3)
+        rows = np.random.default_rng(3).dirichlet(np.ones(5), size=200)
         policy = EscalationPolicy(tau=0.4, top_k=5)
-        for _ in range(200):
-            row = rng.dirichlet(np.ones(5))
-            final = escalate_venomous(row, five_classes, policy)
-            if row.max() >= 0.4:
-                assert final == int(np.argmax(row))
+        final = escalate(rows, five_classes, policy)
+        confident = rows.max(axis=1) >= 0.4
+        assert np.array_equal(final[confident], rows.argmax(axis=1)[confident])
 
 
 def class_zero_prior(bundle):
@@ -311,9 +313,7 @@ class TestPredictDataset:
                 combined = (
                     probs
                     if prior is None
-                    else np.array(
-                        [joint_scores(p, prior_rows[m]) for p, m in zip(probs, metadata_rows)]
-                    )
+                    else joint(probs, np.array(prior_rows)[metadata_rows])[0]
                 )
                 assert np.array_equal(out.aggregated[0], combined[[0, 2]].mean(axis=0))
 

@@ -1,20 +1,12 @@
-import math
+"""Softmax, the normalisation that turns image and prior logits into
+probabilities before the joint decision (``venomguard.inference.softmax``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venomguard.losses import (
-    CostMatrix,
-    SeesawState,
-    build_cost_matrix,
-    cross_entropy,
-    rwwce_loss,
-    seesaw_loss,
-    seesaw_weights,
-    softmax,
-)
+from venomguard.inference import softmax
 
 logits = st.lists(st.floats(-30, 30), min_size=2, max_size=8).map(
     lambda xs: np.array(xs, dtype=float)
@@ -45,224 +37,3 @@ class TestSoftmax:
         out = softmax(z)
         assert np.all(out >= 0)
         assert out.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-class TestCrossEntropy:
-    def test_uniform_two_way_value_is_log_two(self):
-        result = cross_entropy(np.array([0.0, 0.0]), 0)
-        assert result.value == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_confident_correct_prediction_near_zero(self):
-        assert cross_entropy(np.array([50.0, 0.0]), 0).value < 1e-12
-
-    def test_gradient_is_softmax_minus_onehot(self):
-        z = np.array([0.3, -1.2, 2.0])
-        result = cross_entropy(z, 1)
-        expected = softmax(z)
-        expected[1] -= 1.0
-        assert np.allclose(result.grad, expected, atol=1e-12)
-
-    def test_target_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.array([0.0, 0.0]), 2)
-
-
-class TestSeesaw:
-    def test_zero_exponents_reduce_to_cross_entropy(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            c = int(rng.integers(2, 8))
-            z = rng.standard_normal(c) * 3
-            y = int(rng.integers(c))
-            counts = rng.integers(0, 50, size=c)
-            state = SeesawState(counts, p=0.0, q=0.0)
-            a = seesaw_loss(z, y, state)
-            b = cross_entropy(z, y)
-            assert abs(a.value - b.value) < 1e-12
-            assert np.max(np.abs(a.grad - b.grad)) < 1e-12
-
-    def test_pinned_weight_hand_case(self):
-        # C=2, z=(1,0), y=0, S_01 pinned to 0.5:
-        # value = -log(e / (0.5 + e)) = log(0.5 + e) - 1
-        state = SeesawState(np.array([1, 1]))
-        result = seesaw_loss(
-            np.array([1.0, 0.0]), 0, state, weights=np.array([1.0, 0.5])
-        )
-        assert result.value == pytest.approx(math.log(0.5 + math.e) - 1.0, abs=1e-12)
-
-    def test_all_zero_counts_with_positive_p_warn_and_fall_back(self):
-        z = np.array([0.5, -0.5, 0.1])
-        state = SeesawState(np.zeros(3, dtype=int), p=0.8, q=0.0)
-        with pytest.warns(UserWarning):
-            result = seesaw_loss(z, 1, state)
-        assert result.value == pytest.approx(cross_entropy(z, 1).value, abs=1e-12)
-
-    def test_mitigation_discounts_rarer_negatives(self):
-        # Head-class target with a tail negative: S < 1 shrinks the denominator,
-        # so the loss cannot exceed plain cross-entropy when q=0.
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            c = int(rng.integers(2, 6))
-            z = rng.standard_normal(c) * 2
-            y = int(rng.integers(c))
-            counts = rng.integers(1, 100, size=c)
-            state = SeesawState(counts, p=0.8, q=0.0)
-            assert seesaw_loss(z, y, state).value <= cross_entropy(z, y).value + 1e-12
-
-    def test_compensation_amplifies_hard_negatives(self):
-        # With p=0, S = C >= 1, so the loss is at least plain cross-entropy.
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            c = int(rng.integers(2, 6))
-            z = rng.standard_normal(c) * 2
-            y = int(rng.integers(c))
-            state = SeesawState(np.ones(c, dtype=int), p=0.0, q=2.0)
-            assert seesaw_loss(z, y, state).value >= cross_entropy(z, y).value - 1e-12
-
-    def test_weights_entry_for_target_is_one(self):
-        state = SeesawState(np.array([5, 10, 1]), p=0.8, q=2.0)
-        w = seesaw_weights(np.array([0.2, -0.1, 0.4]), 1, state)
-        assert w[1] == pytest.approx(1.0, abs=1e-15)
-        assert np.all(w >= 0)
-
-    def test_zero_count_negative_gets_zero_weight(self):
-        state = SeesawState(np.array([5, 0]), p=0.8, q=0.0)
-        w = seesaw_weights(np.array([0.0, 0.0]), 0, state)
-        assert w[1] == 0.0
-
-    def test_static_counts_are_frozen(self):
-        state = SeesawState(np.array([3, 4]), count_mode="static")
-        seesaw_loss(np.array([0.0, 1.0]), 0, state)
-        assert state.class_counts.tolist() == [3, 4]
-        with pytest.raises(ValueError):
-            state.class_counts[0] = 99
-
-    def test_online_mode_increments_after_evaluation(self):
-        counts = np.array([2, 3])
-        online = SeesawState(counts.copy(), count_mode="online")
-        static = SeesawState(counts.copy(), count_mode="static")
-        z = np.array([0.4, -0.2])
-        first = seesaw_loss(z, 1, online)
-        assert online.class_counts.tolist() == [2, 4]
-        # The first online evaluation sees the pre-update counts.
-        assert first.value == pytest.approx(seesaw_loss(z, 1, static).value, abs=1e-15)
-        second = seesaw_loss(z, 1, online)
-        assert online.class_counts.tolist() == [2, 5]
-        assert second.value != pytest.approx(first.value, abs=1e-15)
-
-    def test_invalid_construction_rejected(self):
-        with pytest.raises(ValueError):
-            SeesawState(np.array([1, -1]))
-        with pytest.raises(ValueError):
-            SeesawState(np.array([1, 1]), p=-0.1)
-        with pytest.raises(ValueError):
-            SeesawState(np.array([1, 1]), count_mode="batch")
-
-    @settings(max_examples=50, deadline=None)
-    @given(z=logits, data=st.data())
-    def test_value_positive_and_grad_sums_to_zero(self, z, data):
-        y = data.draw(st.integers(0, len(z) - 1))
-        counts = np.array(
-            data.draw(
-                st.lists(
-                    st.integers(1, 200), min_size=len(z), max_size=len(z)
-                )
-            )
-        )
-        state = SeesawState(counts)
-        result = seesaw_loss(z, y, state)
-        assert result.value >= 0.0
-        assert result.grad.sum() == pytest.approx(0.0, abs=1e-9)
-
-
-class TestCostMatrix:
-    def test_default_weights_price_missed_venomous_highest(self, five_classes):
-        cm = build_cost_matrix(five_classes, (1.0, 2.0, 5.0, 2.0))
-        # Class 1 is venomous, class 0 harmless.
-        assert cm.cost[1, 0] == 5.0
-        assert cm.cost[0, 1] == 2.0
-        assert cm.cost[0, 2] == 1.0
-        assert cm.cost[1, 3] == 2.0
-        assert np.all(np.diagonal(cm.cost) == 0.0)
-
-    def test_uniform_weights_give_uniform_off_diagonal(self, five_classes):
-        cm = build_cost_matrix(five_classes, (1.0, 1.0, 1.0, 1.0))
-        off = cm.cost[~np.eye(5, dtype=bool)]
-        assert np.all(off == 1.0)
-
-    def test_single_status_table_rejected(self):
-        from venomguard.data_model import ClassEntry, ClassTable
-
-        all_harmless = ClassTable([ClassEntry(0, "a", False), ClassEntry(1, "b", False)])
-        with pytest.raises(ValueError, match="venomous"):
-            build_cost_matrix(all_harmless, (1.0, 2.0, 5.0, 2.0))
-
-    def test_matrix_validation(self):
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        with pytest.raises(ValueError):
-            CostMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
-
-
-class TestRwwce:
-    def test_two_class_unit_cost_hand_value(self):
-        cost = CostMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        result = rwwce_loss(np.array([0.0, 0.0]), 0, cost, np.ones(2))
-        assert result.value == pytest.approx(2.0 * math.log(2.0), abs=1e-12)
-
-    def test_zero_cost_matrix_reduces_to_cross_entropy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            c = int(rng.integers(2, 7))
-            z = rng.standard_normal(c) * 2
-            y = int(rng.integers(c))
-            cost = CostMatrix(np.zeros((c, c)))
-            a = rwwce_loss(z, y, cost, np.ones(c))
-            b = cross_entropy(z, y)
-            assert abs(a.value - b.value) < 1e-12
-            assert np.max(np.abs(a.grad - b.grad)) < 1e-12
-
-    def test_value_monotone_in_costs(self):
-        z = np.array([0.5, -0.3, 0.1])
-        base = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-        lo = rwwce_loss(z, 0, CostMatrix(base), np.ones(3))
-        bumped = base.copy()
-        bumped[0, 2] += 2.0
-        hi = rwwce_loss(z, 0, CostMatrix(bumped), np.ones(3))
-        assert hi.value > lo.value
-
-    def test_missed_venomous_costs_more_than_mirror_error(self, five_classes):
-        cm = build_cost_matrix(five_classes, (1.0, 2.0, 5.0, 2.0))
-        z = np.zeros(5)
-        venomous_truth = rwwce_loss(z, 1, cm, np.ones(5))
-        harmless_truth = rwwce_loss(z, 0, cm, np.ones(5))
-        assert venomous_truth.value > harmless_truth.value
-
-    def test_fn_weight_scales_miss_term(self):
-        cost = CostMatrix(np.zeros((2, 2)))
-        z = np.array([0.0, 0.0])
-        single = rwwce_loss(z, 0, cost, np.array([1.0, 1.0]))
-        tripled = rwwce_loss(z, 0, cost, np.array([3.0, 1.0]))
-        assert tripled.value == pytest.approx(3.0 * single.value, abs=1e-12)
-
-    def test_shape_validation(self):
-        cost = CostMatrix(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            rwwce_loss(np.zeros(2), 0, cost, np.ones(2))
-        with pytest.raises(ValueError):
-            rwwce_loss(np.zeros(3), 0, cost, np.ones(2))
-        with pytest.raises(ValueError):
-            rwwce_loss(np.zeros(3), 0, cost, -np.ones(3))
-
-    @settings(max_examples=50, deadline=None)
-    @given(z=logits, data=st.data())
-    def test_value_non_negative(self, z, data):
-        c = len(z)
-        y = data.draw(st.integers(0, c - 1))
-        cost = np.full((c, c), 2.0)
-        np.fill_diagonal(cost, 0.0)
-        result = rwwce_loss(z, y, CostMatrix(cost), np.ones(c))
-        assert result.value >= 0.0
-        assert np.all(np.isfinite(result.grad))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -222,6 +223,9 @@ class TestComposite:
             MetricWeights(w1=-1.0)
         with pytest.raises(ValueError):
             MetricWeights(0.0, 0.0, 0.0, 0.0, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                MetricWeights(w4=bad)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -14,7 +14,7 @@ from venomguard.data_model import (
     write_records,
 )
 from venomguard.errors import BundleValidationError, FormatError
-from venomguard.gradcheck import check_loss
+from venomguard.gradcheck import check_loc_loss
 from venomguard.linalg_pca import PcaModel, fit_pca, load_pca, pca_transform, save_pca
 from venomguard.prior_model import (
     BalancedSampler,
@@ -291,7 +291,7 @@ class TestLocLoss:
                 one_pair_loss(model, np.zeros(2), np.zeros(2), proto, y, lam=1.0)
 
     def test_gradients_match_finite_differences(self):
-        result = check_loss("loc", trials=5, seed=42)
+        result = check_loc_loss(trials=5, seed=42)
         assert result.passed, f"max relative error {result.max_rel_err}"
 
 
@@ -409,6 +409,12 @@ class TestTraining:
             PriorTrainConfig(hidden=0)
         with pytest.raises(ValueError, match="dropout_rate"):
             PriorTrainConfig(dropout_rate=-0.1)
+        for name in (
+            "lam", "base_lr", "warmup_lr", "final_lr", "weight_decay", "beta1", "beta2", "eps"
+        ):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    PriorTrainConfig(**{name: bad})
 
 
 class TestScoresAndArtifact:
