@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .data_model import (
@@ -22,6 +23,7 @@ from .gradcheck import check_loc_loss
 from .inference import EscalationPolicy, predict_dataset, write_predictions_csv
 from .linalg_pca import fit_pca, load_pca, save_pca
 from .metrics import (
+    PDENOM_MODES,
     MetricWeights,
     report_json,
     report_text,
@@ -30,46 +32,54 @@ from .metrics import (
 from .prior_model import PriorTrainConfig, fit_prior, load_prior, save_prior
 from .synthetic import SynthConfig, generate, write_dataset
 
-# One flat namespace for every tunable default; subcommands read the slice
+# config key -> the settings field it fills
+_PRIOR_FIELDS = {
+    # synth and gradcheck read this seed too, so their default is the prior's 0
+    "seed": "seed",
+    "prior_hidden": "hidden",
+    "prior_dropout": "dropout_rate",
+    "prior_lambda": "lam",
+    "prior_epochs": "epochs",
+    "prior_batch": "batch_size",
+    "base_lr": "base_lr",
+    "warmup_lr": "warmup_lr",
+    "final_lr": "final_lr",
+    "beta1": "beta1",
+    "beta2": "beta2",
+    "adam_eps": "eps",
+    "weight_decay": "weight_decay",
+}
+_SYNTH_FIELDS = {
+    "synth_classes": "n_classes",
+    "synth_ratio": "imbalance_ratio",
+    "synth_dims_meta": "dims_meta",
+    "synth_dims_proto": "dims_proto",
+    "synth_venom_fraction": "venom_fraction",
+    "synth_informativeness": "location_informativeness",
+    "synth_observations": "n_observations",
+}
+
+
+def _fields(cfg: dict[str, object], keys: dict[str, str]) -> dict[str, object]:
+    return {field: cfg[key] for key, field in keys.items()}
+
+
+_PRIOR, _SYNTH = PriorTrainConfig(), SynthConfig()
+
+# One flat namespace for every tunable setting; subcommands read the slice
 # they need. File values override these, explicit flags override the file.
+# Each default lives in its settings dataclass, except the three below that
+# no settings object holds.
 DEFAULTS: dict[str, object] = {
-    "seed": 0,
-    # composite metric
-    "w1": 1.0,
-    "w2": 1.0,
-    "w3": 2.0,
-    "w4": 5.0,
-    "w5": 2.0,
+    **{key: getattr(_PRIOR, field) for key, field in _PRIOR_FIELDS.items()},
+    **{key: getattr(_SYNTH, field) for key, field in _SYNTH_FIELDS.items()},
+    "synth_images_min": _SYNTH.images_per_observation[0],
+    "synth_images_max": _SYNTH.images_per_observation[1],
+    **asdict(MetricWeights()),
+    **asdict(EscalationPolicy()),
+    "pca_k": 8,
     "pdenom": "status",
     "f1_all_classes": False,
-    # inference
-    "tau": 0.5,
-    "top_k": 5,
-    # dimensionality reduction
-    "pca_k": 8,
-    # prior training
-    "prior_hidden": 256,
-    "prior_dropout": 0.3,
-    "prior_lambda": 10.0,
-    "prior_epochs": 30,
-    "prior_batch": 256,
-    "base_lr": 2e-5,
-    "warmup_lr": 2e-7,
-    "final_lr": 0.0,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "adam_eps": 1e-8,
-    "weight_decay": 2e-5,
-    # synthetic generation
-    "synth_classes": 50,
-    "synth_ratio": 100.0,
-    "synth_dims_meta": 8,
-    "synth_dims_proto": 16,
-    "synth_venom_fraction": 0.25,
-    "synth_informativeness": 0.8,
-    "synth_observations": 5000,
-    "synth_images_min": 1,
-    "synth_images_max": 3,
 }
 
 _TRUTHY = ("1", "true", "yes", "on")
@@ -115,11 +125,13 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
 def resolve_config(
     config_path: str | None, overrides: dict[str, object]
 ) -> dict[str, object]:
+    """Defaults, then the config file, then every override that names a
+    config key and is not None."""
     cfg = dict(DEFAULTS)
     if config_path:
         cfg.update(parse_config_file(config_path))
     for key, value in overrides.items():
-        if value is not None:
+        if key in DEFAULTS and value is not None:
             cfg[key] = value
     for key in sorted(cfg):
         print(f"config {key} = {cfg[key]}", file=sys.stderr)
@@ -136,6 +148,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> _Parser:
+    """Each setting flag's dest is the config key it overrides."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key = value config file")
 
@@ -153,7 +166,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("pca", parents=[common], help="fit a feature reduction")
     p.add_argument("features", help="input feature matrix (.vgf1)")
-    p.add_argument("-k", type=int, default=None, help=f"components (default {DEFAULTS['pca_k']})")
+    p.add_argument("-k", dest="pca_k", type=int, help=f"components (default {DEFAULTS['pca_k']})")
     p.add_argument("-o", "--output", required=True, help="model output path")
 
     p = sub.add_parser("train-prior", parents=[common], help="train the location prior")
@@ -161,20 +174,20 @@ def build_parser() -> _Parser:
     p.add_argument("--pca", required=True, help="fitted reduction model path")
     p.add_argument("-o", "--output", required=True, help="prior artifact output path")
     p.add_argument("--trace", default=None, help="loss trace CSV (default <output>.trace.csv)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None, help="positive-term weight")
-    p.add_argument("--base-lr", type=float, default=None)
-    p.add_argument("--warmup-lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epochs", dest="prior_epochs", type=int)
+    p.add_argument("--batch", dest="prior_batch", type=int)
+    p.add_argument("--hidden", dest="prior_hidden", type=int)
+    p.add_argument("--dropout", dest="prior_dropout", type=float)
+    p.add_argument("--lambda", dest="prior_lambda", type=float, help="positive-term weight")
+    p.add_argument("--base-lr", type=float)
+    p.add_argument("--warmup-lr", type=float)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("infer", parents=[common], help="predict classes per observation")
     p.add_argument("directory")
     p.add_argument("--prior", default=None, help="trained prior artifact")
-    p.add_argument("--tau", type=float, default=None, help="escalation confidence threshold")
-    p.add_argument("--top-k", type=int, default=None, help="candidates examined for escalation")
+    p.add_argument("--tau", type=float, help="escalation confidence threshold")
+    p.add_argument("--top-k", type=int, help="candidates examined for escalation")
     p.add_argument("--no-escalate", action="store_true", help="plain argmax decisions")
     p.add_argument("--explain", action="store_true", help="add pre-escalation columns")
     p.add_argument(
@@ -188,7 +201,7 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--classes", required=True, help="classes.csv with venomous flags")
-    p.add_argument("--pdenom", choices=("status", "all", "errors"), default=None)
+    p.add_argument("--pdenom", choices=PDENOM_MODES)
     p.add_argument("--f1-all-classes", action="store_true", default=None)
     p.add_argument("--json", default=None, help="also write the report as JSON")
 
@@ -196,20 +209,19 @@ def build_parser() -> _Parser:
         "gradcheck", parents=[common], help="finite-difference check of the location loss"
     )
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--observations", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=None, help="head:tail imbalance")
-    p.add_argument("--informativeness", type=float, default=None)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--classes", dest="synth_classes", type=int)
+    p.add_argument("--observations", dest="synth_observations", type=int)
+    p.add_argument("--ratio", dest="synth_ratio", type=float, help="head:tail imbalance")
+    p.add_argument("--informativeness", dest="synth_informativeness", type=float)
     p.add_argument("-o", "--output", required=True, help="target directory")
     return parser
 
 
-def _cmd_validate(args) -> int:
-    resolve_config(args.config, {})
+def _cmd_validate(args, cfg) -> int:
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     cleaned, report = validate_bundle(bundle, mode=args.mode)
     print(
@@ -222,46 +234,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_pca(args) -> int:
-    cfg = resolve_config(args.config, {"pca_k": args.k})
+def _cmd_pca(args, cfg) -> int:
     matrix = read_feature_matrix(args.features)
-    model = fit_pca(matrix, int(cfg["pca_k"]))
+    model = fit_pca(matrix, cfg["pca_k"])
     save_pca(model, args.output)
     explained = float(model.eigenvalues.sum())
     print(f"pca k={model.k} d={model.d_in} variance={explained!r}")
     return 0
 
 
-def _cmd_train_prior(args) -> int:
-    cfg = resolve_config(
-        args.config,
-        {
-            "prior_epochs": args.epochs,
-            "prior_batch": args.batch,
-            "prior_hidden": args.hidden,
-            "prior_dropout": args.dropout,
-            "prior_lambda": args.lam,
-            "base_lr": args.base_lr,
-            "warmup_lr": args.warmup_lr,
-            "seed": args.seed,
-        },
-    )
+def _cmd_train_prior(args, cfg) -> int:
     # a bad setting exits before any file is read
-    train_cfg = PriorTrainConfig(
-        lam=float(cfg["prior_lambda"]),
-        epochs=int(cfg["prior_epochs"]),
-        batch_size=int(cfg["prior_batch"]),
-        seed=int(cfg["seed"]),
-        hidden=int(cfg["prior_hidden"]),
-        dropout_rate=float(cfg["prior_dropout"]),
-        base_lr=float(cfg["base_lr"]),
-        warmup_lr=float(cfg["warmup_lr"]),
-        final_lr=float(cfg["final_lr"]),
-        weight_decay=float(cfg["weight_decay"]),
-        beta1=float(cfg["beta1"]),
-        beta2=float(cfg["beta2"]),
-        eps=float(cfg["adam_eps"]),
-    )
+    train_cfg = PriorTrainConfig(**_fields(cfg, _PRIOR_FIELDS))
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     pca = load_pca(args.pca)
@@ -278,14 +262,13 @@ def _cmd_train_prior(args) -> int:
     return 0
 
 
-def _cmd_infer(args) -> int:
-    cfg = resolve_config(args.config, {"tau": args.tau, "top_k": args.top_k})
+def _cmd_infer(args, cfg) -> int:
+    # a bad setting exits before any file is read; tau = 0 makes every row
+    # take the confident argmax path
+    policy = EscalationPolicy(tau=0.0 if args.no_escalate else cfg["tau"], top_k=cfg["top_k"])
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     prior = load_prior(args.prior) if args.prior else None
-    # tau = 0 makes every row take the confident argmax path
-    tau = 0.0 if args.no_escalate else float(cfg["tau"])
-    policy = EscalationPolicy(tau=tau, top_k=int(cfg["top_k"]))
     output = predict_dataset(
         bundle, prior=prior, policy=policy, scores_are_logits=not args.probabilities
     )
@@ -294,27 +277,19 @@ def _cmd_infer(args) -> int:
     return 0
 
 
-def _cmd_score(args) -> int:
-    overrides: dict[str, object] = {"pdenom": args.pdenom}
-    if args.f1_all_classes:
-        overrides["f1_all_classes"] = True
-    cfg = resolve_config(args.config, overrides)
+def _cmd_score(args, cfg) -> int:
     # a bad setting exits before any file is read
-    weights = MetricWeights(
-        w1=float(cfg["w1"]),
-        w2=float(cfg["w2"]),
-        w3=float(cfg["w3"]),
-        w4=float(cfg["w4"]),
-        w5=float(cfg["w5"]),
-    )
+    weights = MetricWeights(**{key: cfg[key] for key in asdict(MetricWeights())})
+    if cfg["pdenom"] not in PDENOM_MODES:
+        raise ValueError(f"pdenom must be one of {PDENOM_MODES}")
     classes = parse_classes_csv(args.classes)
     report = score_predictions(
         args.truth,
         args.pred,
         classes,
         weights=weights,
-        pdenom=str(cfg["pdenom"]),
-        all_classes=bool(cfg["f1_all_classes"]),
+        pdenom=cfg["pdenom"],
+        all_classes=cfg["f1_all_classes"],
     )
     sys.stdout.write(report_text(report))
     if args.json:
@@ -322,38 +297,18 @@ def _cmd_score(args) -> int:
     return 0
 
 
-def _cmd_gradcheck(args) -> int:
-    cfg = resolve_config(args.config, {"seed": args.seed})
-    r = check_loc_loss(trials=args.trials, seed=int(cfg["seed"]))
+def _cmd_gradcheck(args, cfg) -> int:
+    r = check_loc_loss(trials=args.trials, seed=cfg["seed"])
     status = "PASS" if r.passed else "FAIL"
     print(f"loc: trials={r.trials} max_rel_err={r.max_rel_err:.3e} {status}")
     return 0 if r.passed else 2
 
 
-def _cmd_synth(args) -> int:
-    cfg = resolve_config(
-        args.config,
-        {
-            "seed": args.seed,
-            "synth_classes": args.classes,
-            "synth_observations": args.observations,
-            "synth_ratio": args.ratio,
-            "synth_informativeness": args.informativeness,
-        },
-    )
+def _cmd_synth(args, cfg) -> int:
     synth_cfg = SynthConfig(
-        seed=int(cfg["seed"]),
-        n_classes=int(cfg["synth_classes"]),
-        imbalance_ratio=float(cfg["synth_ratio"]),
-        dims_meta=int(cfg["synth_dims_meta"]),
-        dims_proto=int(cfg["synth_dims_proto"]),
-        venom_fraction=float(cfg["synth_venom_fraction"]),
-        location_informativeness=float(cfg["synth_informativeness"]),
-        n_observations=int(cfg["synth_observations"]),
-        images_per_observation=(
-            int(cfg["synth_images_min"]),
-            int(cfg["synth_images_max"]),
-        ),
+        seed=cfg["seed"],
+        images_per_observation=(cfg["synth_images_min"], cfg["synth_images_max"]),
+        **_fields(cfg, _SYNTH_FIELDS),
     )
     gen = generate(synth_cfg)
     write_dataset(gen, args.output)
@@ -381,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, resolve_config(args.config, vars(args)))
     except (CsvParseError, BundleValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

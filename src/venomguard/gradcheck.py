@@ -22,19 +22,17 @@ DEFAULT_STEP = 1e-6
 DEFAULT_TOL = 1e-4
 
 
-def central_difference(
-    fn: Callable[[np.ndarray], float], x0: np.ndarray, step: float = DEFAULT_STEP
-) -> np.ndarray:
-    """Two-sided numerical gradient of a scalar function."""
+def central_difference(fn: Callable[[np.ndarray], float], x0: np.ndarray) -> np.ndarray:
+    """Two-sided numerical gradient of a scalar function, step DEFAULT_STEP."""
     x0 = np.asarray(x0, dtype=np.float64)
     grad = np.empty_like(x0)
     for i in range(x0.size):
         bumped = x0.copy()
-        bumped[i] = x0[i] + step
+        bumped[i] = x0[i] + DEFAULT_STEP
         hi = fn(bumped)
-        bumped[i] = x0[i] - step
+        bumped[i] = x0[i] - DEFAULT_STEP
         lo = fn(bumped)
-        grad[i] = (hi - lo) / (2.0 * step)
+        grad[i] = (hi - lo) / (2.0 * DEFAULT_STEP)
     return grad
 
 
@@ -49,11 +47,10 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 class GradCheckResult:
     trials: int
     max_rel_err: float
-    tolerance: float = DEFAULT_TOL
 
     @property
     def passed(self) -> bool:
-        return self.max_rel_err < self.tolerance
+        return self.max_rel_err < DEFAULT_TOL
 
 
 def _loc_instance(rng: np.random.Generator):
@@ -110,7 +107,7 @@ def _fd_margins(model: PriorMlp, x, r, masks, proto) -> tuple[float, float]:
     return margin, peak
 
 
-def _check_loc(rng: np.random.Generator, step: float) -> float:
+def _check_loc(rng: np.random.Generator) -> float:
     model, x, r, y, prototypes, lam, masks = _loc_instance(rng)
     _, analytic = loc_loss_batch(model, x, r, y, prototypes, lam, masks)
     probe = copy.deepcopy(model)
@@ -119,20 +116,15 @@ def _check_loc(rng: np.random.Generator, step: float) -> float:
         unpack_params(probe, flat)
         return loc_loss_batch(probe, x, r, y, prototypes, lam, masks)[0]
 
-    numeric = central_difference(fn, pack_params(model), step)
+    numeric = central_difference(fn, pack_params(model))
     return relative_error(analytic, numeric)
 
 
-def check_loc_loss(
-    trials: int = 20,
-    seed: int = 0,
-    step: float = DEFAULT_STEP,
-    tolerance: float = DEFAULT_TOL,
-) -> GradCheckResult:
+def check_loc_loss(trials: int = 20, seed: int = 0) -> GradCheckResult:
     """Worst relative error of the location loss's gradient over random
     instances drawn from ``seed``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
-    worst = max(_check_loc(rng, step) for _ in range(trials))
-    return GradCheckResult(trials=trials, max_rel_err=worst, tolerance=tolerance)
+    worst = max(_check_loc(rng) for _ in range(trials))
+    return GradCheckResult(trials=trials, max_rel_err=worst)

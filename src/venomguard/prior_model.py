@@ -362,18 +362,15 @@ class BalancedSampler:
     the labels plus each class's start offset into it.
     """
 
-    def __init__(
-        self, labels: np.ndarray, rng: np.random.Generator, n_classes: int | None = None
-    ):
+    def __init__(self, labels: np.ndarray, rng: np.random.Generator, n_classes: int):
         labels = np.asarray(labels)
-        c = int(labels.max()) + 1 if n_classes is None else n_classes
-        counts = np.bincount(labels, minlength=c)
-        empty = np.flatnonzero(counts[:c] == 0)
+        counts = np.bincount(labels, minlength=n_classes)
+        empty = np.flatnonzero(counts[:n_classes] == 0)
         if empty.size:
             raise BundleValidationError(
                 f"classes with no labeled observation: {empty[:10].tolist()}"
             )
-        self.n_classes = c
+        self.n_classes = n_classes
         self.counts = counts
         self.starts = np.cumsum(counts) - counts
         self.members = np.argsort(labels, kind="stable")

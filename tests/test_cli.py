@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import os
@@ -6,7 +7,7 @@ import shutil
 
 import pytest
 
-from venomguard.cli import DEFAULTS, main, parse_config_file, resolve_config
+from venomguard.cli import DEFAULTS, build_parser, main, parse_config_file, resolve_config
 from venomguard.data_model import (
     FeatureMatrix,
     read_feature_matrix,
@@ -108,6 +109,59 @@ class TestConfigFile:
         _, err = capsys.readouterr()
         assert "config tau = 0.9" in err
         assert "config top_k = 5" in err
+
+    def test_overrides_that_name_no_key_are_ignored(self, capsys):
+        resolved = resolve_config(None, {"output": "preds.csv", "tau": 0.3, "top_k": None})
+        capsys.readouterr()
+        assert resolved == {**DEFAULTS, "tau": 0.3}
+
+
+# dests of options that name files or switch behaviour, not config keys
+NON_SETTING_DESTS = {
+    "help", "config", "output", "trace", "pca", "prior", "no_escalate", "explain",
+    "probabilities", "truth", "pred", "classes", "json", "trials", "mode",
+}
+# keys only a --config file sets
+FILE_ONLY_KEYS = {
+    "w1", "w2", "w3", "w4", "w5", "final_lr", "beta1", "beta2", "adam_eps", "weight_decay",
+    "synth_dims_meta", "synth_dims_proto", "synth_venom_fraction", "synth_images_min",
+    "synth_images_max",
+}
+
+
+def setting_actions():
+    """(command, option action) for every optional argument of every subcommand."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings
+    ]
+
+
+class TestParserNamesConfigKeys:
+    """Each setting flag writes its config key, so resolve_config needs no
+    per-command table; a misspelled dest would be dropped silently."""
+
+    def test_every_option_dest_is_a_key_or_a_known_non_setting(self):
+        unknown = {
+            (name, action.dest)
+            for name, action in setting_actions()
+            if action.dest not in DEFAULTS and action.dest not in NON_SETTING_DESTS
+        }
+        assert unknown == set()
+
+    def test_every_key_is_set_by_a_flag_or_file_only(self):
+        flagged = {action.dest for _, action in setting_actions()} & DEFAULTS.keys()
+        assert flagged.isdisjoint(FILE_ONLY_KEYS)
+        assert flagged | FILE_ONLY_KEYS == DEFAULTS.keys()
+
+    def test_setting_flags_parse_to_the_type_of_their_default(self):
+        for name, action in setting_actions():
+            if action.dest in DEFAULTS and action.type is not None:
+                assert action.type is type(DEFAULTS[action.dest]), (name, action.dest)
 
 
 class TestUsage:
@@ -664,8 +718,8 @@ class TestFormatErrors:
 
 
 class TestNonFiniteSettings:
-    """NaN and infinite settings exit 1 before any file is read: the inputs
-    named here do not exist, which would exit 3 once read."""
+    """NaN, infinite and out-of-range settings exit 1 before any file is
+    read: the inputs named here do not exist, which would exit 3 once read."""
 
     @pytest.mark.parametrize(
         "flags, config, message",
@@ -702,6 +756,42 @@ class TestNonFiniteSettings:
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1] == "error: weights must be finite"
+        assert not report.exists()
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--tau", "2"], "", "tau must be in [0, 1]"),
+            (["--top-k", "0"], "", "top_k must be >= 1"),
+            ([], "tau = nan\n", "tau must be in [0, 1]"),
+        ],
+        ids=["tau-2", "top-k-0", "tau-nan"],
+    )
+    def test_infer(self, capsys, tmp_path, flags, config, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        preds = tmp_path / "preds.csv"
+        code, out, err = run(
+            capsys, "infer", str(tmp_path / "nope"), "--prior", str(tmp_path / "prior.bin"),
+            "--config", str(path), "-o", str(preds), *flags,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: {message}"
+        assert not preds.exists()
+
+    def test_score_pdenom(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("pdenom = bogus\n")
+        report = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "score", "--config", str(path), "--truth", str(tmp_path / "truth.csv"),
+            "--pred", str(tmp_path / "preds.csv"), "--classes", str(tmp_path / "classes.csv"),
+            "--json", str(report),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: pdenom must be one of ('status', 'all', 'errors')"
         assert not report.exists()
 
     @pytest.mark.parametrize("ratio", ["nan", "inf"])

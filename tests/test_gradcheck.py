@@ -7,7 +7,7 @@ from venomguard.gradcheck import central_difference, check_loc_loss, relative_er
 class TestHelpers:
     def test_central_difference_on_quadratic(self):
         x0 = np.array([1.0, -2.0, 0.5])
-        grad = central_difference(lambda v: float(v @ v), x0, step=1e-6)
+        grad = central_difference(lambda v: float(v @ v), x0)
         assert np.allclose(grad, 2.0 * x0, atol=1e-8)
 
     def test_relative_error_uses_max_scale(self):
@@ -36,8 +36,3 @@ class TestChecks:
         a = check_loc_loss(trials=5, seed=3)
         b = check_loc_loss(trials=5, seed=3)
         assert a.max_rel_err == b.max_rel_err
-
-    def test_loose_tolerance_reflected_in_result(self):
-        result = check_loc_loss(trials=3, seed=4, tolerance=1e-2)
-        assert result.tolerance == 1e-2
-        assert result.passed

@@ -304,13 +304,13 @@ class TestSampling:
 
     def test_balanced_sampler_ignores_class_frequency(self):
         labels = np.array([0] * 9 + [1])
-        draws = BalancedSampler(labels, np.random.default_rng(11)).draw(1000)
+        draws = BalancedSampler(labels, np.random.default_rng(11), 2).draw(1000)
         freq_rare = np.mean(labels[draws] == 1)
         assert freq_rare == pytest.approx(0.5, abs=0.05)
 
     def test_every_class_appears_quickly(self):
         labels = np.repeat(np.arange(8), 5)
-        sampler = BalancedSampler(labels, np.random.default_rng(12))
+        sampler = BalancedSampler(labels, np.random.default_rng(12), 8)
         seen = set(labels[sampler.draw(8 * 20)].tolist())
         assert seen == set(range(8))
 
