@@ -86,6 +86,9 @@ _TRUTHY = ("1", "true", "yes", "on")
 _FALSY = ("0", "false", "no", "off")
 
 
+_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+
+
 def _coerce(key: str, raw: str) -> object:
     default = DEFAULTS[key]
     raw = raw.strip()
@@ -95,12 +98,14 @@ def _coerce(key: str, raw: str) -> object:
             return True
         if low in _FALSY:
             return False
-        raise ValueError(f"config key {key}: expected a boolean, got {raw!r}")
-    if isinstance(default, int):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    return raw
+    elif isinstance(default, (int, float)):
+        try:
+            return type(default)(raw)
+        except ValueError:
+            pass
+    else:
+        return raw
+    raise ValueError(f"config key {key}: expected {_KINDS[type(default)]}, got {raw!r}")
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -118,7 +123,10 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, raw)
+        try:
+            out[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -214,8 +214,10 @@ class DatasetBundle:
         """
         entries = self.locations.entries
         codes = self.observations.codes.tolist()
-        known = np.array([code in entries for code in codes], dtype=bool)
-        index = np.array([entries.get(code, -1) for code in codes], dtype=np.int64)
+        known = np.fromiter(map(entries.__contains__, codes), dtype=bool, count=len(codes))
+        index = np.fromiter(
+            map(entries.get, codes, itertools.repeat(-1)), dtype=np.int64, count=len(codes)
+        )
         location = self.observations.location
         return index[location], known[location]
 
@@ -446,8 +448,9 @@ def parse_observations_csv(
     )
     image_index, bad_index = parse_ints(cells[:, 1])
     *_, repeat = sorted_unique(image_index)
-    cid = np.strings.strip(cells[:, 2])
-    labeled = cid != ""
+    cid = cells[:, 2]
+    # int() and the int64 cast both skip the whitespace around a number
+    labeled = ~(np.strings.isspace(cid) | (cid == ""))
     class_id = np.full(labeled.shape, -1, dtype=np.int64)
     bad_class = np.zeros(labeled.shape, dtype=bool)
     class_id[labeled], bad_class[labeled] = parse_ints(cid[labeled])
@@ -459,7 +462,7 @@ def parse_observations_csv(
     if not allow_unlabeled:
         checks.append((~labeled, lambda k: "missing class_id"))
     checks += [
-        (bad_class, lambda k: f"bad class_id {cid[k]!r}"),
+        (bad_class, lambda k: f"bad class_id {cid[k].strip()!r}"),
         (unknown, lambda k: f"unknown class_id {class_id[k]}"),
     ]
     reject_first(path, checks, short, "expected 4 fields")
@@ -634,9 +637,9 @@ def validate_bundle(
             f"embeddings have {embeddings.rows} rows for {scores.rows} images"
         )
     n_meta = bundle.metadata_features.rows
-    good_locations = {
-        code: idx for code, idx in bundle.locations.entries.items() if 0 <= idx < n_meta
-    }
+    entries = bundle.locations.entries
+    entry_rows = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
+    bad_location_entries = int(np.count_nonzero((entry_rows < 0) | (entry_rows >= n_meta)))
     obs = bundle.observations
     meta_row, known = bundle.metadata_rows()
     # each row is counted under its first problem, in this order
@@ -653,7 +656,6 @@ def validate_bundle(
         bad_metadata_index=int(bad_meta.sum()),
         dropped=list(zip(dropped_ids, dropped_images)),
     )
-    bad_location_entries = len(bundle.locations.entries) - len(good_locations)
 
     if mode == "strict":
         if dropped_ids or bad_location_entries:
@@ -672,6 +674,7 @@ def validate_bundle(
             )
         return bundle, report
 
+    good_locations = {code: idx for code, idx in entries.items() if 0 <= idx < n_meta}
     cleaned = replace(
         bundle,
         observations=obs.take(~dropped),

@@ -84,13 +84,16 @@ class PredictionOutput:
     aggregated: np.ndarray
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, so a matrix is normalized row by row."""
+def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, so a matrix is normalized row by row.
+
+    The result is written to ``out`` when given, which may be ``z`` itself.
+    """
     z = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("logits must be finite")
     # one result array: shifted, exponentiated and normalized in place
-    e = z - z.max(axis=-1, keepdims=True)
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -125,15 +128,29 @@ def _warn_fallbacks(fallbacks: int, rows: int) -> None:
 def _escalate_rows(
     agg: np.ndarray, base: np.ndarray, flags: np.ndarray, policy: EscalationPolicy
 ) -> np.ndarray:
-    """Final class per row: base where confident, else the best venomous top-k."""
+    """Final class per row: base where confident, else the best venomous top-k.
+
+    The top-k of a row is its k best scores, lower class ids first among
+    equal scores; the venomous member with the highest score, then the
+    lowest id, replaces the base class.
+    """
     final = base.copy()
+    top_k = min(policy.top_k, agg.shape[1])
     low = np.flatnonzero(agg[np.arange(agg.shape[0]), base] < policy.tau)
-    # stable sort of the negated scores: score desc, then class id asc
-    top = np.argsort(-agg[low], axis=1, kind="stable")[:, : policy.top_k]
-    venomous = flags[top]
-    found = venomous.any(axis=1)
-    first = venomous.argmax(axis=1)
-    final[low[found]] = top[found, first[found]]
+    for start in range(0, low.size, _BLOCK_ROWS):
+        rows = low[start : start + _BLOCK_ROWS]
+        scores = agg[rows]
+        # partial selection of each row's k-th best score, not a full sort
+        kth = np.partition(scores, -top_k, axis=1)[:, -top_k, None]
+        above = scores > kth
+        tied = scores == kth
+        # the places the scores above leave go to the lowest ids tied at kth
+        room = top_k - np.count_nonzero(above, axis=1)
+        top = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        top &= flags
+        found = top.any(axis=1)
+        best = np.where(top, scores, -np.inf).argmax(axis=1)
+        final[rows[found]] = best[found]
     return final
 
 
@@ -142,7 +159,8 @@ def _prior_weights_by_location(
 ) -> np.ndarray:
     """softmax(prior) per location row, computed once and reused."""
     reduced = pca_transform(prior.pca, bundle.metadata_features)
-    return softmax(prior_scores(prior.mlp, reduced.values, prior.prototypes))
+    weights = prior_scores(prior.mlp, reduced.values, prior.prototypes)
+    return softmax(weights, out=weights)
 
 
 def predict_dataset(
@@ -184,23 +202,26 @@ def predict_dataset(
 
     ids, group, image_index = obs.ids, obs.group, obs.image_index
     aggregated = np.zeros((ids.size, n_classes))
+    cells = aggregated.reshape(-1)
+    columns = np.arange(n_classes)
     fallbacks = 0
     for start in range(0, len(obs), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         # each row is normalized on its own, so blocks give the same values
+        joint = scores[image_index[block]]
         if scores_are_logits:
-            joint = softmax(scores[image_index[block]])
+            softmax(joint, out=joint)
         else:
-            joint = scores[image_index[block]]
             joint /= sums[image_index[block], None]
         if loc_weights is not None:
             joint, vanished = _joint_rows(joint, loc_weights[meta_rows[block]])
             fallbacks += vanished
-        # ids are in Python str order; add.at adds each group's rows in file
-        # order, as a per-group mean would
-        np.add.at(aggregated, group[block], joint)
+        # ids are in Python str order; add.at adds each cell's rows in file
+        # order, as a per-group mean would, and only 1-D indices and values
+        # take numpy's fast path
+        np.add.at(cells, (group[block, None] * n_classes + columns).ravel(), joint.ravel())
     _warn_fallbacks(fallbacks, len(obs))
-    # freed before escalation, whose sort of the uncertain rows needs room too
+    # freed before escalation, whose blocks of uncertain rows need room too
     del loc_weights
     aggregated /= np.bincount(group, minlength=ids.size)[:, None]
 

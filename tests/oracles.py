@@ -138,6 +138,20 @@ def oracle_predict(
     return out
 
 
+def reference_escalate(rows, base, venomous_flags, tau, top_k):
+    """Final class per row of plain score lists: ``base`` where its score is
+    at least tau, else the first venomous class among the row's top_k in
+    (score descending, class id ascending) order, else ``base``."""
+    out = []
+    for row, best in zip(rows, base):
+        if row[best] >= tau:
+            out.append(best)
+            continue
+        ranked = sorted(range(len(row)), key=lambda k: (-row[k], k))[:top_k]
+        out.append(next((k for k in ranked if venomous_flags[k]), best))
+    return out
+
+
 def oracle_eigvals_jacobi(matrix):
     """Cyclic Jacobi eigenvalues of a small symmetric matrix, descending."""
     n = len(matrix)

@@ -91,6 +91,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="boolean"):
             parse_config_file(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pca_k = 8.0", "config key pca_k: expected an integer, got '8.0'"),
+            ("top_k =", "config key top_k: expected an integer, got ''"),
+            ("tau = abc", "config key tau: expected a number, got 'abc'"),
+            ("f1_all_classes = maybe", "config key f1_all_classes: expected a boolean, got 'maybe'"),
+        ],
+    )
+    def test_value_of_the_wrong_type_names_file_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# settings\ntau = 0.5\n{line}\n")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value) == f"{path}:3: {message}"
+
     def test_flag_beats_file_beats_default(self, tmp_path, capsys):
         path = tmp_path / "run.cfg"
         path.write_text("tau = 0.9\n")
@@ -447,6 +463,26 @@ class TestPipeline:
         )
         assert code == 1
         assert "unknown config key" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("pca_k = 8.0", "config key pca_k: expected an integer, got '8.0'"),
+            ("tau = abc", "config key tau: expected a number, got 'abc'"),
+        ],
+    )
+    def test_config_value_of_the_wrong_type_exits_one(self, capsys, tmp_path, line, message):
+        data = make_dataset(capsys, tmp_path / "data")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "pca.bin"
+        code, _, err = run(
+            capsys, "pca", str(data / "metadata_features.vgf1"), "--config", str(cfg),
+            "-o", str(out),
+        )
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {cfg}:1: {message}"
+        assert not out.exists()
 
 
 class TestValidateCommand:

@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,38 @@ class TestObservationsCsv:
         )
         assert table.rows[0].class_id is None
         assert table.labeled_rows() == []
+
+    @staticmethod
+    def observations(tmp_path, class_cells):
+        """An observations.csv whose rows hold ``class_cells``, every field quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(OBS_HEADER)
+        writer.writerows([f"obs{k}", k, cell, "loc_a"] for k, cell in enumerate(class_cells))
+        path = tmp_path / "o.csv"
+        path.write_bytes(out.getvalue().encode("utf-8"))
+        return path
+
+    def test_whitespace_class_id_is_unlabeled(self, tmp_path):
+        whitespace = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+        assert len(whitespace) == 29
+        classes = self.classes(tmp_path)
+        for cell in whitespace + [c * 3 for c in whitespace]:
+            path = self.observations(tmp_path, ["1", cell])
+            table = parse_observations_csv(path, classes, allow_unlabeled=True)
+            assert table.class_id.tolist() == [1, -1], repr(cell)
+            with pytest.raises(CsvParseError) as caught:
+                parse_observations_csv(path, classes)
+            assert str(caught.value).endswith(": missing class_id"), repr(cell)
+
+    def test_class_id_with_spaces_around_it(self, tmp_path):
+        classes = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
+        table = parse_observations_csv(self.observations(tmp_path, [" 3 "]), classes)
+        assert table.class_id.tolist() == [3]
+        path = self.observations(tmp_path, [" 3 ", " x "])
+        with pytest.raises(CsvParseError) as caught:
+            parse_observations_csv(path, classes)
+        assert str(caught.value) == f"{path}:3: bad class_id 'x'"
 
 
 class TestLocationsCsv:

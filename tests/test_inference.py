@@ -34,7 +34,7 @@ from venomguard.prior_model import (
 )
 from venomguard.synthetic import SynthConfig, generate
 
-from oracles import oracle_predict
+from oracles import oracle_predict, reference_escalate
 
 
 @st.composite
@@ -76,6 +76,14 @@ class TestSoftmax:
     def test_non_finite_input_rejected(self):
         with pytest.raises(ValueError):
             softmax(np.array([np.nan, 0.0]))
+
+    def test_out_may_be_the_input(self):
+        z = np.random.default_rng(0).standard_normal((6, 5)) * 10
+        before = z.copy()
+        fresh = softmax(z)
+        assert np.array_equal(z, before)
+        assert softmax(z, out=z) is z
+        assert z.tobytes() == fresh.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(z=logits)
@@ -147,6 +155,37 @@ class TestAggregate:
             atol=1e-12,
         )
 
+    def test_sums_rows_in_file_order(self, tiny_bundle, monkeypatch):
+        # observations of 1, 2, 9 and 100 images, their rows shuffled
+        # together and split over blocks of 7 rows
+        rng = np.random.default_rng(4)
+        sizes = {"obs_d": 1, "obs_c": 2, "obs_b": 9, "obs_a": 100}
+        owners = rng.permutation([obs for obs, n in sizes.items() for _ in range(n)])
+        rows = [ObservationRow(obs, i, 0, "loc_0") for i, obs in enumerate(owners.tolist())]
+        scores = rng.dirichlet(np.ones(5), size=len(rows)) * rng.uniform(0.5, 2.0, (len(rows), 1))
+        bundle = replace(
+            tiny_bundle,
+            observations=ObservationTable.from_rows(rows),
+            image_scores=FeatureMatrix(scores),
+        )
+        monkeypatch.setattr(inference, "_BLOCK_ROWS", 7)
+        aggregated = predict_dataset(bundle, scores_are_logits=False).aggregated
+        probs = (scores / scores.sum(axis=1, keepdims=True)).tolist()
+
+        def mean_in_order(order):
+            expected = []
+            for obs in sorted(sizes):
+                sums = [0.0] * 5
+                for row in order:
+                    if row.observation_id == obs:
+                        sums = [a + b for a, b in zip(sums, probs[row.image_index])]
+                expected.append([v / sizes[obs] for v in sums])
+            return np.array(expected)
+
+        assert aggregated.tobytes() == mean_in_order(rows).tobytes()
+        # the sums depend on their order, so file order is what is checked
+        assert aggregated.tobytes() != mean_in_order(rows[::-1]).tobytes()
+
     def test_permutation_invariant(self, tiny_bundle):
         rng = np.random.default_rng(0)
         rows = rng.dirichlet(np.ones(5), size=5)
@@ -210,6 +249,30 @@ class TestEscalation:
         flags = five_classes.venomous_flags
         final = escalate(rows, five_classes, policy)
         assert np.all(flags[final[flags[rows.argmax(axis=1)]]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_with_ties_at_the_kth_place(self, data):
+        # scores from a few values, so that ties fall at the k-th place
+        n_rows = data.draw(st.integers(1, 10))
+        n_classes = data.draw(st.integers(1, 7))
+        values = st.sampled_from([0.0, 0.125, 0.25, 0.5])
+        rows = data.draw(st.lists(
+            st.lists(values, min_size=n_classes, max_size=n_classes),
+            min_size=n_rows, max_size=n_rows,
+        ))
+        flags = data.draw(st.lists(st.booleans(), min_size=n_classes, max_size=n_classes))
+        top_k = data.draw(st.integers(1, n_classes + 2))
+        tau = data.draw(st.sampled_from([0.0, 0.3, 1.0]))
+        agg = np.array(rows)
+        base = agg.argmax(axis=1)
+        policy = EscalationPolicy(tau=tau, top_k=top_k)
+        with pytest.MonkeyPatch.context() as patch:
+            # uncertain rows span several blocks
+            patch.setattr(inference, "_BLOCK_ROWS", 3)
+            final = _escalate_rows(agg, base, np.array(flags), policy)
+        expected = reference_escalate(rows, base.tolist(), flags, tau, top_k)
+        assert np.array_equal(final, expected)
 
     def test_only_fires_below_tau(self, five_classes):
         rows = np.random.default_rng(3).dirichlet(np.ones(5), size=200)
