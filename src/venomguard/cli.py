@@ -236,7 +236,7 @@ def _cmd_validate(args, cfg) -> int:
         f"classes={cleaned.classes.n_classes} "
         f"observations={cleaned.observations.ids.size} "
         f"rows={len(cleaned.observations)} "
-        f"locations={len(cleaned.locations.entries)} "
+        f"locations={cleaned.locations.codes.size} "
         f"dropped={report.dropped_rows}"
     )
     return 0

@@ -26,6 +26,8 @@ from .errors import BundleValidationError, CsvParseError, FormatError
 MAGIC = b"VGF1"
 # bytes per read of a VGF1 payload from a pipe or other stream
 STREAM_CHUNK = 1 << 24
+# rows that write_manifest formats, and checks for a \r, at a time
+WRITE_CHUNK = 2048
 
 CLASSES_FILENAME = "classes.csv"
 OBSERVATIONS_FILENAME = "observations.csv"
@@ -173,6 +175,13 @@ class FeatureMatrix:
             raise ValueError("feature matrix contains non-finite values")
         self.values = arr
 
+    @classmethod
+    def _of_finite(cls, values: np.ndarray) -> "FeatureMatrix":
+        """Wrap a 2-D float64 array whose values were already found finite."""
+        matrix = cls.__new__(cls)
+        matrix.values = values
+        return matrix
+
     @property
     def rows(self) -> int:
         return self.values.shape[0]
@@ -192,11 +201,16 @@ class FeatureMatrix:
         return f"FeatureMatrix({self.rows}x{self.dims})"
 
 
-@dataclass
+@dataclass(eq=False)
 class LocationTable:
-    """location_code -> row index into the metadata feature matrix."""
+    """Location codes and their metadata rows, held as columns.
 
-    entries: dict[str, int]
+    ``codes`` holds the distinct location codes in ``str`` order and ``index``
+    each code's row in the metadata feature matrix.
+    """
+
+    codes: np.ndarray
+    index: np.ndarray
 
 
 @dataclass
@@ -210,16 +224,25 @@ class DatasetBundle:
 
     def metadata_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Per observation row: its location's metadata row (-1 if unknown) and
-        whether its location code is known. Each distinct code is looked up once.
+        whether its location code is known.
+
+        Both code columns are sorted and distinct, so when they are equal, as
+        in every bundle ``synth`` writes, the k-th observation code is the k-th
+        location code. Otherwise each distinct observation code is looked up
+        once.
         """
-        entries = self.locations.entries
-        codes = self.observations.codes.tolist()
-        known = np.fromiter(map(entries.__contains__, codes), dtype=bool, count=len(codes))
-        index = np.fromiter(
-            map(entries.get, codes, itertools.repeat(-1)), dtype=np.int64, count=len(codes)
+        locations, obs = self.locations, self.observations
+        if np.array_equal(locations.codes, obs.codes):
+            return locations.index[obs.location], np.ones(len(obs), dtype=bool)
+        place = dict(zip(locations.codes.tolist(), itertools.count()))
+        codes = obs.codes.tolist()
+        at = np.fromiter(
+            map(place.get, codes, itertools.repeat(-1)), dtype=np.intp, count=len(codes)
         )
-        location = self.observations.location
-        return index[location], known[location]
+        known = at >= 0
+        index = np.full(at.shape, -1, dtype=np.int64)
+        index[known] = locations.index[at[known]]
+        return index[obs.location], known[obs.location]
 
     def resolved_metadata_rows(self) -> np.ndarray:
         """Each observation row's metadata row; BundleValidationError if one
@@ -325,11 +348,13 @@ def read_manifest(
         return cells.reshape(0, n), None
     if cells is not None and cells.shape[1] >= n:
         limit = csv.field_size_limit()
-        too_long = np.strings.str_len(cells).max(axis=1) > limit
-        # csv.reader, which rescans the file for the line, stops at the field
-        reject_first(
-            path, [(too_long, lambda k: f"field larger than field limit ({limit})")], None, ""
-        )
+        lengths = np.strings.str_len(cells)
+        if lengths.max() > limit:
+            too_long = lengths.max(axis=1) > limit
+            # csv.reader, which rescans the file for the line, stops at the field
+            reject_first(
+                path, [(too_long, lambda k: f"field larger than field limit ({limit})")], None, ""
+            )
         return cells[:, :n], None
     rows = [row for _, row in _data_rows(path)]
     short = next((k for k, row in enumerate(rows) if len(row) < n), None)
@@ -337,13 +362,44 @@ def read_manifest(
     return np.array(kept, dtype=StringDType()).reshape(len(kept), n), short
 
 
-def write_manifest(path: str | Path, header: list[str], rows: Iterable) -> None:
-    """Write ``header`` and ``rows`` as a CSV manifest that ``read_manifest``
-    reads back: ``\n`` line ends, and only fields that need it are quoted."""
+def write_manifest(path: str | Path, header: list[str], columns: list) -> None:
+    """Write ``header`` and the rows of ``columns``, one list of values per
+    column, as a CSV manifest that ``read_manifest`` reads back: ``\n`` line
+    ends, and only fields that need it are quoted.
+
+    csv.writer quotes a field for a line break only if its ``lineterminator``
+    holds that character, so on Python 3.10-3.12 a field with a lone ``\r``
+    would be written bare and read back split. Rows are formatted at C speed
+    in chunks; a chunk whose text holds a ``\r`` is formatted again, a row at
+    a time, by a writer that ends lines in ``\r\n`` and so quotes it.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    rows = zip(*columns)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_lines_quoting_cr([header]))
+        for start in range(0, len(columns[0]), WRITE_CHUNK):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerows(itertools.islice(rows, WRITE_CHUNK))
+            text = buf.getvalue()
+            if "\r" in text:
+                stop = start + WRITE_CHUNK
+                text = _lines_quoting_cr(zip(*(column[start:stop] for column in columns)))
+            fh.write(text)
+
+
+def _lines_quoting_cr(rows: Iterable) -> str:
+    """``rows`` as CSV lines ending in ``\n``, each field holding a ``\r`` quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    lines = []
+    for row in rows:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 def parse_ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -472,19 +528,21 @@ def parse_observations_csv(
 def parse_locations_csv(path: str | Path) -> LocationTable:
     """Parse ``location_code,metadata_index`` into a LocationTable."""
     cells, short = read_manifest(path, ["location_code", "metadata_index"])
-    codes = cells[:, 0]
-    *_, repeat = sorted_unique(codes)
+    codes, place, repeat = sorted_unique(cells[:, 0])
     index, bad_index = parse_ints(cells[:, 1])
     reject_first(
         path,
         [
-            (repeat, lambda k: f"duplicate location {codes[k]!r}"),
+            (repeat, lambda k: f"duplicate location {cells[k, 0]!r}"),
             (bad_index, lambda k: f"bad metadata_index {cells[k, 1]!r}"),
         ],
         short,
         "expected 2 fields",
     )
-    return LocationTable(dict(zip(codes.tolist(), index.tolist())))
+    # the codes are distinct, so each row has its own place in ``codes``
+    by_code = np.empty_like(index)
+    by_code[place] = index
+    return LocationTable(codes, by_code)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +607,7 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
         values = data.reshape(rows, dims)
     except ValueError as exc:  # an empty shape past numpy's dimension limits
         raise FormatError(f"{source}: header declares {rows}x{dims} values") from exc
-    return FeatureMatrix(values)
+    return FeatureMatrix._of_finite(values)
 
 
 def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
@@ -637,9 +695,9 @@ def validate_bundle(
             f"embeddings have {embeddings.rows} rows for {scores.rows} images"
         )
     n_meta = bundle.metadata_features.rows
-    entries = bundle.locations.entries
-    entry_rows = np.fromiter(entries.values(), dtype=np.int64, count=len(entries))
-    bad_location_entries = int(np.count_nonzero((entry_rows < 0) | (entry_rows >= n_meta)))
+    locations = bundle.locations
+    in_range = (locations.index >= 0) & (locations.index < n_meta)
+    bad_location_entries = int(np.count_nonzero(~in_range))
     obs = bundle.observations
     meta_row, known = bundle.metadata_rows()
     # each row is counted under its first problem, in this order
@@ -674,10 +732,9 @@ def validate_bundle(
             )
         return bundle, report
 
-    good_locations = {code: idx for code, idx in entries.items() if 0 <= idx < n_meta}
     cleaned = replace(
         bundle,
         observations=obs.take(~dropped),
-        locations=LocationTable(good_locations),
+        locations=LocationTable(locations.codes[in_range], locations.index[in_range]),
     )
     return cleaned, report

@@ -242,9 +242,9 @@ def write_predictions_csv(
         header += ["pre_escalation_class_id", "confidence"]
         columns += [
             predictions.pre_escalation_class_id.tolist(),
-            map(repr, predictions.confidence.tolist()),
+            list(map(repr, predictions.confidence.tolist())),
         ]
-    write_manifest(path, header, zip(*columns))
+    write_manifest(path, header, columns)
 
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

@@ -143,13 +143,15 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     noise = rng.standard_normal((owner.size, cfg.dims_proto))
     embeddings = EMBED_SCALE * protos[image_labels] + EMBED_NOISE * noise
 
-    obs_ids = [f"obs_{i:05d}" for i in range(n)]
-    loc_codes = [f"loc_{i:05d}" for i in range(n)]
+    # equal-width numbers keep the ids and codes in str order at any size
+    width = max(5, len(str(n - 1)))
+    obs_ids = [f"obs_{i:0{width}d}" for i in range(n)]
+    loc_codes = np.asarray([f"loc_{i:0{width}d}" for i in range(n)], dtype=StringDType())
     observations = ObservationTable.from_columns(
         np.asarray(obs_ids, dtype=StringDType())[owner],
         np.arange(owner.size),
         image_labels,
-        np.asarray(loc_codes, dtype=StringDType())[owner],
+        loc_codes[owner],
     )
     truth = dict(zip(obs_ids, labels.tolist()))
     classes = ClassTable(
@@ -160,7 +162,7 @@ def generate(cfg: SynthConfig) -> GeneratedData:
         observations=observations,
         image_scores=FeatureMatrix(logits),
         metadata_features=FeatureMatrix(metadata),
-        locations=LocationTable(dict(zip(loc_codes, range(n)))),
+        locations=LocationTable(loc_codes, np.arange(n)),
         embeddings=FeatureMatrix(embeddings),
     )
     return GeneratedData(bundle=bundle, truth=truth, class_counts=counts, config=cfg)
@@ -172,31 +174,39 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     bundle = gen.bundle
 
+    entries = bundle.classes.entries
     write_manifest(
         d / CLASSES_FILENAME,
         ["class_id", "name", "venomous"],
-        ([e.class_id, e.name, int(e.venomous)] for e in bundle.classes.entries),
+        [[e.class_id for e in entries], [e.name for e in entries],
+         [int(e.venomous) for e in entries]],
     )
+    # string columns are gathered as Python objects, which the gather shares;
+    # gathering a StringDType array copies every string
     obs = bundle.observations
     write_manifest(
         d / OBSERVATIONS_FILENAME,
         ["observation_id", "image_index", "class_id", "location_code"],
-        zip(
-            obs.ids[obs.group].tolist(),
+        [
+            obs.ids.astype(object)[obs.group].tolist(),
             obs.image_index.tolist(),
             ["" if cid < 0 else cid for cid in obs.class_id.tolist()],
-            obs.codes[obs.location].tolist(),
-        ),
+            obs.codes.astype(object)[obs.location].tolist(),
+        ],
     )
+    # in metadata row order, which is the generator's order
+    locations = bundle.locations
+    order = np.argsort(locations.index, kind="stable")
     write_manifest(
         d / LOCATIONS_FILENAME,
         ["location_code", "metadata_index"],
-        bundle.locations.entries.items(),
+        [locations.codes.astype(object)[order].tolist(), locations.index[order].tolist()],
     )
+    truth_ids = sorted(gen.truth)
     write_manifest(
         d / TRUTH_FILENAME,
         ["observation_id", "class_id"],
-        ((obs_id, gen.truth[obs_id]) for obs_id in sorted(gen.truth)),
+        [truth_ids, [gen.truth[obs_id] for obs_id in truth_ids]],
     )
 
     write_feature_matrix(bundle.image_scores, d / SCORES_FILENAME)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
+from numpy.dtypes import StringDType
 
 from venomguard.data_model import (
     ClassEntry,
@@ -13,6 +15,14 @@ from venomguard.data_model import (
 from venomguard.linalg_pca import fit_pca
 from venomguard.prior_model import PriorArtifact, PriorMlp, PrototypeMatrix
 from venomguard.synthetic import SynthConfig, generate
+
+# every character str.isspace() accepts; all of them lie below U+3001
+WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+# characters of an id, code or name: the CSV specials, whitespace and any
+# other character UTF-8 can encode but NUL, which no manifest may hold
+FIELD_CHARS = st.one_of(
+    st.sampled_from(',"' + WHITESPACE), st.characters(codec="utf-8", exclude_characters="\x00")
+)
 
 
 @pytest.fixture(scope="session")
@@ -63,8 +73,22 @@ def tiny_bundle(five_classes):
         observations=ObservationTable.from_rows(rows),
         image_scores=FeatureMatrix(scores),
         metadata_features=FeatureMatrix(metadata),
-        locations=LocationTable({"loc_0": 0, "loc_1": 1, "loc_2": 2}),
+        locations=location_table({"loc_0": 0, "loc_1": 1, "loc_2": 2}),
     )
+
+
+def location_table(mapping: dict[str, int]) -> LocationTable:
+    """The LocationTable of a code -> metadata row mapping given in any order."""
+    codes = sorted(mapping)
+    return LocationTable(
+        np.asarray(codes, dtype=StringDType()),
+        np.array([mapping[code] for code in codes], dtype=np.int64),
+    )
+
+
+def location_dict(table: LocationTable) -> dict[str, int]:
+    """A LocationTable's columns as a code -> metadata row mapping."""
+    return dict(zip(table.codes.tolist(), table.index.tolist()))
 
 
 def constant_prior_artifact(bundle: DatasetBundle, d_out: int = 6) -> PriorArtifact:

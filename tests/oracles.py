@@ -289,6 +289,13 @@ def reference_locations(path):
     return out
 
 
+def reference_metadata_rows(location_rows, observation_codes):
+    """[(metadata row or -1, known)] per observation code, by dict lookup in
+    the (location_code, metadata_index) pairs."""
+    lookup = dict(location_rows)
+    return [(lookup.get(code, -1), code in lookup) for code in observation_codes]
+
+
 def reference_predictions(path):
     """{observation_id: class_id} of a prediction or truth CSV."""
     out = {}

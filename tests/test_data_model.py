@@ -16,8 +16,8 @@ from venomguard.data_model import (
     MAGIC,
     ClassEntry,
     ClassTable,
+    DatasetBundle,
     FeatureMatrix,
-    LocationTable,
     ObservationRow,
     ObservationTable,
     load_bundle,
@@ -30,6 +30,7 @@ from venomguard.data_model import (
     sorted_unique,
     validate_bundle,
     write_feature_matrix,
+    write_manifest,
     write_record,
     write_records,
 )
@@ -37,10 +38,12 @@ from venomguard.errors import BundleValidationError, CsvParseError, FormatError
 from venomguard.inference import read_predictions_csv
 from venomguard.synthetic import SynthConfig, generate, write_dataset
 
+from conftest import FIELD_CHARS, location_dict, location_table
 from oracles import (
     Rejected,
     reference_classes,
     reference_locations,
+    reference_metadata_rows,
     reference_observations,
     reference_predictions,
     reference_sorted_unique,
@@ -186,12 +189,27 @@ class TestLocationsCsv:
     def test_parses_mapping(self, tmp_path):
         text = "location_code,metadata_index\nloc_a,0\nloc_b,1\n"
         table = parse_locations_csv(write(tmp_path, "l.csv", text))
-        assert table.entries == {"loc_a": 0, "loc_b": 1}
+        assert table.codes.tolist() == ["loc_a", "loc_b"]
+        assert table.index.tolist() == [0, 1]
 
     def test_duplicate_code_rejected(self, tmp_path):
         text = "location_code,metadata_index\nloc_a,0\nloc_a,1\n"
         with pytest.raises(CsvParseError):
             parse_locations_csv(write(tmp_path, "l.csv", text))
+
+
+class TestWriteManifest:
+    def test_only_fields_with_a_line_break_or_special_are_quoted(self, tmp_path, monkeypatch):
+        # chunks of two rows: the \r rows fall in the second and third
+        monkeypatch.setattr(data_model, "WRITE_CHUNK", 2)
+        ids = ["a", "b,c", "d\re", "f", "g\r\nh", "i\n", "j"]
+        path = tmp_path / "m.csv"
+        write_manifest(path, ["observation_id", "class_id"], [ids, list(range(len(ids)))])
+        assert path.read_bytes() == (
+            b'observation_id,class_id\na,0\n"b,c",1\n"d\re",2\nf,3\n"g\r\nh",4\n"i\n",5\nj,6\n'
+        )
+        read_ids, class_ids = read_predictions_csv(path)
+        assert dict(zip(read_ids.tolist(), class_ids.tolist())) == {k: i for i, k in enumerate(ids)}
 
 
 class TestSortedUnique:
@@ -447,11 +465,11 @@ class TestValidation:
             validate_bundle(with_rows(tiny_bundle, rows), mode="strict")
 
     def test_location_entry_past_metadata_dropped(self, tiny_bundle):
-        bad = replace(tiny_bundle, locations=LocationTable({"loc_0": 0, "loc_1": 1, "loc_2": 9}))
+        bad = replace(tiny_bundle, locations=location_table({"loc_0": 0, "loc_1": 1, "loc_2": 9}))
         cleaned, report = validate_bundle(bad, mode="drop")
         assert report.bad_metadata_index == 1
         assert report.dropped_rows == 1
-        assert "loc_2" not in cleaned.locations.entries
+        assert cleaned.locations.codes.tolist() == ["loc_0", "loc_1"]
 
     def test_drop_is_idempotent(self, tiny_bundle):
         rows = list(tiny_bundle.observations.rows)
@@ -465,6 +483,90 @@ class TestValidation:
     def test_invalid_mode_rejected(self, tiny_bundle):
         with pytest.raises(ValueError):
             validate_bundle(tiny_bundle, mode="lenient")
+
+
+CODE = st.text(alphabet=FIELD_CHARS, max_size=4)
+
+
+@st.composite
+def location_join(draw):
+    """(observation rows as (image_index, code), location rows as (code,
+    metadata_index), metadata row count, relation of the two code sets), each
+    file in a drawn order."""
+    relation = draw(st.sampled_from(["equal", "superset", "subset", "disjoint"]))
+    used = draw(st.lists(CODE, min_size=1, max_size=6, unique=True))
+    others = draw(st.lists(CODE.filter(lambda c: c not in used), min_size=1, max_size=3,
+                           unique=True))
+    known = {
+        "equal": used,
+        "superset": used + others,
+        "subset": used[: draw(st.integers(0, len(used) - 1))],
+        "disjoint": others,
+    }[relation]
+    n_meta = draw(st.integers(1, 4))
+    # -1 and n_meta are out of range
+    locations = draw(st.permutations(
+        [(code, draw(st.integers(-1, n_meta))) for code in known]
+    ))
+    codes = draw(st.permutations(used + draw(st.lists(st.sampled_from(used), max_size=6))))
+    images = draw(st.lists(st.integers(-1, len(codes)), min_size=len(codes),
+                           max_size=len(codes), unique=True))
+    return list(zip(images, codes)), locations, n_meta, relation
+
+
+def strict_message(bundle):
+    try:
+        validate_bundle(bundle, mode="strict")
+    except BundleValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestLocationJoin:
+    """metadata_rows against a dict lookup, whichever way the two code sets
+    relate and in whatever order the manifests list them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=location_join())
+    def test_matches_dict_lookup_on_both_paths(self, tmp_path_factory, case):
+        rows, locations, n_meta, relation = case
+        d = tmp_path_factory.mktemp("join")
+        write_manifest(d / "o.csv", OBS_HEADER, [
+            [f"o{k % 3}" for k in range(len(rows))],
+            [image for image, _ in rows],
+            [0] * len(rows),
+            [code for _, code in rows],
+        ])
+        write_manifest(d / "l.csv", ["location_code", "metadata_index"],
+                       [[code for code, _ in locations], [index for _, index in locations]])
+        classes = ClassTable([ClassEntry(0, "a", True)])
+        bundle = DatasetBundle(
+            classes=classes,
+            observations=parse_observations_csv(d / "o.csv", classes),
+            image_scores=FeatureMatrix(np.zeros((len(rows), 1))),
+            metadata_features=FeatureMatrix(np.zeros((n_meta, 1))),
+            locations=parse_locations_csv(d / "l.csv"),
+        )
+        obs = bundle.observations
+        assert np.array_equal(bundle.locations.codes, obs.codes) == (relation == "equal")
+
+        index, known = bundle.metadata_rows()
+        expected = reference_metadata_rows(locations, [code for _, code in rows])
+        assert list(zip(index.tolist(), known.tolist())) == expected
+
+        # one more location, used by no row and in range, takes the lookup
+        # path even where the code sets were equal; nothing else may change
+        every_code = [code for _, code in rows] + [code for code, _ in locations]
+        extra = "x" * (1 + max(map(len, every_code)))
+        twin = replace(bundle, locations=location_table(dict(locations) | {extra: 0}))
+        assert strict_message(twin) == strict_message(bundle)
+        cleaned, report = validate_bundle(bundle, mode="drop")
+        twin_cleaned, twin_report = validate_bundle(twin, mode="drop")
+        assert twin_report == report
+        assert as_lists(vars(twin_cleaned.observations)) == as_lists(vars(cleaned.observations))
+        assert location_dict(twin_cleaned.locations) == location_dict(cleaned.locations) | {
+            extra: 0
+        }
 
 
 class TestLoadBundle:
@@ -563,9 +665,13 @@ class TestManifestReaderMatchesCsvReader:
     # once rejected as duplicates: numpy compared them only up to the NUL
     @example(text="location_code,metadata_index\n\x00aaa,0\n\x00aab,0")
     def test_locations(self, tmp_path_factory, text):
-        self.check(tmp_path_factory, text,
-                   lambda path: list(parse_locations_csv(path).entries.items()),
-                   lambda path: list(reference_locations(path).items()))
+        def ours(path):
+            table = parse_locations_csv(path)
+            return list(zip(table.codes.tolist(), table.index.tolist()))
+
+        # the codes in str order, each with its own metadata row
+        self.check(tmp_path_factory, text, ours,
+                   lambda path: sorted(reference_locations(path).items()))
 
     @settings(max_examples=100, deadline=None)
     @given(text=manifest_text(
@@ -647,13 +753,13 @@ class TestManifestReaderMatchesCsvReader:
             "observations.csv": lambda path: vars(
                 parse_observations_csv(path, classes, allow_unlabeled=True)
             ),
-            "locations.csv": parse_locations_csv,
+            "locations.csv": lambda path: vars(parse_locations_csv(path)),
             "truth.csv": read_predictions_csv,
         }[name]
         path = tmp_path / name
         path.write_bytes(b"\xef\xbb\xbf" + (written_bundle / name).read_bytes())
         ours, plain = parse(path), parse(written_bundle / name)
-        if name in ("observations.csv", "truth.csv"):
+        if name != "classes.csv":
             ours, plain = as_lists(ours), as_lists(plain)
         assert ours == plain
 

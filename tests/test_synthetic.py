@@ -5,13 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numpy.dtypes import StringDType
 
 from venomguard.data_model import (
     ClassEntry,
     ClassTable,
-    LocationTable,
     ObservationTable,
     load_bundle,
 )
@@ -34,6 +35,7 @@ from venomguard.synthetic import (
     write_dataset,
 )
 
+from conftest import FIELD_CHARS, location_dict, location_table
 from oracles import oracle_eigvals_jacobi, oracle_metric, oracle_predict
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -152,7 +154,7 @@ class TestGenerate:
 
     def test_one_location_per_observation(self, synth7):
         groups = synth7.bundle.observations.groups()
-        assert len(synth7.bundle.locations.entries) == len(groups)
+        assert synth7.bundle.locations.codes.size == len(groups)
         for rows in groups.values():
             assert len({r.location_code for r in rows}) == 1
 
@@ -223,6 +225,44 @@ class TestGenerate:
         assert prior8 - base8 >= 5.0   # informative locations help
 
 
+FIELD = st.text(alphabet=FIELD_CHARS, max_size=5)
+
+
+def renamed(gen, ids, codes, names):
+    """``gen`` with new observation ids, location codes and class names, each
+    list in the order of the ids, codes and classes it replaces."""
+    bundle, obs = gen.bundle, gen.bundle.observations
+    ids = np.asarray(ids, dtype=StringDType())
+    codes = np.asarray(codes, dtype=StringDType())
+    # a generated bundle's location codes are its observations' codes
+    assert np.array_equal(bundle.locations.codes, obs.codes)
+    new_id = dict(zip(obs.ids.tolist(), ids.tolist()))
+    bundle = replace(
+        bundle,
+        classes=ClassTable(
+            [ClassEntry(e.class_id, name, e.venomous)
+             for e, name in zip(bundle.classes.entries, names)]
+        ),
+        observations=ObservationTable.from_columns(
+            ids[obs.group], obs.image_index, obs.class_id, codes[obs.location]
+        ),
+        locations=location_table(dict(zip(codes.tolist(), bundle.locations.index.tolist()))),
+    )
+    truth = {new_id[obs_id]: y for obs_id, y in gen.truth.items()}
+    return replace(gen, bundle=bundle, truth=truth)
+
+
+def assert_reads_back(gen, directory):
+    """write_dataset then load_bundle gives back the same bundle and truth."""
+    write_dataset(gen, directory)
+    loaded = load_bundle(directory)
+    assert loaded.classes.entries == gen.bundle.classes.entries
+    assert loaded.observations.rows == gen.bundle.observations.rows
+    assert location_dict(loaded.locations) == location_dict(gen.bundle.locations)
+    truth_ids, truth_labels = read_predictions_csv(directory / "truth.csv")
+    assert dict(zip(truth_ids.tolist(), truth_labels.tolist())) == gen.truth
+
+
 class TestWriteDataset:
     def test_round_trip_matches_memory(self, tmp_path):
         gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
@@ -238,38 +278,38 @@ class TestWriteDataset:
             loaded.image_scores.values,
             gen.bundle.image_scores.values.astype(np.float32).astype(np.float64),
         )
-        assert loaded.locations.entries == gen.bundle.locations.entries
+        assert location_dict(loaded.locations) == location_dict(gen.bundle.locations)
 
     def test_quoted_fields_round_trip(self, tmp_path):
         gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
-        bundle, obs = gen.bundle, gen.bundle.observations
 
         def odd(text):
             return text.replace("_", ',"\n', 1)
 
-        ids = np.asarray([odd(i) for i in obs.ids.tolist()], dtype=StringDType())
-        codes = np.asarray([odd(c) for c in obs.codes.tolist()], dtype=StringDType())
-        odd_bundle = replace(
-            bundle,
-            classes=ClassTable(
-                [ClassEntry(e.class_id, odd(e.name), e.venomous) for e in bundle.classes.entries]
-            ),
-            observations=ObservationTable.from_columns(
-                ids[obs.group], obs.image_index, obs.class_id, codes[obs.location]
-            ),
-            locations=LocationTable(
-                {odd(code): idx for code, idx in bundle.locations.entries.items()}
-            ),
+        obs = gen.bundle.observations
+        odd_gen = renamed(
+            gen,
+            [odd(i) for i in obs.ids.tolist()],
+            [odd(c) for c in obs.codes.tolist()],
+            [odd(e.name) for e in gen.bundle.classes.entries],
         )
-        truth = {odd(i): y for i, y in gen.truth.items()}
-        write_dataset(replace(gen, bundle=odd_bundle, truth=truth), tmp_path)
+        assert_reads_back(odd_gen, tmp_path)
 
-        loaded = load_bundle(tmp_path)
-        assert loaded.classes.entries == odd_bundle.classes.entries
-        assert loaded.observations.rows == odd_bundle.observations.rows
-        assert loaded.locations.entries == odd_bundle.locations.entries
-        truth_ids, truth_labels = read_predictions_csv(tmp_path / "truth.csv")
-        assert dict(zip(truth_ids.tolist(), truth_labels.tolist())) == truth
+    @settings(max_examples=50, deadline=None)
+    @given(
+        ids=st.lists(FIELD, min_size=6, max_size=6, unique=True),
+        codes=st.lists(FIELD, min_size=6, max_size=6, unique=True),
+        names=st.lists(FIELD, min_size=3, max_size=3),
+    )
+    # csv.writer once wrote a lone \r bare, and the reader split the row there
+    @example(
+        ids=["a\rb", "b", "c", "d", "e", "f"],
+        codes=["l\r", "m", "n", "o", "p", "q"],
+        names=["\r", "x", "y"],
+    )
+    def test_any_ids_codes_and_names_round_trip(self, tmp_path_factory, ids, codes, names):
+        gen = generate(SynthConfig(seed=9, n_classes=3, n_observations=6))
+        assert_reads_back(renamed(gen, ids, codes, names), tmp_path_factory.mktemp("bundle"))
 
     def test_truth_file_sorted_and_complete(self, tmp_path):
         gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
@@ -332,12 +372,13 @@ class TestOracleMetric:
 class TestOraclePredict:
     def as_oracle_input(self, bundle):
         groups = bundle.observations.groups()
+        locations = location_dict(bundle.locations)
         obs = []
         for obs_id, rows in groups.items():
             score_rows = [
                 bundle.image_scores.values[r.image_index].tolist() for r in rows
             ]
-            locs = [bundle.locations.entries[r.location_code] for r in rows]
+            locs = [locations[r.location_code] for r in rows]
             obs.append((obs_id, score_rows, locs))
         return obs
 
