@@ -13,13 +13,13 @@ import itertools
 import os
 import stat
 import struct
-import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 from numpy.dtypes import StringDType
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BundleValidationError, CsvParseError, FormatError
 
@@ -67,12 +67,6 @@ class ClassTable:
         for e in self.entries:
             flags[e.class_id] = e.venomous
         return flags
-
-    def name_of(self, class_id: int) -> str:
-        for e in self.entries:
-            if e.class_id == class_id:
-                return e.name
-        raise KeyError(class_id)
 
 
 class ObservationRow(NamedTuple):
@@ -264,8 +258,8 @@ def _line_at(text: str, at: int) -> int:
     return 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
 
 
-def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
-    """The manifest's text, positioned after its header line(s).
+def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
+    """The manifest's bytes after its header line(s).
 
     Before any row is read, a byte that is not UTF-8 rejects the file, then
     a NUL does (numpy's strings end at one, and csv.reader before Python
@@ -281,6 +275,7 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
         raise CsvParseError(
             str(path), _line_at(head, len(head)), f"byte {raw[exc.start]:#04x} is not UTF-8"
         ) from None
+    bom = text.startswith("\ufeff")
     text = text.removeprefix("\ufeff")
     nul = text.find("\x00")
     if nul >= 0:
@@ -297,7 +292,9 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> io.StringIO:
         raise CsvParseError(
             str(path), 1, f"expected header {','.join(expected_header)}"
         )
-    return fh
+    # the rows start after the BOM's 3 bytes and the header's, up to the
+    # position (in characters) that the reader has read to
+    return raw[3 * bom + len(text[: fh.tell()].encode()) :]
 
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -325,41 +322,79 @@ def read_manifest(
     than ``csv.field_size_limit()``. The second value is None, or the index
     (among non-blank data rows) of the first row with too few fields; the
     array then holds the rows before it.
+
+    A plain file, one that ``_plain_cells`` can split at its commas and line
+    ends, is read from byte offsets; every other file is read by csv.reader.
     """
     n = len(header)
-    fh = _open_csv(path, header)
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        try:
-            # every column, so that the length check sees every field; a
-            # fresh dtype instance: after a failed load, numpy 2.x can leave
-            # the instance's string allocator unusable
-            cells = np.loadtxt(
-                fh,
-                dtype=StringDType(),
-                delimiter=",",
-                quotechar='"',
-                comments=None,
-                ndmin=2,
-            )
-        except ValueError:  # rows of unequal width; csv.reader reads them below
-            cells = None
-    if cells is not None and not cells.size:
-        return cells.reshape(0, n), None
-    if cells is not None and cells.shape[1] >= n:
-        limit = csv.field_size_limit()
-        lengths = np.strings.str_len(cells)
-        if lengths.max() > limit:
-            too_long = lengths.max(axis=1) > limit
-            # csv.reader, which rescans the file for the line, stops at the field
-            reject_first(
-                path, [(too_long, lambda k: f"field larger than field limit ({limit})")], None, ""
-            )
-        return cells[:, :n], None
+    cells = _plain_cells(_open_csv(path, header), n)
+    if cells is not None:
+        return cells, None
     rows = [row for _, row in _data_rows(path)]
     short = next((k for k, row in enumerate(rows) if len(row) < n), None)
-    kept = [row[:n] for row in (rows if short is None else rows[:short])]
-    return np.array(kept, dtype=StringDType()).reshape(len(kept), n), short
+    kept = rows if short is None else rows[:short]
+    cells = np.empty((len(kept), n), dtype=StringDType())
+    for j in range(n):  # a column at a time, so no row is copied
+        cells[:, j] = [row[j] for row in kept]
+    return cells, short
+
+
+def _plain_cells(body: bytes, n: int) -> np.ndarray | None:
+    """The first ``n`` fields of each line of ``body``, the UTF-8 text after
+    a manifest's header, split at its commas and line ends; None unless that
+    is how csv.reader splits it and the columns are cheap to gather.
+
+    That holds when the text has no quote, its lines all end in ``\n`` or
+    all in ``\r\n``, and all have the same number of fields, at least ``n``
+    and at least two (so none is blank), none longer than
+    ``csv.field_size_limit()``: a UTF-8 field has at least as many bytes as
+    characters, so a file this check passes has no field that csv.reader
+    would refuse. A column is gathered as one fixed-width bytes array, so
+    its rows times its widest field must not exceed the text's own size.
+    """
+    if b'"' in body:
+        return None
+    if b"\r" in body:
+        crlf = body.count(b"\r\n")
+        if crlf != body.count(b"\r") or crlf != body.count(b"\n"):
+            return None
+        body = body.replace(b"\r\n", b"\n")
+    if not body:
+        return np.empty((0, n), dtype=StringDType())
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    text = np.frombuffer(body, dtype=np.uint8)
+    newline = text == ord("\n")
+    ends = np.flatnonzero(newline | (text == ord(",")))
+    rows = np.count_nonzero(newline)
+    width = ends.size // rows
+    # every width-th field ends a line, and there are only ``rows`` line
+    # ends: so each line has ``width`` fields
+    if width < max(n, 2) or not newline[ends[width - 1 :: width]].all():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if lengths.max() > csv.field_size_limit():
+        return None
+    starts = starts.reshape(rows, width)
+    lengths = lengths.reshape(rows, width)
+    widest = [max(int(lengths[:, j].max()), 1) for j in range(n)]
+    if rows * max(widest) > len(body):
+        return None
+    # zeros past the end, so that every field's window lies in the array
+    padded = np.frombuffer(body + bytes(max(widest)), dtype=np.uint8)
+    cells = np.empty((rows, n), dtype=StringDType())
+    for j, w in enumerate(widest):
+        # the w bytes from each offset, as one fixed-width string each
+        windows = sliding_window_view(padded, w).view(f"S{w}")[:, 0]
+        column = windows[starts[:, j]]
+        if lengths[:, j].min() < w:  # zero the bytes past each shorter field
+            column.view(np.uint8).reshape(rows, w)[np.arange(w) >= lengths[:, j, None]] = 0
+        # the cast drops the trailing NULs and decodes UTF-8
+        cells[:, j] = column
+    return cells
 
 
 def write_manifest(path: str | Path, header: list[str], columns: list) -> None:

@@ -255,7 +255,7 @@ def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     reject_first(
         path,
         [
-            (repeat, lambda k: f"duplicate observation {cells[k, 0]}"),
+            (repeat, lambda k: f"duplicate observation {cells[k, 0]!r}"),
             (bad_class, lambda k: f"bad class_id {cells[k, 1]!r}"),
         ],
         short,

@@ -210,14 +210,17 @@ def _data_rows(path, header):
         fh.seek(0)
         reader = csv.reader(fh)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise Rejected(1, "missing header")
-        if [h.strip() for h in first[: len(header)]] != header:
-            raise Rejected(1, f"expected header {','.join(header)}")
-        for row in reader:
-            if row:
-                yield reader.line_num, row
+            first = next(reader, None)
+            if first is None:
+                raise Rejected(1, "missing header")
+            if [h.strip() for h in first[: len(header)]] != header:
+                raise Rejected(1, f"expected header {','.join(header)}")
+            # a field over csv.field_size_limit() rejects the file before
+            # any row is checked
+            rows = [(reader.line_num, row) for row in reader if row]
+        except csv.Error as exc:
+            raise Rejected(reader.line_num, str(exc))
+    yield from rows
 
 
 def reference_classes(path):
@@ -303,7 +306,7 @@ def reference_predictions(path):
         if len(row) < 2:
             raise Rejected(line, "expected observation_id,class_id")
         if row[0] in out:
-            raise Rejected(line, f"duplicate observation {row[0]}")
+            raise Rejected(line, f"duplicate observation {row[0]!r}")
         try:
             out[row[0]] = int(row[1])
         except ValueError:

@@ -2,11 +2,12 @@ import csv
 import io
 import os
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.dtypes import StringDType
@@ -41,6 +42,7 @@ from venomguard.synthetic import SynthConfig, generate, write_dataset
 from conftest import FIELD_CHARS, location_dict, location_table
 from oracles import (
     Rejected,
+    _data_rows as oracle_rows,
     reference_classes,
     reference_locations,
     reference_metadata_rows,
@@ -71,7 +73,7 @@ class TestClassesCsv:
         table = parse_classes_csv(write(tmp_path, "c.csv", CLASSES_OK))
         assert table.n_classes == 3
         assert table.venomous_flags.tolist() == [True, False, True]
-        assert table.name_of(1) == "grass snake"
+        assert table.entries[1].name == "grass snake"
 
     def test_non_contiguous_ids_rejected(self, tmp_path):
         bad = "class_id,name,venomous\n0,a,0\n2,b,1\n"
@@ -633,6 +635,62 @@ def outcome(parse, path):
         return ("rejected", exc.line, exc.message)
 
 
+FOUR_CLASSES = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
+FLAGS = st.sampled_from(["0", "1", " TRUE", "false ", "yes", ""])
+
+
+def observations_pair(allow_unlabeled):
+    """parse_observations_csv and its reference, each giving row tuples."""
+
+    def ours(path):
+        table = parse_observations_csv(path, FOUR_CLASSES, allow_unlabeled=allow_unlabeled)
+        return [tuple(r) for r in table.rows]
+
+    return ours, lambda path: reference_observations(path, 4, allow_unlabeled)
+
+
+def parsed_locations(path):
+    """The codes in str order, each with its own metadata row."""
+    table = parse_locations_csv(path)
+    return list(zip(table.codes.tolist(), table.index.tolist()))
+
+
+def parsed_classes(path):
+    return [tuple(vars(e).values()) for e in parse_classes_csv(path).entries]
+
+
+def parsed_predictions(path):
+    ids, class_ids = read_predictions_csv(path)
+    return list(zip(ids.tolist(), class_ids.tolist()))
+
+
+# manifest -> (header, cell strategy by column, our parser, its reference)
+PARSERS = {
+    "observations": (OBS_HEADER, {1: ANY_INT, 2: SMALL_INT}, *observations_pair(False)),
+    "observations, unlabeled allowed": (
+        OBS_HEADER, {1: ANY_INT, 2: SMALL_INT}, *observations_pair(True)
+    ),
+    "locations": (
+        ["location_code", "metadata_index"],
+        {1: ANY_INT},
+        parsed_locations,
+        lambda path: sorted(reference_locations(path).items()),
+    ),
+    "classes": (
+        ["class_id", "name", "venomous"],
+        {0: SMALL_INT, 2: FLAGS},
+        parsed_classes,
+        reference_classes,
+    ),
+    "predictions": (
+        ["observation_id", "class_id"],
+        {1: ANY_INT},
+        parsed_predictions,
+        lambda path: sorted(reference_predictions(path).items()),
+    ),
+}
+
+
 class TestManifestReaderMatchesCsvReader:
     """The columnar parsers accept and reject exactly as the row-at-a-time
     csv.reader references in tests/oracles.py do, with the same values and
@@ -645,54 +703,30 @@ class TestManifestReaderMatchesCsvReader:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        text=manifest_text(OBS_HEADER, {1: ANY_INT, 2: SMALL_INT}),
+        text=manifest_text(*PARSERS["observations"][:2]),
         allow_unlabeled=st.booleans(),
     )
     # numpy's strings end at a NUL, which once merged these two ids
     @example(text=",".join(OBS_HEADER) + "\n\x00a,0,0,l\n\x00b,1,0,l", allow_unlabeled=False)
     def test_observations(self, tmp_path_factory, text, allow_unlabeled):
-        classes = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
-
-        def ours(path):
-            table = parse_observations_csv(path, classes, allow_unlabeled=allow_unlabeled)
-            return [tuple(r) for r in table.rows]
-
-        self.check(tmp_path_factory, text, ours,
-                   lambda path: reference_observations(path, 4, allow_unlabeled))
+        self.check(tmp_path_factory, text, *observations_pair(allow_unlabeled))
 
     @settings(max_examples=100, deadline=None)
-    @given(text=manifest_text(["location_code", "metadata_index"], {1: ANY_INT}))
+    @given(text=manifest_text(*PARSERS["locations"][:2]))
     # once rejected as duplicates: numpy compared them only up to the NUL
     @example(text="location_code,metadata_index\n\x00aaa,0\n\x00aab,0")
     def test_locations(self, tmp_path_factory, text):
-        def ours(path):
-            table = parse_locations_csv(path)
-            return list(zip(table.codes.tolist(), table.index.tolist()))
-
-        # the codes in str order, each with its own metadata row
-        self.check(tmp_path_factory, text, ours,
-                   lambda path: sorted(reference_locations(path).items()))
+        self.check(tmp_path_factory, text, *PARSERS["locations"][2:])
 
     @settings(max_examples=100, deadline=None)
-    @given(text=manifest_text(
-        ["class_id", "name", "venomous"],
-        {0: SMALL_INT, 2: st.sampled_from(["0", "1", " TRUE", "false ", "yes", ""])},
-    ))
+    @given(text=manifest_text(*PARSERS["classes"][:2]))
     def test_classes(self, tmp_path_factory, text):
-        def ours(path):
-            return [tuple(vars(e).values()) for e in parse_classes_csv(path).entries]
-
-        self.check(tmp_path_factory, text, ours, reference_classes)
+        self.check(tmp_path_factory, text, *PARSERS["classes"][2:])
 
     @settings(max_examples=100, deadline=None)
-    @given(text=manifest_text(["observation_id", "class_id"], {1: ANY_INT}))
+    @given(text=manifest_text(*PARSERS["predictions"][:2]))
     def test_predictions(self, tmp_path_factory, text):
-        def ours(path):
-            ids, class_ids = read_predictions_csv(path)
-            return list(zip(ids.tolist(), class_ids.tolist()))
-
-        self.check(tmp_path_factory, text, ours,
-                   lambda path: sorted(reference_predictions(path).items()))
+        self.check(tmp_path_factory, text, *PARSERS["predictions"][2:])
 
     @pytest.mark.parametrize("parse", [
         parse_classes_csv,
@@ -775,6 +809,150 @@ class TestManifestReaderMatchesCsvReader:
         path = write(tmp_path, "l.csv", f"location_code,metadata_index\nloc_a,{big}\n")
         with pytest.raises(CsvParseError, match=f":2: bad metadata_index '{big}'"):
             parse_locations_csv(path)
+
+
+# Cells of the plain manifests that read_manifest splits from byte offsets:
+# no quote, comma or line break, in one to four UTF-8 bytes a character
+PLAIN_CELL = st.one_of(
+    st.lists(st.sampled_from(["a", "7", "#", "é", "😀", "٣", " ", "\t"]), max_size=4).map(
+        "".join
+    ),
+    ODD_INTS,
+)
+LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def plain_lines(draw, header, cells, min_rows=0):
+    """The header line, maybe naming extra columns, then rows just as wide,
+    each column's rows times its widest field (in bytes) within the size of
+    the text after the header; no line end yet."""
+    names = header + [f"extra_{k}" for k in range(draw(st.integers(0, 2)))]
+    rows = [
+        [draw(cells.get(j, PLAIN_CELL).filter(lambda cell: '"' not in cell))
+         for j in range(len(names))]
+        for _ in range(draw(st.integers(min_rows, 6)))
+    ]
+    lines = [",".join(row) for row in rows]
+    widest = max((len(cell.encode()) for row in rows for cell in row[: len(header)]), default=0)
+    assume(len(rows) * widest <= len("".join(line + "\n" for line in lines).encode()))
+    return [",".join(names)] + lines
+
+
+@st.composite
+def ended(draw, lines):
+    """``lines`` ending in \n or all in \r\n, the last one or not."""
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def csv_reader_not_expected(path):
+    raise AssertionError(f"{path} was read by csv.reader")
+
+
+def fallback(trigger, lines, draw, n):
+    """Text of ``lines`` (header first, at least two rows) that one of the
+    conditions the byte path needs no longer holds for."""
+    k = draw(st.integers(1, len(lines) - 1))
+    fields = lines[k].split(",")
+    # a gathered column; a field over the limit may be in any column
+    j = draw(st.integers(0, (len(fields) if "limit" in trigger else n) - 1))
+    if trigger in ("lone \\r", "mixed line ends"):  # row k's end; the others end in \n
+        end = "\r" if trigger == "lone \\r" else "\r\n"
+        return "\n".join(lines[: k + 1]) + end + "".join(line + "\n" for line in lines[k + 1 :])
+    if trigger == "blank line":
+        lines = lines[:k] + [""] + lines[k:]
+    elif trigger == "quoted field":
+        fields[j] = f'"{fields[j]}"'
+    elif trigger == "row of another width":
+        shorter = draw(st.booleans())
+        fields = fields[:-1] if shorter else fields + ["7"]
+        if draw(st.booleans()):  # and another row the other way: as many fields in all
+            other = draw(st.integers(1, len(lines) - 1).filter(lambda row: row != k))
+            lines = list(lines)
+            lines[other] = lines[other] + ",7" if shorter else lines[other].rsplit(",", 1)[0]
+    elif trigger == "over the limit in bytes only":
+        fields[j] = "é" * (LIMIT // 2 + 1)
+    elif trigger == "over the limit":
+        fields[j] = "x" * (LIMIT + 1)
+    else:  # "rows times widest field past the size"
+        fields[j] = "a" * len("\n".join(lines))
+    if trigger != "blank line":
+        lines = lines[:k] + [",".join(fields)] + lines[k + 1 :]
+    return draw(ended(lines))
+
+
+class TestPlainManifestsReadFromByteOffsets:
+    """A plain manifest is split at its commas and line ends, without
+    csv.reader, into the fields csv.reader gives; any other file is read by
+    csv.reader. Both parse exactly as the tests/oracles.py references do."""
+
+    def write(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("plain") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(PARSERS)), data=st.data())
+    def test_plain_manifest_matches_csv_reader(self, tmp_path_factory, name, data):
+        header, cells, ours, reference = PARSERS[name]
+        path = self.write(tmp_path_factory, data.draw(ended(data.draw(plain_lines(header, cells)))))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_model, "_data_rows", csv_reader_not_expected)
+            read, short = data_model.read_manifest(path, header)
+        assert short is None
+        assert read.tolist() == [row[: len(header)] for _, row in oracle_rows(path, header)]
+        assert outcome(ours, path) == outcome(reference, path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PARSERS)),
+        trigger=st.sampled_from([
+            "quoted field",
+            "lone \\r",
+            "mixed line ends",
+            "blank line",
+            "row of another width",
+            "over the limit in bytes only",
+            "over the limit",
+            "rows times widest field past the size",
+        ]),
+        data=st.data(),
+    )
+    def test_other_manifests_fall_back_to_csv_reader(
+        self, tmp_path_factory, name, trigger, data
+    ):
+        header, cells, ours, reference = PARSERS[name]
+        lines = data.draw(plain_lines(header, cells, min_rows=2))
+        path = self.write(tmp_path_factory, fallback(trigger, lines, data.draw, len(header)))
+        read_by = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_model, "_data_rows", lambda path: read_by.append(path) or iter(()))
+            data_model.read_manifest(path, header)
+        assert read_by
+        assert outcome(ours, path) == outcome(reference, path)
+
+    def test_gathered_column_is_bounded_by_the_file_size(self, tmp_path):
+        # one code of 100,000 characters, under csv's limit: gathered as
+        # fixed-width bytes, its column would take 20,000 x 100,004 bytes
+        rows = [f"loc_{k:05d},{k}\n" for k in range(20_000)]
+        rows[7] = f"loc_{'x' * 100_000},7\n"
+        path = write(tmp_path, "locations.csv", "location_code,metadata_index\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            table = parse_locations_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.codes.size == 20_000
+        # csv.reader's rows, one list of str each, are most of it
+        assert peak <= 20 * path.stat().st_size
+
+    def test_blank_line_of_a_one_column_manifest_is_skipped(self, tmp_path):
+        # a line of one empty field, to the byte path; csv.reader skips it
+        path = write(tmp_path, "m.csv", "code\na\n\nb\n")
+        cells, short = data_model.read_manifest(path, ["code"])
+        assert cells.tolist() == [["a"], ["b"]] and short is None
 
 
 # Bytes a flip writes into a manifest, and a field one character past

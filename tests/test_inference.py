@@ -620,6 +620,13 @@ class TestPredictionCsv:
         with pytest.raises(CsvParseError, match="duplicate"):
             read_predictions_csv(path)
 
+    def test_duplicate_blank_id_is_quoted(self, tmp_path):
+        # a space id would print as nothing unquoted
+        path = tmp_path / "preds.csv"
+        path.write_text("observation_id,class_id\n ,1\nobs_a,2\n ,3\n")
+        with pytest.raises(CsvParseError, match=r"preds.csv:4: duplicate observation ' '$"):
+            read_predictions_csv(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("obs_a,1\n")
