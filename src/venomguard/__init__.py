@@ -8,7 +8,6 @@ that trains the image classifier is outside the package.
 """
 
 from .data_model import (
-    ClassEntry,
     ClassTable,
     DatasetBundle,
     FeatureMatrix,

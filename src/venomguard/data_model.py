@@ -37,36 +37,26 @@ METADATA_FILENAME = "metadata_features.vgf1"
 EMBEDDINGS_FILENAME = "embeddings.vgf1"
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    class_id: int
-    name: str
-    venomous: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class ClassTable:
-    """Class id -> name + venomous flag; ids must be contiguous 0..C-1."""
+    """Class names and venomous flags as two columns; position k is class id k."""
 
-    entries: list[ClassEntry]
+    names: np.ndarray
+    venomous_flags: np.ndarray
 
     def __post_init__(self):
-        if not self.entries:
+        self.names = np.asarray(self.names, dtype=StringDType())
+        self.venomous_flags = np.asarray(self.venomous_flags, dtype=bool)
+        if not self.names.size:
             raise ValueError("no classes")
-        ids = [e.class_id for e in self.entries]
-        if sorted(ids) != list(range(len(ids))):
-            raise ValueError("non-contiguous class ids")
+        if self.venomous_flags.shape != self.names.shape:
+            raise ValueError(
+                f"{self.venomous_flags.shape} venomous flags for {self.names.shape} names"
+            )
 
     @property
     def n_classes(self) -> int:
-        return len(self.entries)
-
-    @property
-    def venomous_flags(self) -> np.ndarray:
-        flags = np.zeros(self.n_classes, dtype=bool)
-        for e in self.entries:
-            flags[e.class_id] = e.venomous
-        return flags
+        return self.names.size
 
 
 class ObservationRow(NamedTuple):
@@ -85,7 +75,7 @@ class ObservationTable:
     ``ids`` holds the distinct observation ids in ``str`` order and ``group``
     each row's index into it; ``codes`` and ``location`` do the same for the
     location codes. ``class_id`` is -1 on unlabeled rows. Build tables with
-    ``from_columns`` or ``from_rows``, which keep every id and code in use.
+    ``from_columns``, which keeps every id and code in use.
     """
 
     ids: np.ndarray
@@ -112,16 +102,6 @@ class ObservationTable:
             location,
         )
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[ObservationRow]) -> "ObservationTable":
-        rows = list(rows)
-        return cls.from_columns(
-            [r.observation_id for r in rows],
-            [r.image_index for r in rows],
-            [-1 if r.class_id is None else r.class_id for r in rows],
-            [r.location_code for r in rows],
-        )
-
     def __len__(self) -> int:
         return self.image_index.size
 
@@ -146,13 +126,6 @@ class ObservationTable:
                 self.codes[self.location].tolist(),
             )
         ]
-
-    def groups(self) -> dict[str, list[ObservationRow]]:
-        """observation_id -> rows, preserving first-appearance order."""
-        out: dict[str, list[ObservationRow]] = {}
-        for row in self.rows:
-            out.setdefault(row.observation_id, []).append(row)
-        return out
 
     def labeled_rows(self) -> list[ObservationRow]:
         return [r for r in self.rows if r.class_id is not None]
@@ -520,14 +493,10 @@ def parse_classes_csv(path: str | Path) -> ClassTable:
         raise CsvParseError(str(path), 1, "no classes")
     if not np.array_equal(np.sort(ids), np.arange(ids.size)):
         raise CsvParseError(str(path), 1, "non-contiguous class ids")
-    return ClassTable(
-        [
-            ClassEntry(cid, name, flag)
-            for cid, name, flag in zip(
-                ids.tolist(), cells[:, 1].tolist(), venomous.tolist()
-            )
-        ]
-    )
+    names = np.empty(ids.size, dtype=StringDType())
+    flags = np.empty(ids.size, dtype=bool)
+    names[ids], flags[ids] = cells[:, 1], venomous
+    return ClassTable(names, flags)
 
 
 def parse_observations_csv(

@@ -125,6 +125,8 @@ def check_loc_loss(trials: int = 20, seed: int = 0) -> GradCheckResult:
     instances drawn from ``seed``."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     worst = max(_check_loc(rng) for _ in range(trials))
     return GradCheckResult(trials=trials, max_rel_err=worst)

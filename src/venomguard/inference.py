@@ -178,7 +178,7 @@ def predict_dataset(
     At most one warning names the rows whose joint scores fell back.
     """
     policy = policy or EscalationPolicy()
-    n_classes = len(bundle.classes.entries)
+    n_classes = bundle.classes.n_classes
     scores = bundle.image_scores.values
     if scores.shape[1] != n_classes:
         raise ValueError(f"score width {scores.shape[1]} != class count {n_classes}")

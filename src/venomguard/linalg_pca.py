@@ -34,12 +34,9 @@ class PcaModel:
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry is non-negative."""
-    out = components.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
+    peak = np.argmax(np.abs(components), axis=1)
+    flip = components[np.arange(peak.size), peak] < 0
+    return np.where(flip[:, None], -components, components)
 
 
 def fit_pca(matrix: FeatureMatrix, k: int) -> PcaModel:

@@ -83,17 +83,15 @@ def macro_f1(confusion: np.ndarray, all_classes: bool = False) -> float:
     support = confusion.sum(axis=1)
     predicted = confusion.sum(axis=0)
     tp = np.diagonal(confusion).astype(np.float64)
-    scores = []
-    for c in range(confusion.shape[0]):
-        if support[c] == 0 and not all_classes:
-            continue
-        prec = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
-        rec = tp[c] / support[c] if support[c] > 0 else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        scores.append(f1)
-    if not scores:
+    prec = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    rec = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
+    both = prec + rec
+    f1 = np.divide(2 * prec * rec, both, out=np.zeros_like(tp), where=both > 0)
+    if not all_classes:
+        f1 = f1[support > 0]
+    if not f1.size:
         raise ValueError("no classes with ground-truth support")
-    return 100.0 * float(np.mean(scores))
+    return 100.0 * float(np.mean(f1))
 
 
 def venom_confusions(
@@ -163,7 +161,7 @@ def build_report(
     pdenom: str = "status",
     all_classes: bool = False,
 ) -> MetricReport:
-    confusion = confusion_matrix(truth, pred, len(classes.entries))
+    confusion = confusion_matrix(truth, pred, classes.n_classes)
     f1 = macro_f1(confusion, all_classes=all_classes)
     p = venom_confusions(confusion, classes, pdenom=pdenom)
     accuracy = 100.0 * np.diagonal(confusion).sum() / confusion.sum()

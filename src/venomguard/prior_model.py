@@ -134,6 +134,8 @@ class PriorTrainConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if self.hidden < 1:

@@ -21,7 +21,6 @@ from .data_model import (
     METADATA_FILENAME,
     OBSERVATIONS_FILENAME,
     SCORES_FILENAME,
-    ClassEntry,
     ClassTable,
     DatasetBundle,
     FeatureMatrix,
@@ -56,6 +55,8 @@ class SynthConfig:
     images_per_observation: tuple[int, int] = (1, 3)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if min(self.n_classes, self.dims_meta, self.dims_proto, self.n_observations) < 1:
             raise ValueError("counts must be >= 1")
         if not 1 <= self.imbalance_ratio < math.inf:
@@ -117,9 +118,9 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     counts = power_law_counts(n, c, cfg.imbalance_ratio)
 
     n_venom = math.ceil(cfg.venom_fraction * c)
-    venom_ids = set(
-        int(i) for i in (rng.choice(c, size=n_venom, replace=False) if n_venom else [])
-    )
+    venomous = np.zeros(c, dtype=bool)
+    if n_venom:
+        venomous[rng.choice(c, size=n_venom, replace=False)] = True
     centers = rng.uniform(0.0, 1.0, size=(c, cfg.dims_meta))
     protos = rng.standard_normal((c, cfg.dims_proto))
     protos /= np.linalg.norm(protos, axis=1, keepdims=True)
@@ -154,9 +155,7 @@ def generate(cfg: SynthConfig) -> GeneratedData:
         loc_codes[owner],
     )
     truth = dict(zip(obs_ids, labels.tolist()))
-    classes = ClassTable(
-        [ClassEntry(k, f"species_{k:03d}", k in venom_ids) for k in range(c)]
-    )
+    classes = ClassTable([f"species_{k:03d}" for k in range(c)], venomous)
     bundle = DatasetBundle(
         classes=classes,
         observations=observations,
@@ -174,12 +173,15 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
     d.mkdir(parents=True, exist_ok=True)
     bundle = gen.bundle
 
-    entries = bundle.classes.entries
+    classes = bundle.classes
     write_manifest(
         d / CLASSES_FILENAME,
         ["class_id", "name", "venomous"],
-        [[e.class_id for e in entries], [e.name for e in entries],
-         [int(e.venomous) for e in entries]],
+        [
+            range(classes.n_classes),
+            classes.names.tolist(),
+            classes.venomous_flags.astype(int).tolist(),
+        ],
     )
     # string columns are gathered as Python objects, which the gather shares;
     # gathering a StringDType array copies every string

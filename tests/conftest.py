@@ -1,15 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from numpy.dtypes import StringDType
 
 from venomguard.data_model import (
-    ClassEntry,
     ClassTable,
     DatasetBundle,
     FeatureMatrix,
     LocationTable,
-    ObservationRow,
     ObservationTable,
 )
 from venomguard.linalg_pca import fit_pca
@@ -34,25 +34,19 @@ def synth7():
 @pytest.fixture
 def five_classes():
     return ClassTable(
-        [
-            ClassEntry(0, "species_a", False),
-            ClassEntry(1, "species_b", True),
-            ClassEntry(2, "species_c", False),
-            ClassEntry(3, "species_d", True),
-            ClassEntry(4, "species_e", False),
-        ]
+        [f"species_{c}" for c in "abcde"], [False, True, False, True, False]
     )
 
 
 @pytest.fixture
 def tiny_bundle(five_classes):
     """Three observations (one with two images) over five classes."""
-    rows = [
-        ObservationRow("obs_a", 0, 0, "loc_0"),
-        ObservationRow("obs_a", 1, 0, "loc_0"),
-        ObservationRow("obs_b", 2, 1, "loc_1"),
-        ObservationRow("obs_c", 3, 3, "loc_2"),
-    ]
+    observations = ObservationTable.from_columns(
+        ["obs_a", "obs_a", "obs_b", "obs_c"],
+        [0, 1, 2, 3],
+        [0, 0, 1, 3],
+        ["loc_0", "loc_0", "loc_1", "loc_2"],
+    )
     scores = np.array(
         [
             [4.0, 0.0, 1.0, 0.0, 0.0],
@@ -70,11 +64,23 @@ def tiny_bundle(five_classes):
     )
     return DatasetBundle(
         classes=five_classes,
-        observations=ObservationTable.from_rows(rows),
+        observations=observations,
         image_scores=FeatureMatrix(scores),
         metadata_features=FeatureMatrix(metadata),
         locations=location_table({"loc_0": 0, "loc_1": 1, "loc_2": 2}),
     )
+
+
+def with_columns(bundle, **columns):
+    """``bundle`` with the given observation columns replaced."""
+    obs = bundle.observations
+    kept = {
+        "observation_id": obs.ids[obs.group],
+        "image_index": obs.image_index,
+        "class_id": obs.class_id,
+        "location_code": obs.codes[obs.location],
+    }
+    return replace(bundle, observations=ObservationTable.from_columns(**(kept | columns)))
 
 
 def location_table(mapping: dict[str, int]) -> LocationTable:

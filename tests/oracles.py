@@ -152,6 +152,36 @@ def reference_escalate(rows, base, venomous_flags, tau, top_k):
     return out
 
 
+def reference_macro_f1(confusion, all_classes=False):
+    """Mean per-class F1 as a percentage, a class at a time, skipping the
+    classes with no support unless ``all_classes``."""
+    confusion = np.asarray(confusion)
+    support = confusion.sum(axis=1)
+    predicted = confusion.sum(axis=0)
+    tp = np.diagonal(confusion).astype(np.float64)
+    scores = []
+    for c in range(confusion.shape[0]):
+        if support[c] == 0 and not all_classes:
+            continue
+        prec = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
+        rec = tp[c] / support[c] if support[c] > 0 else 0.0
+        scores.append(2 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0)
+    if not scores:
+        raise ValueError("no classes with ground-truth support")
+    return 100.0 * float(np.mean(scores))
+
+
+def reference_fix_signs(components):
+    """``components`` with each row negated whose first largest-magnitude
+    entry is negative, a row at a time."""
+    out = components.copy()
+    for i in range(out.shape[0]):
+        j = int(np.argmax(np.abs(out[i])))
+        if out[i, j] < 0:
+            out[i] = -out[i]
+    return out
+
+
 def oracle_eigvals_jacobi(matrix):
     """Cyclic Jacobi eigenvalues of a small symmetric matrix, descending."""
     n = len(matrix)

@@ -14,7 +14,6 @@ import numpy as np
 
 from venomguard.cli import main
 from venomguard.data_model import (
-    ClassEntry,
     ClassTable,
     FeatureMatrix,
     read_feature_matrix,
@@ -69,9 +68,7 @@ def test_criterion_03_metric_matches_brute_force_oracle(tmp_path):
         _write_labels(tmp_path / "t.csv", ids, truth)
         perm = rng.permutation(n)
         _write_labels(tmp_path / "p.csv", [ids[i] for i in perm], pred[perm])
-        table = ClassTable(
-            [ClassEntry(i, f"species_{i}", bool(flags[i])) for i in range(n_classes)]
-        )
+        table = ClassTable([f"species_{i}" for i in range(n_classes)], flags)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = score_predictions(tmp_path / "t.csv", tmp_path / "p.csv", table)
@@ -81,14 +78,7 @@ def test_criterion_03_metric_matches_brute_force_oracle(tmp_path):
 
     # perfect predictions hit the metric's upper bound exactly
     truth = np.array([0, 1, 1, 2, 3])
-    table = ClassTable(
-        [
-            ClassEntry(0, "a", False),
-            ClassEntry(1, "b", True),
-            ClassEntry(2, "c", False),
-            ClassEntry(3, "d", True),
-        ]
-    )
+    table = ClassTable(["a", "b", "c", "d"], [False, True, False, True])
     perfect = build_report(truth, truth, table).composite == 100.0
     hand = abs(track1_metric(50.0, (20.0, 10.0, 0.0, 0.0)) - 1010.0 / 11.0) < 1e-9
     ok = worst < 1e-9 and perfect and hand
@@ -184,7 +174,7 @@ def test_criterion_08_prior_and_escalation_beat_baseline():
     gen = generate(SynthConfig())
     bundle = gen.bundle
     labels = np.array([r.class_id for r in bundle.observations.labeled_rows()])
-    proto = compute_prototypes(bundle.embeddings, labels, len(bundle.classes.entries))
+    proto = compute_prototypes(bundle.embeddings, labels, bundle.classes.n_classes)
     pca = fit_pca(bundle.metadata_features, k=8)
     reduced = pca_transform(pca, bundle.metadata_features)
     mlp, trace = train_prior(

@@ -830,6 +830,22 @@ class TestNonFiniteSettings:
         assert err.splitlines()[-1] == "error: pdenom must be one of ('status', 'all', 'errors')"
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["train-prior", "synth", "gradcheck"])
+    def test_negative_seed(self, capsys, tmp_path, command):
+        output = tmp_path / "out"
+        args = {
+            "train-prior": [
+                str(tmp_path / "nope"), "--pca", str(tmp_path / "pca.bin"), "-o", str(output),
+            ],
+            "synth": ["-o", str(output)],
+            "gradcheck": [],
+        }[command]
+        code, out, err = run(capsys, command, *args, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == "error: seed must be >= 0, got -1"
+        assert not output.exists()
+
     @pytest.mark.parametrize("ratio", ["nan", "inf"])
     def test_synth(self, capsys, tmp_path, ratio):
         code, _, err = run(capsys, "synth", "--ratio", ratio, "-o", str(tmp_path / "d"))

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import sys
 import tracemalloc
@@ -15,12 +16,9 @@ from numpy.dtypes import StringDType
 from venomguard import data_model
 from venomguard.data_model import (
     MAGIC,
-    ClassEntry,
     ClassTable,
     DatasetBundle,
     FeatureMatrix,
-    ObservationRow,
-    ObservationTable,
     load_bundle,
     parse_classes_csv,
     parse_locations_csv,
@@ -39,7 +37,7 @@ from venomguard.errors import BundleValidationError, CsvParseError, FormatError
 from venomguard.inference import read_predictions_csv
 from venomguard.synthetic import SynthConfig, generate, write_dataset
 
-from conftest import FIELD_CHARS, location_dict, location_table
+from conftest import FIELD_CHARS, location_dict, location_table, with_columns
 from oracles import (
     Rejected,
     _data_rows as oracle_rows,
@@ -73,7 +71,39 @@ class TestClassesCsv:
         table = parse_classes_csv(write(tmp_path, "c.csv", CLASSES_OK))
         assert table.n_classes == 3
         assert table.venomous_flags.tolist() == [True, False, True]
-        assert table.entries[1].name == "grass snake"
+        assert table.names.tolist() == ["adder", "grass snake", "asp"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        data=st.data(),
+        arrangement=st.sampled_from(["sorted", "reversed", "shuffled"]),
+        size=st.integers(1, 8),
+    )
+    def test_rows_in_any_order_give_columns_by_id(
+        self, tmp_path_factory, data, arrangement, size
+    ):
+        ids = list(range(size))
+        if arrangement == "reversed":
+            ids.reverse()
+        elif arrangement == "shuffled":
+            ids = data.draw(st.permutations(ids))
+        flags = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        path = tmp_path_factory.mktemp("classes") / "c.csv"
+        write_manifest(path, ["class_id", "name", "venomous"],
+                       [ids, [f"name_{k}" for k in ids], [int(flags[k]) for k in ids]])
+        table = parse_classes_csv(path)
+        want = sorted(reference_classes(path))
+        assert table.names.tolist() == [name for _, name, _ in want]
+        assert table.venomous_flags.tolist() == [flag for *_, flag in want]
+        assert table.n_classes == size
+
+    def test_table_rejects_no_classes_and_flags_of_another_shape(self):
+        with pytest.raises(ValueError, match="no classes"):
+            ClassTable([], [])
+        with pytest.raises(ValueError, match="venomous flags"):
+            ClassTable(["a", "b"], [True])
+        with pytest.raises(ValueError, match="venomous flags"):
+            ClassTable(["a", "b"], [[True, False]])
 
     def test_non_contiguous_ids_rejected(self, tmp_path):
         bad = "class_id,name,venomous\n0,a,0\n2,b,1\n"
@@ -114,10 +144,8 @@ class TestObservationsCsv:
         table = parse_observations_csv(
             write(tmp_path, "o.csv", text), self.classes(tmp_path)
         )
-        groups = table.groups()
-        assert list(groups) == ["obs1", "obs2"]
-        assert len(groups["obs1"]) == 2
-        assert len(groups["obs2"]) == 1
+        assert table.ids.tolist() == ["obs1", "obs2"]
+        assert table.group.tolist() == [0, 0, 1]
 
     def test_unknown_class_id_names_offending_row(self, tmp_path):
         text = (
@@ -178,7 +206,7 @@ class TestObservationsCsv:
             assert str(caught.value).endswith(": missing class_id"), repr(cell)
 
     def test_class_id_with_spaces_around_it(self, tmp_path):
-        classes = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
+        classes = ClassTable([f"c{k}" for k in range(4)], [k % 2 == 1 for k in range(4)])
         table = parse_observations_csv(self.observations(tmp_path, [" 3 "]), classes)
         assert table.class_id.tolist() == [3]
         path = self.observations(tmp_path, [" 3 ", " x "])
@@ -441,10 +469,6 @@ class TestBinaryFormat:
         assert loaded.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-def with_rows(bundle, rows):
-    return replace(bundle, observations=ObservationTable.from_rows(rows))
-
-
 class TestValidation:
     def test_consistent_bundle_reports_nothing(self, tiny_bundle):
         checked, report = validate_bundle(tiny_bundle, mode="strict")
@@ -452,19 +476,17 @@ class TestValidation:
         assert checked is tiny_bundle
 
     def test_bad_image_index_dropped_and_counted(self, tiny_bundle):
-        rows = list(tiny_bundle.observations.rows)
-        rows[1] = ObservationRow("obs_a", 99, 0, "loc_0")
-        cleaned, report = validate_bundle(with_rows(tiny_bundle, rows), mode="drop")
+        bad = with_columns(tiny_bundle, image_index=[0, 99, 2, 3])
+        cleaned, report = validate_bundle(bad, mode="drop")
         assert report.dropped_rows == 1
         assert report.bad_image_index == 1
         assert report.dropped == [("obs_a", 99)]
-        assert len(cleaned.observations.rows) == 3
+        assert len(cleaned.observations) == 3
 
     def test_strict_mode_raises_with_offenders(self, tiny_bundle):
-        rows = list(tiny_bundle.observations.rows)
-        rows[0] = ObservationRow("obs_a", 0, 0, "loc_missing")
+        bad = with_columns(tiny_bundle, location_code=["loc_missing", "loc_0", "loc_1", "loc_2"])
         with pytest.raises(BundleValidationError, match="obs_a"):
-            validate_bundle(with_rows(tiny_bundle, rows), mode="strict")
+            validate_bundle(bad, mode="strict")
 
     def test_location_entry_past_metadata_dropped(self, tiny_bundle):
         bad = replace(tiny_bundle, locations=location_table({"loc_0": 0, "loc_1": 1, "loc_2": 9}))
@@ -474,13 +496,12 @@ class TestValidation:
         assert cleaned.locations.codes.tolist() == ["loc_0", "loc_1"]
 
     def test_drop_is_idempotent(self, tiny_bundle):
-        rows = list(tiny_bundle.observations.rows)
-        rows[1] = ObservationRow("obs_a", 99, 0, "loc_0")
-        cleaned, first = validate_bundle(with_rows(tiny_bundle, rows), mode="drop")
+        bad = with_columns(tiny_bundle, image_index=[0, 99, 2, 3])
+        cleaned, first = validate_bundle(bad, mode="drop")
         again, second = validate_bundle(cleaned, mode="drop")
         assert first.dropped_rows == 1
         assert second.dropped_rows == 0
-        assert again.observations.rows == cleaned.observations.rows
+        assert as_lists(vars(again.observations)) == as_lists(vars(cleaned.observations))
 
     def test_invalid_mode_rejected(self, tiny_bundle):
         with pytest.raises(ValueError):
@@ -541,7 +562,7 @@ class TestLocationJoin:
         ])
         write_manifest(d / "l.csv", ["location_code", "metadata_index"],
                        [[code for code, _ in locations], [index for _, index in locations]])
-        classes = ClassTable([ClassEntry(0, "a", True)])
+        classes = ClassTable(["a"], [True])
         bundle = DatasetBundle(
             classes=classes,
             observations=parse_observations_csv(d / "o.csv", classes),
@@ -577,7 +598,7 @@ class TestLoadBundle:
         write_dataset(gen, tmp_path)
         bundle = load_bundle(tmp_path)
         assert bundle.classes.n_classes == 6
-        assert bundle.image_scores.rows == len(bundle.observations.rows)
+        assert bundle.image_scores.rows == len(bundle.observations)
         assert bundle.embeddings is not None
         _, report = validate_bundle(bundle, mode="strict")
         assert report.dropped_rows == 0
@@ -635,7 +656,7 @@ def outcome(parse, path):
         return ("rejected", exc.line, exc.message)
 
 
-FOUR_CLASSES = ClassTable([ClassEntry(k, f"c{k}", k % 2 == 1) for k in range(4)])
+FOUR_CLASSES = ClassTable([f"c{k}" for k in range(4)], [k % 2 == 1 for k in range(4)])
 FLAGS = st.sampled_from(["0", "1", " TRUE", "false ", "yes", ""])
 
 
@@ -656,7 +677,9 @@ def parsed_locations(path):
 
 
 def parsed_classes(path):
-    return [tuple(vars(e).values()) for e in parse_classes_csv(path).entries]
+    """(class_id, name, venomous) in id order."""
+    table = parse_classes_csv(path)
+    return list(zip(itertools.count(), table.names.tolist(), table.venomous_flags.tolist()))
 
 
 def parsed_predictions(path):
@@ -680,7 +703,7 @@ PARSERS = {
         ["class_id", "name", "venomous"],
         {0: SMALL_INT, 2: FLAGS},
         parsed_classes,
-        reference_classes,
+        lambda path: sorted(reference_classes(path)),
     ),
     "predictions": (
         ["observation_id", "class_id"],
@@ -730,7 +753,7 @@ class TestManifestReaderMatchesCsvReader:
 
     @pytest.mark.parametrize("parse", [
         parse_classes_csv,
-        lambda path: parse_observations_csv(path, ClassTable([ClassEntry(0, "a", True)])),
+        lambda path: parse_observations_csv(path, ClassTable(["a"], [True])),
         parse_locations_csv,
         read_predictions_csv,
     ])
@@ -743,7 +766,7 @@ class TestManifestReaderMatchesCsvReader:
 
     @pytest.mark.parametrize("parse", [
         parse_classes_csv,
-        lambda path: parse_observations_csv(path, ClassTable([ClassEntry(0, "a", True)])),
+        lambda path: parse_observations_csv(path, ClassTable(["a"], [True])),
         parse_locations_csv,
         read_predictions_csv,
     ])
@@ -783,7 +806,7 @@ class TestManifestReaderMatchesCsvReader:
     def test_leading_byte_order_mark_is_dropped(self, tmp_path, written_bundle, name):
         classes = parse_classes_csv(written_bundle / "classes.csv")
         parse = {
-            "classes.csv": parse_classes_csv,
+            "classes.csv": lambda path: vars(parse_classes_csv(path)),
             "observations.csv": lambda path: vars(
                 parse_observations_csv(path, classes, allow_unlabeled=True)
             ),
@@ -792,10 +815,7 @@ class TestManifestReaderMatchesCsvReader:
         }[name]
         path = tmp_path / name
         path.write_bytes(b"\xef\xbb\xbf" + (written_bundle / name).read_bytes())
-        ours, plain = parse(path), parse(written_bundle / name)
-        if name != "classes.csv":
-            ours, plain = as_lists(ours), as_lists(plain)
-        assert ours == plain
+        assert as_lists(parse(path)) == as_lists(parse(written_bundle / name))
 
     def test_byte_order_mark_keeps_line_numbers(self, tmp_path):
         path = tmp_path / "l.csv"

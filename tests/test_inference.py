@@ -11,7 +11,7 @@ from numpy.dtypes import StringDType
 
 from conftest import WHITESPACE, constant_prior_artifact, location_dict, location_table
 from venomguard import inference
-from venomguard.data_model import FeatureMatrix, ObservationRow, ObservationTable
+from venomguard.data_model import FeatureMatrix, ObservationTable
 from venomguard.errors import BundleValidationError, CsvParseError
 from venomguard.inference import (
     EscalationPolicy,
@@ -133,9 +133,11 @@ class TestJointScores:
 def aggregated_one_observation(bundle, probs):
     """predict_dataset's aggregated row for one observation whose images score probs."""
     probs = np.asarray(probs)
-    rows = [ObservationRow("obs", i, 0, "loc_0") for i in range(len(probs))]
+    n = len(probs)
     one = replace(
-        bundle, observations=ObservationTable.from_rows(rows), image_scores=FeatureMatrix(probs)
+        bundle,
+        observations=ObservationTable.from_columns(["obs"] * n, range(n), [0] * n, ["loc_0"] * n),
+        image_scores=FeatureMatrix(probs),
     )
     out = predict_dataset(one, scores_are_logits=False)
     assert out.aggregated.shape == (1, probs.shape[1])
@@ -161,11 +163,11 @@ class TestAggregate:
         rng = np.random.default_rng(4)
         sizes = {"obs_d": 1, "obs_c": 2, "obs_b": 9, "obs_a": 100}
         owners = rng.permutation([obs for obs, n in sizes.items() for _ in range(n)])
-        rows = [ObservationRow(obs, i, 0, "loc_0") for i, obs in enumerate(owners.tolist())]
-        scores = rng.dirichlet(np.ones(5), size=len(rows)) * rng.uniform(0.5, 2.0, (len(rows), 1))
+        n = owners.size
+        scores = rng.dirichlet(np.ones(5), size=n) * rng.uniform(0.5, 2.0, (n, 1))
         bundle = replace(
             tiny_bundle,
-            observations=ObservationTable.from_rows(rows),
+            observations=ObservationTable.from_columns(owners, range(n), [0] * n, ["loc_0"] * n),
             image_scores=FeatureMatrix(scores),
         )
         monkeypatch.setattr(inference, "_BLOCK_ROWS", 7)
@@ -176,12 +178,13 @@ class TestAggregate:
             expected = []
             for obs in sorted(sizes):
                 sums = [0.0] * 5
-                for row in order:
-                    if row.observation_id == obs:
-                        sums = [a + b for a, b in zip(sums, probs[row.image_index])]
+                for owner, image in order:
+                    if owner == obs:
+                        sums = [a + b for a, b in zip(sums, probs[image])]
                 expected.append([v / sizes[obs] for v in sums])
             return np.array(expected)
 
+        rows = list(zip(owners.tolist(), range(n)))
         assert aggregated.tobytes() == mean_in_order(rows).tobytes()
         # the sums depend on their order, so file order is what is checked
         assert aggregated.tobytes() != mean_in_order(rows[::-1]).tobytes()
@@ -369,13 +372,13 @@ class TestPredictDataset:
 
     def test_interleaved_rows_match_oracle(self, tiny_bundle):
         # obs_a's images are split by obs_b's; each sits at its own location
-        rows = [
-            ObservationRow("obs_a", 0, 0, "loc_0"),
-            ObservationRow("obs_b", 2, 1, "loc_1"),
-            ObservationRow("obs_a", 1, 0, "loc_2"),
-            ObservationRow("obs_c", 3, 3, "loc_2"),
-        ]
-        bundle = replace(tiny_bundle, observations=ObservationTable.from_rows(rows))
+        observations = ObservationTable.from_columns(
+            ["obs_a", "obs_b", "obs_a", "obs_c"],
+            [0, 2, 1, 3],
+            [0, 1, 0, 3],
+            ["loc_0", "loc_1", "loc_2", "loc_2"],
+        )
+        bundle = replace(tiny_bundle, observations=observations)
         rng = np.random.default_rng(5)
         pca = fit_pca(bundle.metadata_features, k=2)
         mlp = PriorMlp.create(2, 8, 4, seed=5)
@@ -386,14 +389,15 @@ class TestPredictDataset:
         probs = softmax(bundle.image_scores.values[bundle.observations.image_index])
         metadata_rows = bundle.resolved_metadata_rows()
         locations = location_dict(bundle.locations)
-        oracle_input = [
-            (
+        codes = observations.codes[observations.location].tolist()
+        oracle_input = []
+        for g, obs_id in enumerate(observations.ids.tolist()):
+            rows = np.flatnonzero(observations.group == g)  # in file order
+            oracle_input.append((
                 obs_id,
-                [bundle.image_scores.values[r.image_index].tolist() for r in group],
-                [locations[r.location_code] for r in group],
-            )
-            for obs_id, group in bundle.observations.groups().items()
-        ]
+                bundle.image_scores.values[observations.image_index[rows]].tolist(),
+                [locations[codes[r]] for r in rows],
+            ))
         flags = bundle.classes.venomous_flags.tolist()
         for prior, logits in ((None, None), (artifact, prior_rows)):
             for tau in (0.0, 0.5, 0.9):

@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from venomguard.data_model import FeatureMatrix, read_records, write_records
 from venomguard.errors import BundleValidationError, FormatError
-from venomguard.linalg_pca import fit_pca, load_pca, pca_inverse, pca_transform, save_pca
+from venomguard.linalg_pca import (
+    _fix_signs,
+    fit_pca,
+    load_pca,
+    pca_inverse,
+    pca_transform,
+    save_pca,
+)
 
-from oracles import oracle_eigvals_jacobi
+from oracles import oracle_eigvals_jacobi, reference_fix_signs
 
 
 def fm(rows):
@@ -52,6 +59,19 @@ class TestFit:
             model = fit_pca(random_matrix(seed, 10, 5), k=5)
             for row in model.components:
                 assert row[np.argmax(np.abs(row))] >= 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        components=st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+            lambda shape: st.lists(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.0]) | st.floats(-3, 3),
+                min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+            ).map(lambda v: np.reshape(v, shape))
+        )
+    )
+    def test_sign_fix_equals_the_per_row_loop(self, components):
+        # ties in magnitude and signed zeros included: the bytes must match
+        assert _fix_signs(components).tobytes() == reference_fix_signs(components).tobytes()
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError, match="2 samples"):

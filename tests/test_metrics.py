@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from venomguard.data_model import ClassEntry, ClassTable
+from venomguard.data_model import ClassTable
 from venomguard.errors import BundleValidationError
 from venomguard.metrics import (
     MetricWeights,
@@ -20,9 +20,11 @@ from venomguard.metrics import (
     venom_confusions,
 )
 
+from oracles import reference_macro_f1
+
 
 def two_class_table():
-    return ClassTable([ClassEntry(0, "harmless", False), ClassEntry(1, "viper", True)])
+    return ClassTable(["harmless", "viper"], [False, True])
 
 
 def naive_confusion(truth, pred, n):
@@ -105,6 +107,23 @@ class TestMacroF1:
         a = macro_f1(confusion_matrix(truth, pred, 6))
         b = macro_f1(confusion_matrix(perm[truth], perm[pred], 6))
         assert a == pytest.approx(b, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        confusion=st.integers(1, 8).flatmap(
+            lambda n: st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=n * n,
+                               max_size=n * n).map(lambda v: np.reshape(v, (n, n)))
+        ),
+        all_classes=st.booleans(),
+    )
+    def test_equals_the_per_class_loop(self, confusion, all_classes):
+        def outcome(f1):
+            try:
+                return f1(confusion, all_classes=all_classes)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(macro_f1) == outcome(reference_macro_f1)
 
 
 class TestVenomConfusions:

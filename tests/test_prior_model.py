@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from venomguard.data_model import (
     FeatureMatrix,
-    ObservationTable,
     read_records,
     write_records,
 )
@@ -40,6 +39,7 @@ from venomguard.prior_model import (
 )
 from venomguard.synthetic import SynthConfig, generate
 
+from conftest import with_columns
 from oracles import reference_train_prior
 
 
@@ -172,12 +172,9 @@ class TestPrototypes:
         assert np.array_equal(feats.values, tiny_bundle.image_scores.values)
         assert labels.tolist() == [0, 0, 1, 3]
 
-        rows = [r._replace(image_index=3 - r.image_index) for r in tiny_bundle.observations.rows]
-        rows[2] = rows[2]._replace(class_id=None)
         embeddings = FeatureMatrix(np.arange(8.0).reshape(4, 2))
         bundle = replace(
-            tiny_bundle,
-            observations=ObservationTable.from_rows(rows),
+            with_columns(tiny_bundle, image_index=[3, 2, 1, 0], class_id=[0, 0, -1, 3]),
             embeddings=embeddings,
         )
         feats, labels = prototype_inputs(bundle)
@@ -185,8 +182,7 @@ class TestPrototypes:
         assert labels.tolist() == [0, 0, 3]
 
     def test_inputs_need_a_labeled_row(self, tiny_bundle):
-        rows = [r._replace(class_id=None) for r in tiny_bundle.observations.rows]
-        bundle = replace(tiny_bundle, observations=ObservationTable.from_rows(rows))
+        bundle = with_columns(tiny_bundle, class_id=[-1, -1, -1, -1])
         with pytest.raises(BundleValidationError, match="no labeled"):
             prototype_inputs(bundle)
 

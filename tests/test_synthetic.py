@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from numpy.dtypes import StringDType
 
 from venomguard.data_model import (
-    ClassEntry,
     ClassTable,
     ObservationTable,
     load_bundle,
@@ -153,26 +152,23 @@ class TestGenerate:
             assert synth7.truth[row.observation_id] == row.class_id
 
     def test_one_location_per_observation(self, synth7):
-        groups = synth7.bundle.observations.groups()
-        assert synth7.bundle.locations.codes.size == len(groups)
-        for rows in groups.values():
-            assert len({r.location_code for r in rows}) == 1
+        obs = synth7.bundle.observations
+        assert synth7.bundle.locations.codes.size == obs.ids.size
+        # each observation's rows all name the location of its first row
+        first = np.unique(obs.group, return_index=True)[1]
+        assert np.array_equal(obs.location, obs.location[first][obs.group])
 
     def test_images_per_observation_in_range(self, synth7):
         lo, hi = synth7.config.images_per_observation
-        for rows in synth7.bundle.observations.groups().values():
-            assert lo <= len(rows) <= hi
+        images = np.bincount(synth7.bundle.observations.group)
+        assert lo <= images.min() and images.max() <= hi
 
     def test_class_counts_realized_in_labels(self, synth7):
-        labels = [r.class_id for r in synth7.bundle.observations.rows]
-        per_obs = {
-            obs: rows[0].class_id
-            for obs, rows in synth7.bundle.observations.groups().items()
-        }
-        realized = np.bincount(
-            np.array(sorted(per_obs.values())), minlength=synth7.config.n_classes
-        )
-        assert np.array_equal(np.sort(realized), np.sort(synth7.class_counts))
+        obs = synth7.bundle.observations
+        first = np.unique(obs.group, return_index=True)[1]
+        assert np.array_equal(obs.class_id, obs.class_id[first][obs.group])
+        realized = np.bincount(obs.class_id[first], minlength=synth7.config.n_classes)
+        assert np.array_equal(realized, synth7.class_counts)
 
     def test_uninformative_locations_give_the_prior_nothing(self):
         # Same image stream either way; only the metadata signal changes.
@@ -239,10 +235,7 @@ def renamed(gen, ids, codes, names):
     new_id = dict(zip(obs.ids.tolist(), ids.tolist()))
     bundle = replace(
         bundle,
-        classes=ClassTable(
-            [ClassEntry(e.class_id, name, e.venomous)
-             for e, name in zip(bundle.classes.entries, names)]
-        ),
+        classes=ClassTable(names, bundle.classes.venomous_flags),
         observations=ObservationTable.from_columns(
             ids[obs.group], obs.image_index, obs.class_id, codes[obs.location]
         ),
@@ -256,7 +249,8 @@ def assert_reads_back(gen, directory):
     """write_dataset then load_bundle gives back the same bundle and truth."""
     write_dataset(gen, directory)
     loaded = load_bundle(directory)
-    assert loaded.classes.entries == gen.bundle.classes.entries
+    assert loaded.classes.names.tolist() == gen.bundle.classes.names.tolist()
+    assert loaded.classes.venomous_flags.tolist() == gen.bundle.classes.venomous_flags.tolist()
     assert loaded.observations.rows == gen.bundle.observations.rows
     assert location_dict(loaded.locations) == location_dict(gen.bundle.locations)
     truth_ids, truth_labels = read_predictions_csv(directory / "truth.csv")
@@ -269,9 +263,9 @@ class TestWriteDataset:
         write_dataset(gen, tmp_path)
         loaded = load_bundle(tmp_path)
         assert loaded.classes.n_classes == 5
-        assert [e.venomous for e in loaded.classes.entries] == [
-            e.venomous for e in gen.bundle.classes.entries
-        ]
+        assert loaded.classes.venomous_flags.tolist() == (
+            gen.bundle.classes.venomous_flags.tolist()
+        )
         assert loaded.observations.rows == gen.bundle.observations.rows
         # disk payloads are single precision
         assert np.array_equal(
@@ -291,7 +285,7 @@ class TestWriteDataset:
             gen,
             [odd(i) for i in obs.ids.tolist()],
             [odd(c) for c in obs.codes.tolist()],
-            [odd(e.name) for e in gen.bundle.classes.entries],
+            [odd(name) for name in gen.bundle.classes.names.tolist()],
         )
         assert_reads_back(odd_gen, tmp_path)
 
@@ -371,16 +365,17 @@ class TestOracleMetric:
 
 class TestOraclePredict:
     def as_oracle_input(self, bundle):
-        groups = bundle.observations.groups()
+        """(observation id, its score rows, their metadata rows) per
+        observation, each observation's rows in file order."""
+        obs = bundle.observations
         locations = location_dict(bundle.locations)
-        obs = []
-        for obs_id, rows in groups.items():
-            score_rows = [
-                bundle.image_scores.values[r.image_index].tolist() for r in rows
-            ]
-            locs = [locations[r.location_code] for r in rows]
-            obs.append((obs_id, score_rows, locs))
-        return obs
+        meta = np.array([locations[code] for code in obs.codes.tolist()])[obs.location]
+        out = []
+        for g, obs_id in enumerate(obs.ids.tolist()):
+            rows = np.flatnonzero(obs.group == g)
+            score_rows = bundle.image_scores.values[obs.image_index[rows]].tolist()
+            out.append((obs_id, score_rows, meta[rows].tolist()))
+        return out
 
     def test_matches_pipeline_without_prior(self):
         gen = generate(SynthConfig(seed=31, n_classes=7, n_observations=70))
