@@ -7,10 +7,12 @@ little-endian on disk and promoted to float64 for all computation.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import itertools
 import os
+import re
 import stat
 import struct
 from dataclasses import dataclass, field, replace
@@ -89,16 +91,20 @@ class ObservationTable:
     def from_columns(
         cls, observation_id, image_index, class_id, location_code
     ) -> "ObservationTable":
-        """Table from per-row columns; ``class_id`` -1 marks an unlabeled row."""
-        text = StringDType()
-        ids, group, _ = sorted_unique(np.asarray(observation_id, dtype=text))
-        codes, location, _ = sorted_unique(np.asarray(location_code, dtype=text))
+        """Table from per-row columns; ``class_id`` -1 marks an unlabeled row.
+
+        Id and code columns may be the fixed-width UTF-8 bytes that
+        ``read_manifest`` gathers; only their distinct values are cast to
+        ``StringDType``.
+        """
+        ids, group, _ = sorted_unique(_strings(observation_id))
+        codes, location, _ = sorted_unique(_strings(location_code))
         return cls(
-            ids,
+            text(ids),
             group,
             np.asarray(image_index, dtype=np.int64),
             np.asarray(class_id, dtype=np.int64),
-            codes,
+            text(codes),
             location,
         )
 
@@ -224,11 +230,16 @@ class DatasetBundle:
 # CSV manifests
 # ---------------------------------------------------------------------------
 
-def _line_at(text: str, at: int) -> int:
-    """The physical line holding ``text[at]``, counting line ends as
+# a line and its end, as csv.reader splits them: \r\n, \r or \n, or none at
+# the end of the file
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _line_at(raw: bytes, at: int) -> int:
+    """The physical line holding ``raw[at]``, counting line ends as
     csv.reader does: ``\r\n``, ``\r`` and ``\n``."""
-    head = text[:at]
-    return 1 + head.count("\n") + head.count("\r") - head.count("\r\n")
+    head = raw[:at]
+    return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
 
 
 def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
@@ -237,24 +248,30 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
     Before any row is read, a byte that is not UTF-8 rejects the file, then
     a NUL does (numpy's strings end at one, and csv.reader before Python
     3.11 refuses it); either error names the physical line. One leading
-    byte-order mark is dropped.
+    byte-order mark is dropped. csv.reader is given the header's lines
+    alone, one at a time.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[: exc.start].decode("utf-8")
-        raise CsvParseError(
-            str(path), _line_at(head, len(head)), f"byte {raw[exc.start]:#04x} is not UTF-8"
-        ) from None
-    bom = text.startswith("\ufeff")
-    text = text.removeprefix("\ufeff")
-    nul = text.find("\x00")
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CsvParseError(
+                str(path), _line_at(raw, exc.start), f"byte {raw[exc.start]:#04x} is not UTF-8"
+            ) from None
+    nul = raw.find(b"\x00")
     if nul >= 0:
-        raise CsvParseError(str(path), _line_at(text, nul), "NUL character in a field")
-    fh = io.StringIO(text, newline="")
-    reader = csv.reader(fh)
+        raise CsvParseError(str(path), _line_at(raw, nul), "NUL character in a field")
+    read_to = len(codecs.BOM_UTF8) if raw.startswith(codecs.BOM_UTF8) else 0
+
+    def lines() -> Iterator[str]:
+        nonlocal read_to
+        for line in _LINE.finditer(raw, read_to):
+            read_to = line.end()
+            yield line.group().decode("utf-8")
+
+    reader = csv.reader(lines())
     try:
         header = next(reader)
     except StopIteration:
@@ -265,9 +282,8 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
         raise CsvParseError(
             str(path), 1, f"expected header {','.join(expected_header)}"
         )
-    # the rows start after the BOM's 3 bytes and the header's, up to the
-    # position (in characters) that the reader has read to
-    return raw[3 * bom + len(text[: fh.tell()].encode()) :]
+    # the rows start after the last line the reader took
+    return raw[read_to:]
 
 
 def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
@@ -285,8 +301,8 @@ def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
 
 def read_manifest(
     path: str | Path, header: list[str]
-) -> tuple[np.ndarray, int | None]:
-    """Data rows of a CSV manifest as a (rows, len(header)) string array.
+) -> tuple[list[np.ndarray], int | None]:
+    """Data rows of a CSV manifest as one column per name in ``header``.
 
     The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
     blank lines are skipped and fields past the header's are ignored; a
@@ -294,25 +310,25 @@ def read_manifest(
     naming its physical line, and so does a field, in any column, longer
     than ``csv.field_size_limit()``. The second value is None, or the index
     (among non-blank data rows) of the first row with too few fields; the
-    array then holds the rows before it.
+    columns then hold the rows before it.
 
     A plain file, one that ``_plain_cells`` can split at its commas and line
-    ends, is read from byte offsets; every other file is read by csv.reader.
+    ends, is read from byte offsets into columns of fixed-width UTF-8 bytes;
+    every other file is read by csv.reader into ``StringDType`` columns.
+    ``text``, ``parse_ints`` and ``sorted_unique`` take either kind.
     """
     n = len(header)
-    cells = _plain_cells(_open_csv(path, header), n)
-    if cells is not None:
-        return cells, None
+    columns = _plain_cells(_open_csv(path, header), n)
+    if columns is not None:
+        return columns, None
     rows = [row for _, row in _data_rows(path)]
     short = next((k for k, row in enumerate(rows) if len(row) < n), None)
     kept = rows if short is None else rows[:short]
-    cells = np.empty((len(kept), n), dtype=StringDType())
-    for j in range(n):  # a column at a time, so no row is copied
-        cells[:, j] = [row[j] for row in kept]
-    return cells, short
+    # a column at a time, so no row is copied
+    return [np.array([row[j] for row in kept], dtype=StringDType()) for j in range(n)], short
 
 
-def _plain_cells(body: bytes, n: int) -> np.ndarray | None:
+def _plain_cells(body: bytes, n: int) -> list[np.ndarray] | None:
     """The first ``n`` fields of each line of ``body``, the UTF-8 text after
     a manifest's header, split at its commas and line ends; None unless that
     is how csv.reader splits it and the columns are cheap to gather.
@@ -322,8 +338,9 @@ def _plain_cells(body: bytes, n: int) -> np.ndarray | None:
     and at least two (so none is blank), none longer than
     ``csv.field_size_limit()``: a UTF-8 field has at least as many bytes as
     characters, so a file this check passes has no field that csv.reader
-    would refuse. A column is gathered as one fixed-width bytes array, so
-    its rows times its widest field must not exceed the text's own size.
+    would refuse. Each column is gathered as one fixed-width bytes array,
+    each field's UTF-8 bytes followed by NULs, so its rows times its widest
+    field must not exceed the text's own size.
     """
     if b'"' in body:
         return None
@@ -333,7 +350,7 @@ def _plain_cells(body: bytes, n: int) -> np.ndarray | None:
             return None
         body = body.replace(b"\r\n", b"\n")
     if not body:
-        return np.empty((0, n), dtype=StringDType())
+        return [np.empty(0, dtype="S1") for _ in range(n)]
     if not body.endswith(b"\n"):
         body += b"\n"
     text = np.frombuffer(body, dtype=np.uint8)
@@ -358,16 +375,15 @@ def _plain_cells(body: bytes, n: int) -> np.ndarray | None:
         return None
     # zeros past the end, so that every field's window lies in the array
     padded = np.frombuffer(body + bytes(max(widest)), dtype=np.uint8)
-    cells = np.empty((rows, n), dtype=StringDType())
+    columns = []
     for j, w in enumerate(widest):
         # the w bytes from each offset, as one fixed-width string each
         windows = sliding_window_view(padded, w).view(f"S{w}")[:, 0]
         column = windows[starts[:, j]]
         if lengths[:, j].min() < w:  # zero the bytes past each shorter field
             column.view(np.uint8).reshape(rows, w)[np.arange(w) >= lengths[:, j, None]] = 0
-        # the cast drops the trailing NULs and decodes UTF-8
-        cells[:, j] = column
-    return cells
+        columns.append(column)
+    return columns
 
 
 def write_manifest(path: str | Path, header: list[str], columns: list) -> None:
@@ -410,9 +426,67 @@ def _lines_quoting_cr(rows: Iterable) -> str:
     return "".join(lines)
 
 
+def text(values) -> np.ndarray:
+    """``values`` as a ``StringDType`` array; fixed-width bytes are decoded
+    as UTF-8, and a ``StringDType`` array is returned as it is."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "T":
+        return values
+    return np.asarray(values, dtype=StringDType())
+
+
+def _strings(values) -> np.ndarray:
+    """A string column to compare and sort: fixed-width UTF-8 bytes as they
+    are, whose byte order is code-point order, else ``text(values)``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "S":
+        return values
+    return text(values)
+
+
+# the powers of ten below 10**19, for _digit_ints
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+
+def _digit_ints(cells: np.ndarray) -> np.ndarray | None:
+    """The int64 values of a fixed-width bytes column whose every field is
+    1 to 18 ASCII digits followed only by NULs, else None.
+
+    Horner's rule runs over all the bytes of a field, a NUL counting as the
+    digit 0, and the result is divided by ten for each NUL; with at most 18
+    bytes the value stays below 10**18, inside int64.
+    """
+    width = cells.dtype.itemsize
+    if cells.dtype.kind != "S" or not 0 < width <= 18:
+        return None
+    raw = np.ascontiguousarray(cells).view(np.uint8).reshape(cells.size, width)
+    # byte k of every field as row k, so that each step reads contiguous bytes
+    raw = np.ascontiguousarray(raw.T)
+    digit = (raw - ord("0")) < 10  # unsigned: the bytes below "0" wrap past 9
+    if not (
+        digit[0].all()
+        and (digit[1:] <= digit[:-1]).all()  # no digit after a non-digit
+        and (digit | (raw == 0)).all()
+    ):
+        return None
+    values = np.zeros(cells.size, dtype=np.int64)
+    for place in raw & 0x0F:  # "0".."9" are 0x30..0x39, and NUL is 0
+        values *= 10
+        values += place
+    values //= _POW10[width - digit.sum(axis=0, dtype=np.uint8)]
+    return values
+
+
 def parse_ints(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``int()`` of each string cell as int64, and a mask of the cells it
-    rejects; a value outside the int64 range is rejected too."""
+    rejects; a value outside the int64 range is rejected too.
+
+    A fixed-width bytes column of plain digits is read by ``_digit_ints``;
+    any other column as ``StringDType``, where ``int()`` also takes signs,
+    whitespace, ``_`` and non-ASCII digits.
+    """
+    values = _digit_ints(cells)
+    if values is not None:
+        return values, np.zeros(cells.shape, dtype=bool)
+    cells = text(cells)
     try:
         return cells.astype(np.int64), np.zeros(cells.shape, dtype=bool)
     except (ValueError, OverflowError):
@@ -473,18 +547,20 @@ def reject_first(
 
 def parse_classes_csv(path: str | Path) -> ClassTable:
     """Parse ``class_id,name,venomous`` into a validated ClassTable."""
-    cells, short = read_manifest(path, ["class_id", "name", "venomous"])
-    ids, bad_id = parse_ints(cells[:, 0])
+    (id_cells, name_cells, flag_cells), short = read_manifest(
+        path, ["class_id", "name", "venomous"]
+    )
+    ids, bad_id = parse_ints(id_cells)
     *_, repeat = sorted_unique(ids)
-    flag = np.strings.lower(np.strings.strip(cells[:, 2]))
+    flag = np.strings.lower(np.strings.strip(text(flag_cells)))
     venomous = (flag == "1") | (flag == "true")
     bad_flag = ~(venomous | (flag == "0") | (flag == "false"))
     reject_first(
         path,
         [
-            (bad_id, lambda k: f"bad class_id {cells[k, 0]!r}"),
+            (bad_id, lambda k: f"bad class_id {text(id_cells)[k]!r}"),
             (repeat, lambda k: f"duplicate class id {ids[k]}"),
-            (bad_flag, lambda k: f"bad venomous flag {cells[k, 2]!r}"),
+            (bad_flag, lambda k: f"bad venomous flag {text(flag_cells)[k]!r}"),
         ],
         short,
         "expected 3 fields",
@@ -495,7 +571,7 @@ def parse_classes_csv(path: str | Path) -> ClassTable:
         raise CsvParseError(str(path), 1, "non-contiguous class ids")
     names = np.empty(ids.size, dtype=StringDType())
     flags = np.empty(ids.size, dtype=bool)
-    names[ids], flags[ids] = cells[:, 1], venomous
+    names[ids], flags[ids] = text(name_cells), venomous
     return ClassTable(names, flags)
 
 
@@ -503,20 +579,25 @@ def parse_observations_csv(
     path: str | Path, classes: ClassTable, allow_unlabeled: bool = False
 ) -> ObservationTable:
     """Parse ``observation_id,image_index,class_id,location_code`` rows in file order."""
-    cells, short = read_manifest(
+    (id_cells, index_cells, cid, code_cells), short = read_manifest(
         path, ["observation_id", "image_index", "class_id", "location_code"]
     )
-    image_index, bad_index = parse_ints(cells[:, 1])
+    image_index, bad_index = parse_ints(index_cells)
     *_, repeat = sorted_unique(image_index)
-    cid = cells[:, 2]
-    # int() and the int64 cast both skip the whitespace around a number
-    labeled = ~(np.strings.isspace(cid) | (cid == ""))
-    class_id = np.full(labeled.shape, -1, dtype=np.int64)
-    bad_class = np.zeros(labeled.shape, dtype=bool)
-    class_id[labeled], bad_class[labeled] = parse_ints(cid[labeled])
+    class_id = _digit_ints(cid)
+    if class_id is not None:  # plain digits in every row, so every row labeled
+        labeled = np.ones(class_id.shape, dtype=bool)
+        bad_class = np.zeros(class_id.shape, dtype=bool)
+    else:
+        cid = text(cid)
+        # int() and the int64 cast both skip the whitespace around a number
+        labeled = ~(np.strings.isspace(cid) | (cid == ""))
+        class_id = np.full(labeled.shape, -1, dtype=np.int64)
+        bad_class = np.zeros(labeled.shape, dtype=bool)
+        class_id[labeled], bad_class[labeled] = parse_ints(cid[labeled])
     unknown = labeled & ~bad_class & ((class_id < 0) | (class_id >= classes.n_classes))
     checks = [
-        (bad_index, lambda k: f"bad image_index {cells[k, 1]!r}"),
+        (bad_index, lambda k: f"bad image_index {text(index_cells)[k]!r}"),
         (repeat, lambda k: f"duplicate image_index {image_index[k]}"),
     ]
     if not allow_unlabeled:
@@ -526,19 +607,19 @@ def parse_observations_csv(
         (unknown, lambda k: f"unknown class_id {class_id[k]}"),
     ]
     reject_first(path, checks, short, "expected 4 fields")
-    return ObservationTable.from_columns(cells[:, 0], image_index, class_id, cells[:, 3])
+    return ObservationTable.from_columns(id_cells, image_index, class_id, code_cells)
 
 
 def parse_locations_csv(path: str | Path) -> LocationTable:
     """Parse ``location_code,metadata_index`` into a LocationTable."""
-    cells, short = read_manifest(path, ["location_code", "metadata_index"])
-    codes, place, repeat = sorted_unique(cells[:, 0])
-    index, bad_index = parse_ints(cells[:, 1])
+    (code_cells, index_cells), short = read_manifest(path, ["location_code", "metadata_index"])
+    codes, place, repeat = sorted_unique(code_cells)
+    index, bad_index = parse_ints(index_cells)
     reject_first(
         path,
         [
-            (repeat, lambda k: f"duplicate location {cells[k, 0]!r}"),
-            (bad_index, lambda k: f"bad metadata_index {cells[k, 1]!r}"),
+            (repeat, lambda k: f"duplicate location {text(code_cells)[k]!r}"),
+            (bad_index, lambda k: f"bad metadata_index {text(index_cells)[k]!r}"),
         ],
         short,
         "expected 2 fields",
@@ -546,7 +627,7 @@ def parse_locations_csv(path: str | Path) -> LocationTable:
     # the codes are distinct, so each row has its own place in ``codes``
     by_code = np.empty_like(index)
     by_code[place] = index
-    return LocationTable(codes, by_code)
+    return LocationTable(text(codes), by_code)
 
 
 # ---------------------------------------------------------------------------

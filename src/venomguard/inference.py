@@ -16,6 +16,7 @@ from .data_model import (
     read_manifest,
     reject_first,
     sorted_unique,
+    text,
     write_manifest,
 )
 from .errors import BundleValidationError
@@ -88,12 +89,16 @@ def softmax(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, so a matrix is normalized row by row.
 
     The result is written to ``out`` when given, which may be ``z`` itself.
+    A NaN or +inf logit, or a row of only -inf, raises ValueError: each
+    reaches its row's maximum, which is checked in place of every logit. A
+    -inf logit in a row with a finite maximum gets probability 0.
     """
     z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    top = z.max(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(top)):
         raise ValueError("logits must be finite")
     # one result array: shifted, exponentiated and normalized in place
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -249,14 +254,14 @@ def write_predictions_csv(
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Observation ids in Python str order, and the class id of each."""
-    cells, short = read_manifest(path, ["observation_id", "class_id"])
-    ids, place, repeat = sorted_unique(cells[:, 0])
-    class_id, bad_class = parse_ints(cells[:, 1])
+    (id_cells, class_cells), short = read_manifest(path, ["observation_id", "class_id"])
+    ids, place, repeat = sorted_unique(id_cells)
+    class_id, bad_class = parse_ints(class_cells)
     reject_first(
         path,
         [
-            (repeat, lambda k: f"duplicate observation {cells[k, 0]!r}"),
-            (bad_class, lambda k: f"bad class_id {cells[k, 1]!r}"),
+            (repeat, lambda k: f"duplicate observation {text(id_cells)[k]!r}"),
+            (bad_class, lambda k: f"bad class_id {text(class_cells)[k]!r}"),
         ],
         short,
         "expected observation_id,class_id",
@@ -264,4 +269,4 @@ def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     # the ids are distinct, so each row has its own place in ``ids``
     by_id = np.empty_like(class_id)
     by_id[place] = class_id
-    return ids, by_id
+    return text(ids), by_id

@@ -253,6 +253,15 @@ def _data_rows(path, header):
     yield from rows
 
 
+def reference_int(text):
+    """int(text) within int64: a value outside it raises ValueError, as a
+    bad spelling does."""
+    value = int(text)
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{text!r} is outside int64")
+    return value
+
+
 def reference_classes(path):
     """[(class_id, name, venomous)] of a classes.csv."""
     out, seen = [], set()
@@ -260,7 +269,7 @@ def reference_classes(path):
         if len(row) < 3:
             raise Rejected(line, "expected 3 fields")
         try:
-            class_id = int(row[0])
+            class_id = reference_int(row[0])
         except ValueError:
             raise Rejected(line, f"bad class_id {row[0]!r}")
         if class_id in seen:
@@ -286,7 +295,7 @@ def reference_observations(path, n_classes, allow_unlabeled):
             raise Rejected(line, "expected 4 fields")
         obs_id, idx_s, cid_s, loc = row[0], row[1], row[2].strip(), row[3]
         try:
-            image_index = int(idx_s)
+            image_index = reference_int(idx_s)
         except ValueError:
             raise Rejected(line, f"bad image_index {idx_s!r}")
         if image_index in seen:
@@ -298,7 +307,7 @@ def reference_observations(path, n_classes, allow_unlabeled):
                 raise Rejected(line, "missing class_id")
         else:
             try:
-                class_id = int(cid_s)
+                class_id = reference_int(cid_s)
             except ValueError:
                 raise Rejected(line, f"bad class_id {cid_s!r}")
             if not 0 <= class_id < n_classes:
@@ -316,7 +325,7 @@ def reference_locations(path):
         if row[0] in out:
             raise Rejected(line, f"duplicate location {row[0]!r}")
         try:
-            out[row[0]] = int(row[1])
+            out[row[0]] = reference_int(row[1])
         except ValueError:
             raise Rejected(line, f"bad metadata_index {row[1]!r}")
     return out
@@ -338,7 +347,7 @@ def reference_predictions(path):
         if row[0] in out:
             raise Rejected(line, f"duplicate observation {row[0]!r}")
         try:
-            out[row[0]] = int(row[1])
+            out[row[0]] = reference_int(row[1])
         except ValueError:
             raise Rejected(line, f"bad class_id {row[1]!r}")
     return out

@@ -21,6 +21,7 @@ from venomguard.data_model import (
     FeatureMatrix,
     load_bundle,
     parse_classes_csv,
+    parse_ints,
     parse_locations_csv,
     parse_observations_csv,
     read_feature_matrix,
@@ -42,6 +43,7 @@ from oracles import (
     Rejected,
     _data_rows as oracle_rows,
     reference_classes,
+    reference_int,
     reference_locations,
     reference_metadata_rows,
     reference_observations,
@@ -611,18 +613,38 @@ class TestLoadBundle:
 # Pieces of manifest text: quoting, separators and line ends that csv.reader
 # and the columnar reader must split the same way.
 TEXT_PIECES = ["a", "b", "7", ",", '"', "\n", "\r\n", " ", "#", "\x00", "é"]
-NAMES = st.sampled_from(["obs_a", "obs_b", "loc_a", "loc_b", "a b", "é"])
+# ids and codes beyond ASCII too, drawn in any order and repeated, so that
+# both readers' columns are sorted and deduplicated
+NAMES = st.sampled_from(
+    ["obs_a", "obs_b", "loc_a", "loc_b", "a b", "é", "obs_é", "obs_😀", "Ω", "ä_1"]
+)
 TEXT_CELL = st.one_of(
     st.lists(st.sampled_from(TEXT_PIECES), max_size=4).map("".join), NAMES, NAMES
 )
 # int() accepts some odd spellings; the listed ones must parse alike
 ODD_INTS = st.sampled_from(
-    [" 4 ", " ", " x ", "+2", "-1", "1_0", "٣", "x", "", "1.5", '"3"']
+    [" 4 ", " ", " x ", "+2", "+5", "-1", " 12", "12 ", "1_0", "٣", "٣٣", "x", "", "1.5",
+     '"3"']
+)
+# 1 to 20 digits, leading zeros included: plain digits up to 18 are read
+# from their bytes, longer ones as int() reads them, and past int64 rejected
+DIGITS = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=20),
+    st.sampled_from([
+        "999999999999999999",
+        "0000000000000000001",
+        "9223372036854775807",
+        "9223372036854775808",
+        "99999999999999999999",
+    ]),
 )
 SMALL = st.integers(0, 3).map(str)
-SMALL_INT = st.one_of(SMALL, SMALL, ODD_INTS)
+PADDED_SMALL = st.builds(
+    lambda k, zeros: "0" * zeros + str(k), st.integers(0, 3), st.integers(0, 19)
+)
+SMALL_INT = st.one_of(SMALL, SMALL, PADDED_SMALL, ODD_INTS)
 LARGE = st.integers(0, 10**6).map(str)
-ANY_INT = st.one_of(LARGE, LARGE, SMALL_INT)
+ANY_INT = st.one_of(LARGE, LARGE, DIGITS, SMALL_INT)
 
 
 @st.composite
@@ -712,6 +734,46 @@ PARSERS = {
         lambda path: sorted(reference_predictions(path).items()),
     ),
 }
+
+
+class TestParseInts:
+    """parse_ints gives int() of each cell in int64, or rejects it, alike for
+    a column of fixed-width UTF-8 bytes, as a plain manifest is gathered,
+    and for a StringDType column, as csv.reader's rows are."""
+
+    @staticmethod
+    def reference(cells):
+        out = []
+        for cell in cells:
+            try:
+                out.append(reference_int(cell))
+            except ValueError:
+                out.append(None)
+        return out
+
+    @pytest.mark.parametrize("cell", [
+        "0", "7", "007", "999999999999999999", "0000000000000000001",
+        "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+        "99999999999999999999", "+5", "-1", " 4", "4 ", "1_0", "٣", "", " ", "x",
+        "1.5", "1x", "12é", "12\x003",
+    ])
+    def test_each_spelling_alone_and_among_plain_digits(self, cell):
+        for cells in ([cell], ["12", cell, "3"], ["000000000000000042", cell]):
+            for column in (np.array([c.encode() for c in cells]),
+                           np.array(cells, dtype=StringDType())):
+                values, bad = parse_ints(column)
+                got = [None if b else v for v, b in zip(values.tolist(), bad.tolist())]
+                assert got == self.reference(cells), (column.dtype, cells)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cells=st.lists(DIGITS, max_size=8))
+    def test_digit_columns_of_any_width(self, cells):
+        column = np.array([c.encode() for c in cells], dtype=f"S{max(map(len, cells), default=1)}")
+        values, bad = parse_ints(column)
+        assert [None if b else v for v, b in zip(values.tolist(), bad.tolist())] == (
+            self.reference(cells)
+        )
+        assert values.dtype == np.int64
 
 
 class TestManifestReaderMatchesCsvReader:
@@ -838,6 +900,7 @@ PLAIN_CELL = st.one_of(
         "".join
     ),
     ODD_INTS,
+    NAMES,
 )
 LIMIT = csv.field_size_limit()
 
@@ -921,7 +984,9 @@ class TestPlainManifestsReadFromByteOffsets:
             patch.setattr(data_model, "_data_rows", csv_reader_not_expected)
             read, short = data_model.read_manifest(path, header)
         assert short is None
-        assert read.tolist() == [row[: len(header)] for _, row in oracle_rows(path, header)]
+        assert [column.dtype.kind for column in read] == ["S"] * len(header)
+        rows = zip(*(data_model.text(column).tolist() for column in read))
+        assert list(map(list, rows)) == [row[: len(header)] for _, row in oracle_rows(path, header)]
         assert outcome(ours, path) == outcome(reference, path)
 
     @settings(max_examples=200, deadline=None)
@@ -971,8 +1036,8 @@ class TestPlainManifestsReadFromByteOffsets:
     def test_blank_line_of_a_one_column_manifest_is_skipped(self, tmp_path):
         # a line of one empty field, to the byte path; csv.reader skips it
         path = write(tmp_path, "m.csv", "code\na\n\nb\n")
-        cells, short = data_model.read_manifest(path, ["code"])
-        assert cells.tolist() == [["a"], ["b"]] and short is None
+        (cells,), short = data_model.read_manifest(path, ["code"])
+        assert cells.tolist() == ["a", "b"] and short is None
 
 
 # Bytes a flip writes into a manifest, and a field one character past

@@ -77,6 +77,20 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             softmax(np.array([np.nan, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "+inf"])
+    def test_nan_or_inf_in_any_row_rejected(self, bad):
+        z = np.zeros((3, 4))
+        z[1, 2] = bad
+        with pytest.raises(ValueError, match="logits must be finite"):
+            softmax(z)
+
+    def test_minus_inf_gets_zero_unless_the_whole_row_is(self):
+        out = softmax(np.array([[0.0, -np.inf, 0.0], [1.0, 2.0, 3.0]]))
+        assert out[0].tolist() == [0.5, 0.0, 0.5]
+        assert out[1].tobytes() == softmax(np.array([1.0, 2.0, 3.0])).tobytes()
+        with pytest.raises(ValueError, match="logits must be finite"):
+            softmax(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+
     def test_out_may_be_the_input(self):
         z = np.random.default_rng(0).standard_normal((6, 5)) * 10
         before = z.copy()
