@@ -17,7 +17,7 @@ import stat
 import struct
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -242,8 +242,9 @@ def _line_at(raw: bytes, at: int) -> int:
     return 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
 
 
-def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
-    """The manifest's bytes after its header line(s).
+def _open_csv(path: str | Path, expected_header: list[str]) -> tuple[bytes, Iterator[list[str]]]:
+    """The manifest's bytes after its header line(s), and the csv.reader
+    that read them, whose ``line_num`` counts those lines.
 
     Before any row is read, a byte that is not UTF-8 rejects the file, then
     a NUL does (numpy's strings end at one, and csv.reader before Python
@@ -283,25 +284,12 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> bytes:
             str(path), 1, f"expected header {','.join(expected_header)}"
         )
     # the rows start after the last line the reader took
-    return raw[read_to:]
-
-
-def _data_rows(path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """(physical line, fields) of each non-blank data row, as csv.reader sees it."""
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader, None)
-            for row in reader:
-                if row:
-                    yield reader.line_num, row
-        except csv.Error as exc:  # a field over csv.field_size_limit()
-            raise CsvParseError(str(path), reader.line_num, str(exc)) from None
+    return raw[read_to:], reader
 
 
 def read_manifest(
     path: str | Path, header: list[str]
-) -> tuple[list[np.ndarray], int | None]:
+) -> tuple[list[np.ndarray], int | None, Sequence[int]]:
     """Data rows of a CSV manifest as one column per name in ``header``.
 
     The first line(s) must hold ``header``. Fields follow RFC 4180 quoting,
@@ -310,22 +298,35 @@ def read_manifest(
     naming its physical line, and so does a field, in any column, longer
     than ``csv.field_size_limit()``. The second value is None, or the index
     (among non-blank data rows) of the first row with too few fields; the
-    columns then hold the rows before it.
+    columns then hold the rows before it. The third is the physical line
+    on which each non-blank data row ends.
 
     A plain file, one that ``_plain_cells`` can split at its commas and line
     ends, is read from byte offsets into columns of fixed-width UTF-8 bytes;
-    every other file is read by csv.reader into ``StringDType`` columns.
-    ``text``, ``parse_ints`` and ``sorted_unique`` take either kind.
+    every other file is read by csv.reader, from the same bytes, into
+    ``StringDType`` columns. ``text``, ``parse_ints`` and ``sorted_unique``
+    take either kind.
     """
     n = len(header)
-    columns = _plain_cells(_open_csv(path, header), n)
-    if columns is not None:
-        return columns, None
-    rows = [row for _, row in _data_rows(path)]
+    body, reader = _open_csv(path, header)
+    above = reader.line_num  # the header's lines
+    columns = _plain_cells(body, n)
+    if columns is not None:  # no blank line, so each row is one line
+        return columns, None, range(above + 1, above + 1 + columns[0].size)
+    reader = csv.reader(io.TextIOWrapper(io.BytesIO(body), encoding="utf-8", newline=""))
+    rows, lines = [], []
+    try:
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(above + reader.line_num)
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        raise CsvParseError(str(path), above + reader.line_num, str(exc)) from None
     short = next((k for k, row in enumerate(rows) if len(row) < n), None)
     kept = rows if short is None else rows[:short]
     # a column at a time, so no row is copied
-    return [np.array([row[j] for row in kept], dtype=StringDType()) for j in range(n)], short
+    columns = [np.array([row[j] for row in kept], dtype=StringDType()) for j in range(n)]
+    return columns, short, lines
 
 
 def _plain_cells(body: bytes, n: int) -> list[np.ndarray] | None:
@@ -524,30 +525,30 @@ def sorted_unique(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 def reject_first(
     path: str | Path,
+    lines: Sequence[int],
     checks: list[tuple[np.ndarray, Callable[[int], str]]],
     short: int | None,
     short_message: str,
 ) -> None:
-    """Raise CsvParseError for the first bad row in file order.
+    """Raise CsvParseError for the first bad row in file order, naming its
+    line in ``lines`` (from ``read_manifest``).
 
     ``checks`` are (row mask, message for row k) pairs in the order a single
     row is checked; a short row (from ``read_manifest``) is checked before
-    all of them. Only a rejected file is scanned again, for the physical line.
+    all of them.
     """
     first, describe = short, lambda k: short_message
     for mask, message in checks:
         hits = np.flatnonzero(mask)
         if hits.size and (first is None or hits[0] < first):
             first, describe = int(hits[0]), message
-    if first is None:
-        return
-    line = next(itertools.islice(_data_rows(path), first, None))[0]
-    raise CsvParseError(str(path), line, describe(first))
+    if first is not None:
+        raise CsvParseError(str(path), lines[first], describe(first))
 
 
 def parse_classes_csv(path: str | Path) -> ClassTable:
     """Parse ``class_id,name,venomous`` into a validated ClassTable."""
-    (id_cells, name_cells, flag_cells), short = read_manifest(
+    (id_cells, name_cells, flag_cells), short, lines = read_manifest(
         path, ["class_id", "name", "venomous"]
     )
     ids, bad_id = parse_ints(id_cells)
@@ -557,6 +558,7 @@ def parse_classes_csv(path: str | Path) -> ClassTable:
     bad_flag = ~(venomous | (flag == "0") | (flag == "false"))
     reject_first(
         path,
+        lines,
         [
             (bad_id, lambda k: f"bad class_id {text(id_cells)[k]!r}"),
             (repeat, lambda k: f"duplicate class id {ids[k]}"),
@@ -579,7 +581,7 @@ def parse_observations_csv(
     path: str | Path, classes: ClassTable, allow_unlabeled: bool = False
 ) -> ObservationTable:
     """Parse ``observation_id,image_index,class_id,location_code`` rows in file order."""
-    (id_cells, index_cells, cid, code_cells), short = read_manifest(
+    (id_cells, index_cells, cid, code_cells), short, lines = read_manifest(
         path, ["observation_id", "image_index", "class_id", "location_code"]
     )
     image_index, bad_index = parse_ints(index_cells)
@@ -606,28 +608,41 @@ def parse_observations_csv(
         (bad_class, lambda k: f"bad class_id {cid[k].strip()!r}"),
         (unknown, lambda k: f"unknown class_id {class_id[k]}"),
     ]
-    reject_first(path, checks, short, "expected 4 fields")
+    reject_first(path, lines, checks, short, "expected 4 fields")
     return ObservationTable.from_columns(id_cells, image_index, class_id, code_cells)
+
+
+def read_keyed_ints(
+    path: str | Path, header: list[str], noun: str, short_message: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys of a two-column ``key,integer`` manifest in ``str``
+    order, and each key's integer; a repeated key is a duplicate ``noun``."""
+    (key_cells, int_cells), short, lines = read_manifest(path, header)
+    keys, place, repeat = sorted_unique(key_cells)
+    values, bad = parse_ints(int_cells)
+    reject_first(
+        path,
+        lines,
+        [
+            (repeat, lambda k: f"duplicate {noun} {text(key_cells)[k]!r}"),
+            (bad, lambda k: f"bad {header[1]} {text(int_cells)[k]!r}"),
+        ],
+        short,
+        short_message,
+    )
+    # the keys are distinct, so each row has its own place in ``keys``
+    by_key = np.empty_like(values)
+    by_key[place] = values
+    return text(keys), by_key
 
 
 def parse_locations_csv(path: str | Path) -> LocationTable:
     """Parse ``location_code,metadata_index`` into a LocationTable."""
-    (code_cells, index_cells), short = read_manifest(path, ["location_code", "metadata_index"])
-    codes, place, repeat = sorted_unique(code_cells)
-    index, bad_index = parse_ints(index_cells)
-    reject_first(
-        path,
-        [
-            (repeat, lambda k: f"duplicate location {text(code_cells)[k]!r}"),
-            (bad_index, lambda k: f"bad metadata_index {text(index_cells)[k]!r}"),
-        ],
-        short,
-        "expected 2 fields",
+    return LocationTable(
+        *read_keyed_ints(
+            path, ["location_code", "metadata_index"], "location", "expected 2 fields"
+        )
     )
-    # the codes are distinct, so each row has its own place in ``codes``
-    by_code = np.empty_like(index)
-    by_code[place] = index
-    return LocationTable(text(codes), by_code)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .data_model import (
-    DatasetBundle,
-    parse_ints,
-    read_manifest,
-    reject_first,
-    sorted_unique,
-    text,
-    write_manifest,
-)
+from .data_model import DatasetBundle, read_keyed_ints, write_manifest
 from .errors import BundleValidationError
 from .linalg_pca import pca_transform
 from .prior_model import PriorArtifact, prior_scores
@@ -254,19 +246,6 @@ def write_predictions_csv(
 
 def read_predictions_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Observation ids in Python str order, and the class id of each."""
-    (id_cells, class_cells), short = read_manifest(path, ["observation_id", "class_id"])
-    ids, place, repeat = sorted_unique(id_cells)
-    class_id, bad_class = parse_ints(class_cells)
-    reject_first(
-        path,
-        [
-            (repeat, lambda k: f"duplicate observation {text(id_cells)[k]!r}"),
-            (bad_class, lambda k: f"bad class_id {text(class_cells)[k]!r}"),
-        ],
-        short,
-        "expected observation_id,class_id",
+    return read_keyed_ints(
+        path, ["observation_id", "class_id"], "observation", "expected observation_id,class_id"
     )
-    # the ids are distinct, so each row has its own place in ``ids``
-    by_id = np.empty_like(class_id)
-    by_id[place] = class_id
-    return text(ids), by_id

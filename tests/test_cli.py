@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import csv
 import filecmp
+import io
 import json
 import os
 import random
@@ -41,6 +44,30 @@ def make_dataset(capsys, directory, seed=3, classes=8, observations=120):
     )
     assert code == 0, out
     return directory
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A /dev/fd path to the read end of a pipe that holds ``data``, its
+    write end closed."""
+    r, w = os.pipe()
+    try:
+        assert os.write(w, data) == len(data)
+    finally:
+        os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+
+
+def quoted(path) -> bytes:
+    """The rows of a CSV file written again with every field quoted."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return buf.getvalue().encode()
 
 
 class TestConfigFile:
@@ -356,6 +383,46 @@ class TestPipeline:
         )
         assert code == 2
         assert f"{truth}: no observations to score" in err
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_row_of_a_truth_pipe_exits_two(self, capsys, tmp_path):
+        # the row's line comes from the bytes already read: a pipe has no more
+        data = make_dataset(capsys, tmp_path / "data")
+        with piped(b"observation_id,class_id\nobs_1,x\n") as truth:
+            code, _, err = run(
+                capsys, "score", "--truth", truth, "--pred", str(data / "truth.csv"),
+                "--classes", str(data / "classes.csv"),
+            )
+        assert code == 2
+        assert f"{truth}:2: bad class_id 'x'" in err
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_quoted_manifests_through_pipes_score_as_from_disk(self, capsys, tmp_path):
+        # quoted files are read by csv.reader, from the bytes already read
+        data = make_dataset(capsys, tmp_path / "data")
+        header, *rows = (data / "truth.csv").read_text().splitlines()
+        lines = [header]
+        for k, row in enumerate(rows):  # every third prediction right
+            obs_id, class_id = row.split(",")
+            lines.append(f"{obs_id},{(int(class_id) + k % 3) % 8}")
+        preds = tmp_path / "preds.csv"
+        preds.write_text("\n".join(lines) + "\n")
+
+        def score(truth, classes, report):
+            code, out, err = run(
+                capsys, "score", "--truth", str(truth), "--pred", str(preds),
+                "--classes", str(classes), "--json", str(report),
+            )
+            assert code == 0, err
+            return out, report.read_bytes()
+
+        disk = score(data / "truth.csv", data / "classes.csv", tmp_path / "disk.json")
+        with (
+            piped(quoted(data / "truth.csv")) as truth,
+            piped(quoted(data / "classes.csv")) as classes,
+        ):
+            assert score(truth, classes, tmp_path / "pipe.json") == disk
+        assert "composite        100.0000" not in disk[0]
 
     def test_shuffled_observation_rows_predict_the_same(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")

@@ -929,10 +929,6 @@ def ended(draw, lines):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
-def csv_reader_not_expected(path):
-    raise AssertionError(f"{path} was read by csv.reader")
-
-
 def fallback(trigger, lines, draw, n):
     """Text of ``lines`` (header first, at least two rows) that one of the
     conditions the byte path needs no longer holds for."""
@@ -967,8 +963,10 @@ def fallback(trigger, lines, draw, n):
 
 class TestPlainManifestsReadFromByteOffsets:
     """A plain manifest is split at its commas and line ends, without
-    csv.reader, into the fields csv.reader gives; any other file is read by
-    csv.reader. Both parse exactly as the tests/oracles.py references do."""
+    csv.reader, into the fields csv.reader gives, as fixed-width bytes
+    columns (dtype kind "S"); any other file is read by csv.reader into
+    StringDType columns ("T"). Both give the rows and lines, and parse
+    exactly as, the tests/oracles.py references do."""
 
     def write(self, tmp_path_factory, text):
         path = tmp_path_factory.mktemp("plain") / "m.csv"
@@ -980,13 +978,14 @@ class TestPlainManifestsReadFromByteOffsets:
     def test_plain_manifest_matches_csv_reader(self, tmp_path_factory, name, data):
         header, cells, ours, reference = PARSERS[name]
         path = self.write(tmp_path_factory, data.draw(ended(data.draw(plain_lines(header, cells)))))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_model, "_data_rows", csv_reader_not_expected)
-            read, short = data_model.read_manifest(path, header)
+        read, short, lines = data_model.read_manifest(path, header)
         assert short is None
+        # split from byte offsets: csv.reader's columns would be StringDType
         assert [column.dtype.kind for column in read] == ["S"] * len(header)
         rows = zip(*(data_model.text(column).tolist() for column in read))
-        assert list(map(list, rows)) == [row[: len(header)] for _, row in oracle_rows(path, header)]
+        expected = list(oracle_rows(path, header))
+        assert list(map(list, rows)) == [row[: len(header)] for _, row in expected]
+        assert list(lines) == [line for line, _ in expected]
         assert outcome(ours, path) == outcome(reference, path)
 
     @settings(max_examples=200, deadline=None)
@@ -1010,11 +1009,18 @@ class TestPlainManifestsReadFromByteOffsets:
         header, cells, ours, reference = PARSERS[name]
         lines = data.draw(plain_lines(header, cells, min_rows=2))
         path = self.write(tmp_path_factory, fallback(trigger, lines, data.draw, len(header)))
-        read_by = []
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(data_model, "_data_rows", lambda path: read_by.append(path) or iter(()))
-            data_model.read_manifest(path, header)
-        assert read_by
+        if trigger == "over the limit":  # only csv.reader refuses a field
+            with pytest.raises(CsvParseError, match="field larger than field limit"):
+                data_model.read_manifest(path, header)
+        else:
+            read, short, lines = data_model.read_manifest(path, header)
+            # read by csv.reader: byte offsets would give fixed-width bytes
+            assert [column.dtype.kind for column in read] == ["T"] * len(header)
+            expected = list(oracle_rows(path, header))
+            assert list(lines) == [line for line, _ in expected]
+            kept = expected if short is None else expected[:short]
+            rows = zip(*(column.tolist() for column in read))
+            assert list(map(list, rows)) == [row[: len(header)] for _, row in kept]
         assert outcome(ours, path) == outcome(reference, path)
 
     def test_gathered_column_is_bounded_by_the_file_size(self, tmp_path):
@@ -1033,11 +1039,24 @@ class TestPlainManifestsReadFromByteOffsets:
         # csv.reader's rows, one list of str each, are most of it
         assert peak <= 20 * path.stat().st_size
 
+    @pytest.mark.parametrize("row, kind", [("loc_b,y,z", "S"), ('"loc_b",y,z', "T")])
+    def test_rows_are_numbered_after_a_header_of_two_lines(self, tmp_path, row, kind):
+        text = f'location_code,metadata_index,"note\nwrapped"\nloc_a,1,x\n{row}\n'
+        path = write(tmp_path, "l.csv", text)
+        (codes, _), short, lines = data_model.read_manifest(
+            path, ["location_code", "metadata_index"]
+        )
+        assert codes.dtype.kind == kind and short is None
+        assert list(lines) == [3, 4]
+        with pytest.raises(CsvParseError, match=":4: bad metadata_index 'y'"):
+            parse_locations_csv(path)
+
     def test_blank_line_of_a_one_column_manifest_is_skipped(self, tmp_path):
         # a line of one empty field, to the byte path; csv.reader skips it
         path = write(tmp_path, "m.csv", "code\na\n\nb\n")
-        (cells,), short = data_model.read_manifest(path, ["code"])
+        (cells,), short, lines = data_model.read_manifest(path, ["code"])
         assert cells.tolist() == ["a", "b"] and short is None
+        assert list(lines) == [2, 4]
 
 
 # Bytes a flip writes into a manifest, and a field one character past
