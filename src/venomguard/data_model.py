@@ -2,7 +2,8 @@
 
 A dataset bundle lives in a directory of small CSV manifests plus binary
 feature files (magic ``VGF1``). Feature values are stored single precision
-little-endian on disk and promoted to float64 for all computation.
+little-endian on disk and stay float32 in memory once read; every
+computation on them widens them to float64, an exact conversion.
 """
 
 from __future__ import annotations
@@ -26,8 +27,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import BundleValidationError, CsvParseError, FormatError
 
 MAGIC = b"VGF1"
-# bytes per read of a VGF1 payload from a pipe or other stream
+# bytes per read of a VGF1 payload from a pipe or other stream, and per
+# write of a payload cast to float32
 STREAM_CHUNK = 1 << 24
+# values per finiteness check of a read payload, so its mask stays small
+FINITE_CHUNK = 1 << 16
+# the magnitude from which a float64 value rounds to float32 infinity
+_F32_OVERFLOW = 2.0**128 - 2.0**103
 # rows that write_manifest formats, and checks for a \r, at a time
 WRITE_CHUNK = 2048
 
@@ -138,10 +144,17 @@ class ObservationTable:
 
 
 class FeatureMatrix:
-    """Dense rows x dims matrix of finite reals, float64 in memory."""
+    """Dense rows x dims matrix of finite reals.
+
+    float32 and float64 arrays are kept as given, so a matrix read from a
+    VGF1 file stays float32 in memory; any other dtype is cast to float64.
+    Computation widens float32 values to float64, which is exact.
+    """
 
     def __init__(self, values: np.ndarray):
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype != np.float32:
+            arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"feature matrix must be 2-D, got shape {arr.shape}")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -150,7 +163,8 @@ class FeatureMatrix:
 
     @classmethod
     def _of_finite(cls, values: np.ndarray) -> "FeatureMatrix":
-        """Wrap a 2-D float64 array whose values were already found finite."""
+        """Wrap a 2-D float32 or float64 array whose values were already
+        found finite."""
         matrix = cls.__new__(cls)
         matrix.values = values
         return matrix
@@ -649,11 +663,38 @@ def parse_locations_csv(path: str | Path) -> LocationTable:
 # Binary feature format
 # ---------------------------------------------------------------------------
 
-def write_record(fh: BinaryIO, matrix: FeatureMatrix) -> None:
-    """Append one VGF1 record: magic, rows/dims as u64 LE, float32 LE payload."""
+def _check_storable(matrix: FeatureMatrix, target: str | Path) -> None:
+    """FormatError naming ``target`` if a value of ``matrix`` would round to
+    an infinity as float32, which no VGF1 reader accepts."""
+    values = matrix.values
+    if values.dtype != np.float32 and values.size and (
+        values.max() >= _F32_OVERFLOW or values.min() <= -_F32_OVERFLOW
+    ):
+        raise FormatError(
+            f"{target}: values beyond float32's range "
+            f"({np.finfo(np.float32).max}) cannot be stored"
+        )
+
+
+def _write_payload(fh: BinaryIO, matrix: FeatureMatrix) -> None:
+    """Append one VGF1 record of a matrix already found storable."""
     fh.write(MAGIC)
     fh.write(struct.pack("<QQ", matrix.rows, matrix.dims))
-    fh.write(np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
+    # a float32 matrix is written as it is; any other is cast a chunk of
+    # rows at a time, so no copy of the whole payload is made
+    step = max(1, STREAM_CHUNK // (4 * max(matrix.dims, 1)))
+    for start in range(0, matrix.rows, step):
+        fh.write(np.ascontiguousarray(matrix.values[start : start + step], dtype="<f4"))
+
+
+def write_record(fh: BinaryIO, matrix: FeatureMatrix) -> None:
+    """Append one VGF1 record: magic, rows/dims as u64 LE, float32 LE payload.
+
+    A value past float32's range raises FormatError before anything is
+    written.
+    """
+    _check_storable(matrix, "<stream>")
+    _write_payload(fh, matrix)
 
 
 def _bytes_left(fh: BinaryIO) -> int | None:
@@ -667,8 +708,22 @@ def _bytes_left(fh: BinaryIO) -> int | None:
         return None
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a 1-D array is finite, checked FINITE_CHUNK
+    values at a time."""
+    return all(
+        np.isfinite(values[start : start + FINITE_CHUNK]).all()
+        for start in range(0, values.size, FINITE_CHUNK)
+    )
+
+
 def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
-    """Read one VGF1 record; raises FormatError on any malformation."""
+    """Read one VGF1 record as a writable float32 matrix; raises FormatError
+    on any malformation.
+
+    A regular file's payload is read straight into the matrix's array; a
+    stream's grows in bounded reads and the array is a view of its bytes.
+    """
     magic = fh.read(4)
     if magic != MAGIC:
         raise FormatError(f"{source}: bad magic {magic!r}")
@@ -684,7 +739,14 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
             f"but only {left} bytes remain"
         )
     if left is not None:
-        payload = fh.read(n_bytes)
+        data = np.empty(n_bytes // 4, dtype="<f4")
+        view = memoryview(data).cast("B")
+        got = 0
+        while got < n_bytes:
+            part = fh.readinto(view[got:])
+            if not part:
+                break
+            got += part
     else:
         # a stream's length is unknown, so its header's size is not trusted:
         # the payload grows in bounded reads until it is whole or the stream ends
@@ -694,15 +756,12 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
             if not part:
                 break
             payload += part
-    if len(payload) != n_bytes:
-        raise FormatError(
-            f"{source}: truncated payload, expected {n_bytes} bytes got {len(payload)}"
-        )
-    raw = np.frombuffer(payload, dtype="<f4")
-    # checked before the cast: widening a signalling NaN raises FP "invalid"
-    if raw.size and not np.all(np.isfinite(raw)):
+        got = len(payload)
+        data = np.frombuffer(payload, dtype="<f4", count=got // 4)
+    if got != n_bytes:
+        raise FormatError(f"{source}: truncated payload, expected {n_bytes} bytes got {got}")
+    if not _all_finite(data):
         raise FormatError(f"{source}: non-finite values in payload")
-    data = raw.astype(np.float64)
     try:
         values = data.reshape(rows, dims)
     except ValueError as exc:  # an empty shape past numpy's dimension limits
@@ -711,8 +770,7 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
 
 
 def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    with open(path, "wb") as fh:
-        write_record(fh, matrix)
+    write_records(path, [matrix])
 
 
 def read_feature_matrix(path: str | Path) -> FeatureMatrix:
@@ -724,9 +782,15 @@ def read_feature_matrix(path: str | Path) -> FeatureMatrix:
 
 
 def write_records(path: str | Path, matrices: Iterable[FeatureMatrix]) -> None:
+    """Write the matrices as one VGF1 file of stacked records; a value past
+    float32's range in any of them raises FormatError before the file is
+    opened."""
+    matrices = list(matrices)
+    for m in matrices:
+        _check_storable(m, path)
     with open(path, "wb") as fh:
         for m in matrices:
-            write_record(fh, m)
+            _write_payload(fh, m)
 
 
 def read_records(path: str | Path, count: int) -> list[FeatureMatrix]:

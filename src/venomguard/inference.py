@@ -129,25 +129,27 @@ def _escalate_rows(
 
     The top-k of a row is its k best scores, lower class ids first among
     equal scores; the venomous member with the highest score, then the
-    lowest id, replaces the base class.
+    lowest id, replaces the base class. That member can only be the row's
+    best venomous class v: it is in the top-k when fewer than k classes
+    rank above it, those scoring more and those scoring the same with a
+    lower id, and if it is not, no venomous class is.
     """
     final = base.copy()
-    top_k = min(policy.top_k, agg.shape[1])
+    venomous = np.flatnonzero(flags)
+    if not venomous.size:
+        return final
+    columns = np.arange(agg.shape[1])
     low = np.flatnonzero(agg[np.arange(agg.shape[0]), base] < policy.tau)
+    # uncertain rows a block at a time, so their copies stay small
     for start in range(0, low.size, _BLOCK_ROWS):
         rows = low[start : start + _BLOCK_ROWS]
         scores = agg[rows]
-        # partial selection of each row's k-th best score, not a full sort
-        kth = np.partition(scores, -top_k, axis=1)[:, -top_k, None]
-        above = scores > kth
-        tied = scores == kth
-        # the places the scores above leave go to the lowest ids tied at kth
-        room = top_k - np.count_nonzero(above, axis=1)
-        top = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-        top &= flags
-        found = top.any(axis=1)
-        best = np.where(top, scores, -np.inf).argmax(axis=1)
-        final[rows[found]] = best[found]
+        v = venomous[scores[:, venomous].argmax(axis=1)]
+        s_v = scores[np.arange(rows.size), v, None]
+        ahead = np.count_nonzero(scores > s_v, axis=1)
+        ahead += np.count_nonzero((scores == s_v) & (columns < v[:, None]), axis=1)
+        escalate = ahead < policy.top_k
+        final[rows[escalate]] = v[escalate]
     return final
 
 
@@ -170,8 +172,10 @@ def predict_dataset(
 
     The prior's (locations, C) weights come first, from one pass over all
     locations. The image rows then stream in file order, _BLOCK_ROWS at a
-    time, into ``aggregated``. After the prior pass, memory holds the
-    weights, ``aggregated`` and one block, however many images there are.
+    time, into ``aggregated``; each block is widened to float64 as it is
+    gathered, so float32 scores give the same results as their float64
+    values. After the prior pass, memory holds the weights, ``aggregated``
+    and one block, however many images there are.
     At most one warning names the rows whose joint scores fell back.
     """
     policy = policy or EscalationPolicy()
@@ -181,9 +185,13 @@ def predict_dataset(
         raise ValueError(f"score width {scores.shape[1]} != class count {n_classes}")
     obs = bundle.observations
     if not scores_are_logits:
-        if np.any(scores < 0.0):
-            raise ValueError("probability scores must be non-negative")
-        sums = scores.sum(axis=1)
+        # float64 row sums, a block of rows widened at a time
+        sums = np.empty(scores.shape[0])
+        for start in range(0, scores.shape[0], _BLOCK_ROWS):
+            rows = np.asarray(scores[start : start + _BLOCK_ROWS], dtype=np.float64)
+            if np.any(rows < 0.0):
+                raise ValueError("probability scores must be non-negative")
+            sums[start : start + _BLOCK_ROWS] = rows.sum(axis=1)
         if np.any(sums <= 0.0):
             raise ValueError("probability score rows must have positive sum")
     loc_weights = None
@@ -204,8 +212,10 @@ def predict_dataset(
     fallbacks = 0
     for start in range(0, len(obs), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        # each row is normalized on its own, so blocks give the same values
-        joint = scores[image_index[block]]
+        # each row is normalized on its own, so blocks give the same values;
+        # the gathered rows are widened before softmax, which would round
+        # its float64 results into a float32 array
+        joint = scores[image_index[block]].astype(np.float64, copy=False)
         if scores_are_logits:
             softmax(joint, out=joint)
         else:

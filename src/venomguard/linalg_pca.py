@@ -40,8 +40,12 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 
 def fit_pca(matrix: FeatureMatrix, k: int) -> PcaModel:
-    """Fit the top-k principal components of the sample covariance of ``matrix``."""
-    X = matrix.values
+    """Fit the top-k principal components of the sample covariance of ``matrix``.
+
+    The rows are widened to float64 first: the mean and the SVD accumulate
+    in float64 whatever precision the matrix holds.
+    """
+    X = np.asarray(matrix.values, dtype=np.float64)
     n, d = X.shape
     if n < 2:
         raise ValueError(f"need at least 2 samples to fit, got {n}")
@@ -123,7 +127,8 @@ def pca_records(model: PcaModel) -> list[FeatureMatrix]:
 
 
 def pca_from_records(records: list[FeatureMatrix]) -> PcaModel:
-    mean, components, eigenvalues = (r.values for r in records)
+    """The model of a file's three records, its parameters widened to float64."""
+    mean, components, eigenvalues = (np.asarray(r.values, dtype=np.float64) for r in records)
     return PcaModel(mean=mean[0], components=components, eigenvalues=eigenvalues[0])
 
 

@@ -315,7 +315,11 @@ def loc_loss_batch(
 def compute_prototypes(
     features: FeatureMatrix, labels: np.ndarray, n_classes: int
 ) -> PrototypeMatrix:
-    """Per-class mean of feature rows as L2-normalized columns."""
+    """Per-class mean of feature rows as L2-normalized columns.
+
+    Each class's rows are widened to float64 before their mean and norm, so
+    float32 features give the same columns as their float64 values.
+    """
     labels = np.asarray(labels)
     if labels.shape != (features.rows,):
         raise ValueError("need one label per feature row")
@@ -324,7 +328,7 @@ def compute_prototypes(
     out = np.zeros((features.dims, n_classes))
     empty: list[int] = []
     for c in range(n_classes):
-        members = features.values[labels == c]
+        members = np.asarray(features.values[labels == c], dtype=np.float64)
         if members.shape[0] == 0:
             empty.append(c)
             continue
@@ -542,11 +546,12 @@ def save_prior(artifact: PriorArtifact, path: str | Path) -> None:
 
 
 def load_prior(path: str | Path) -> PriorArtifact:
-    """Read an artifact written by ``save_prior`` for inference; any record
-    whose shape breaks the chain raises FormatError."""
+    """Read an artifact written by ``save_prior`` for inference, its
+    parameters widened to float64; any record whose shape breaks the chain
+    raises FormatError."""
     records = read_records(path, 7)
     check_record_shapes(path, records)
-    l1, l2, l3, proto = (r.values for r in records[3:])
+    l1, l2, l3, proto = (np.asarray(r.values, dtype=np.float64) for r in records[3:])
     mlp = PriorMlp(
         w1=l1[:, :-1],
         b1=l1[:, -1],

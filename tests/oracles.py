@@ -1,8 +1,10 @@
 """Brute-force oracles that the tests compare the package against.
 
 Plain Python on purpose: no numpy, no imports from the modules they check.
-Two exceptions use numpy. ``reference_sorted_unique`` is built on
-``np.unique``, which shares no code with the package's sort. And
+Three exceptions use numpy. ``blocked_escalate`` is the package's earlier
+escalation, by partial selection of each row's top-k, kept to check the
+rank rule that replaced it on large inputs. ``reference_sorted_unique`` is
+built on ``np.unique``, which shares no code with the package's sort. And
 ``reference_train_prior`` at the end: byte-equal weights need the same
 floating-point operations, so it restates the prior's training step with
 numpy, in its plain allocating form.
@@ -150,6 +152,29 @@ def reference_escalate(rows, base, venomous_flags, tau, top_k):
         ranked = sorted(range(len(row)), key=lambda k: (-row[k], k))[:top_k]
         out.append(next((k for k in ranked if venomous_flags[k]), best))
     return out
+
+
+def blocked_escalate(agg, base, flags, tau, top_k, block_rows=4096):
+    """The escalation rule as the package once computed it with numpy: each
+    uncertain row's top-k by partial selection, ties at the k-th score going
+    to the lowest ids, then the best venomous member of the top-k, over
+    blocks of ``block_rows`` uncertain rows."""
+    final = base.copy()
+    top_k = min(top_k, agg.shape[1])
+    low = np.flatnonzero(agg[np.arange(agg.shape[0]), base] < tau)
+    for start in range(0, low.size, block_rows):
+        rows = low[start : start + block_rows]
+        scores = agg[rows]
+        kth = np.partition(scores, -top_k, axis=1)[:, -top_k, None]
+        above = scores > kth
+        tied = scores == kth
+        room = top_k - np.count_nonzero(above, axis=1)
+        top = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+        top &= flags
+        found = top.any(axis=1)
+        best = np.where(top, scores, -np.inf).argmax(axis=1)
+        final[rows[found]] = best[found]
+    return final
 
 
 def reference_macro_f1(confusion, all_classes=False):

@@ -724,6 +724,16 @@ class TestFormatErrors:
         assert code == 3
         assert "truncated payload" in err
 
+    def test_model_past_float32_range_exits_three_and_writes_nothing(self, capsys, tmp_path):
+        # float32 inputs whose variance, about 6e76, float32 cannot hold
+        features = tmp_path / "wide.vgf1"
+        write_feature_matrix(FeatureMatrix([[3e38, 0.0], [-3e38, 0.0], [0.0, 1.0]]), features)
+        out = tmp_path / "p.bin"
+        code, _, err = run(capsys, "pca", str(features), "-k", "1", "-o", str(out))
+        assert code == 3
+        assert f"{out}: values beyond float32's range" in err
+        assert not out.exists()
+
     def test_missing_feature_file_exits_three(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "pca", str(tmp_path / "missing.vgf1"), "-o", str(tmp_path / "p.bin")

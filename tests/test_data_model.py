@@ -470,6 +470,71 @@ class TestBinaryFormat:
         loaded = read_feature_matrix(path)
         assert loaded.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+    def test_matrix_keeps_float32_and_float64_and_widens_the_rest(self):
+        for dtype, kept in [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float16, np.float64),
+            (np.int64, np.float64),
+        ]:
+            values = np.arange(6, dtype=dtype).reshape(2, 3)
+            assert FeatureMatrix(values).values.dtype == kept
+        values = np.ones((2, 2), dtype=np.float32)
+        assert FeatureMatrix(values).values is values
+
+    def test_file_and_pipe_read_to_writable_float32(self, tmp_path):
+        matrix = FeatureMatrix(np.arange(12.0).reshape(3, 4) / 7)
+        path = tmp_path / "m.bin"
+        write_feature_matrix(matrix, path)
+        with open(path, "rb") as fh, self.pipe(path.read_bytes()) as pipe:
+            for loaded in (read_record(fh), read_record(pipe)):
+                assert loaded.values.dtype == np.float32
+                assert loaded.values.flags.writeable
+                assert np.array_equal(loaded.values, matrix.values.astype(np.float32))
+                loaded.values[0, 0] = 1.0
+
+    def test_file_read_peaks_near_its_payload(self, tmp_path):
+        # the payload is read straight into the matrix: no bytes copy, no
+        # widened copy, and the finiteness mask is a chunk at a time
+        path = tmp_path / "m.bin"
+        values = np.random.default_rng(0).standard_normal((2000, 500)).astype(np.float32)
+        write_feature_matrix(FeatureMatrix(values), path)
+        tracemalloc.start()
+        try:
+            loaded = read_feature_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, values)
+        assert peak < 1.1 * values.nbytes
+
+    def test_float64_matrix_written_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(data_model, "STREAM_CHUNK", 12)  # 1 row of 3 values
+        values = np.arange(15.0).reshape(5, 3) / 3
+        buf = io.BytesIO()
+        write_record(buf, FeatureMatrix(values))
+        assert buf.getvalue()[20:] == values.astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_values_past_float32_range_refused_before_the_file_opens(self, tmp_path, sign):
+        # 2**128 - 2**103 is the midpoint between float32's largest value and
+        # 2**128; it and everything past it round to infinity
+        edge = 2.0**128 - 2.0**103
+        ok, bad = FeatureMatrix([[sign * np.nextafter(edge, 0.0)]]), FeatureMatrix([[sign * edge]])
+        path = tmp_path / "m.bin"
+        write_feature_matrix(ok, path)
+        assert read_feature_matrix(path).values[0, 0] == sign * np.finfo(np.float32).max
+        path.unlink()
+        with pytest.raises(FormatError, match=f"{path}: values beyond float32's range"):
+            write_feature_matrix(FeatureMatrix([[1.0, sign * 1e39]]), path)
+        with pytest.raises(FormatError, match=str(path)):
+            write_records(path, [ok, bad])
+        assert not path.exists()
+        buf = io.BytesIO()
+        with pytest.raises(FormatError, match="<stream>"):
+            write_record(buf, bad)
+        assert buf.getvalue() == b""
+
 
 class TestValidation:
     def test_consistent_bundle_reports_nothing(self, tiny_bundle):

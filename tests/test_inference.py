@@ -34,7 +34,7 @@ from venomguard.prior_model import (
 )
 from venomguard.synthetic import SynthConfig, generate
 
-from oracles import oracle_predict, reference_escalate
+from oracles import blocked_escalate, oracle_predict, reference_escalate
 
 
 @st.composite
@@ -290,6 +290,40 @@ class TestEscalation:
             final = _escalate_rows(agg, base, np.array(flags), policy)
         expected = reference_escalate(rows, base.tolist(), flags, tau, top_k)
         assert np.array_equal(final, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rank_rule_matches_blocked_selection(self, data):
+        # scores on five integer levels, so that ties are common at every
+        # place; no venomous class and top-k >= C are both drawn
+        n_rows = data.draw(st.integers(0, 40))
+        n_classes = data.draw(st.integers(1, 9))
+        levels = data.draw(st.lists(
+            st.integers(0, 4), min_size=n_rows * n_classes, max_size=n_rows * n_classes
+        ))
+        agg = np.array(levels, dtype=float).reshape(n_rows, n_classes) / 4
+        flags = np.array(data.draw(st.one_of(
+            st.just([False] * n_classes),
+            st.lists(st.booleans(), min_size=n_classes, max_size=n_classes),
+        )), dtype=bool)
+        top_k = data.draw(st.integers(1, n_classes + 2))
+        tau = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        base = agg.argmax(axis=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_BLOCK_ROWS", 7)
+            final = _escalate_rows(agg, base, flags, EscalationPolicy(tau=tau, top_k=top_k))
+        assert np.array_equal(final, blocked_escalate(agg, base, flags, tau, top_k))
+
+    @pytest.mark.parametrize("top_k", [1, 5, 50, 80])
+    def test_rank_rule_matches_blocked_selection_on_many_rows(self, top_k):
+        rng = np.random.default_rng(top_k)
+        # every row scores below tau, so every row is uncertain
+        agg = rng.integers(0, 6, size=(20_000, 50)) / 10
+        base = agg.argmax(axis=1)
+        for flags in (rng.random(50) < 0.3, np.zeros(50, dtype=bool)):
+            final = _escalate_rows(agg, base, flags, EscalationPolicy(tau=1.0, top_k=top_k))
+            assert np.array_equal(final, blocked_escalate(agg, base, flags, 1.0, top_k))
+        assert np.count_nonzero(final != base) == 0  # no venomous class: nothing moves
 
     def test_only_fires_below_tau(self, five_classes):
         rows = np.random.default_rng(3).dirichlet(np.ones(5), size=200)
