@@ -15,7 +15,7 @@ from pathlib import Path
 from .data_model import (
     load_bundle,
     parse_classes_csv,
-    read_feature_matrix,
+    read_records,
     validate_bundle,
 )
 from .errors import BundleValidationError, CsvParseError, FormatError
@@ -109,11 +109,21 @@ def _coerce(key: str, raw: str) -> object:
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments ignored."""
+    """Flat ``key = value`` lines; blank lines and ``#`` comments ignored.
+
+    One leading byte-order mark is dropped; a byte that is not UTF-8 is
+    reported with its line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # the lines as splitlines() numbers them, up to and with the bad byte
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(
+            f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8"
+        ) from None
     out: dict[str, object] = {}
-    for lineno, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -243,7 +253,7 @@ def _cmd_validate(args, cfg) -> int:
 
 
 def _cmd_pca(args, cfg) -> int:
-    matrix = read_feature_matrix(args.features)
+    (matrix,) = read_records(args.features, 1)
     model = fit_pca(matrix, cfg["pca_k"])
     save_pca(model, args.output)
     explained = float(model.eigenvalues.sum())

@@ -663,38 +663,29 @@ def parse_locations_csv(path: str | Path) -> LocationTable:
 # Binary feature format
 # ---------------------------------------------------------------------------
 
-def _check_storable(matrix: FeatureMatrix, target: str | Path) -> None:
-    """FormatError naming ``target`` if a value of ``matrix`` would round to
-    an infinity as float32, which no VGF1 reader accepts."""
-    values = matrix.values
-    if values.dtype != np.float32 and values.size and (
-        values.max() >= _F32_OVERFLOW or values.min() <= -_F32_OVERFLOW
-    ):
-        raise FormatError(
-            f"{target}: values beyond float32's range "
-            f"({np.finfo(np.float32).max}) cannot be stored"
-        )
-
-
-def _write_payload(fh: BinaryIO, matrix: FeatureMatrix) -> None:
-    """Append one VGF1 record of a matrix already found storable."""
-    fh.write(MAGIC)
-    fh.write(struct.pack("<QQ", matrix.rows, matrix.dims))
-    # a float32 matrix is written as it is; any other is cast a chunk of
-    # rows at a time, so no copy of the whole payload is made
-    step = max(1, STREAM_CHUNK // (4 * max(matrix.dims, 1)))
-    for start in range(0, matrix.rows, step):
-        fh.write(np.ascontiguousarray(matrix.values[start : start + step], dtype="<f4"))
-
-
-def write_record(fh: BinaryIO, matrix: FeatureMatrix) -> None:
-    """Append one VGF1 record: magic, rows/dims as u64 LE, float32 LE payload.
-
-    A value past float32's range raises FormatError before anything is
-    written.
-    """
-    _check_storable(matrix, "<stream>")
-    _write_payload(fh, matrix)
+def write_records(path: str | Path, matrices: Iterable[FeatureMatrix]) -> None:
+    """Write the matrices as one VGF1 file of stacked records, each the magic,
+    rows/dims as u64 LE and a float32 LE payload; a value past float32's
+    range in any of them raises FormatError before the file is opened."""
+    matrices = list(matrices)
+    for m in matrices:
+        values = m.values
+        if values.dtype != np.float32 and values.size and (
+            values.max() >= _F32_OVERFLOW or values.min() <= -_F32_OVERFLOW
+        ):
+            raise FormatError(
+                f"{path}: values beyond float32's range "
+                f"({np.finfo(np.float32).max}) cannot be stored"
+            )
+    with open(path, "wb") as fh:
+        for m in matrices:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<QQ", m.rows, m.dims))
+            # a float32 matrix is written as it is; any other is cast a chunk
+            # of rows at a time, so no copy of the whole payload is made
+            step = max(1, STREAM_CHUNK // (4 * max(m.dims, 1)))
+            for start in range(0, m.rows, step):
+                fh.write(np.ascontiguousarray(m.values[start : start + step], dtype="<f4"))
 
 
 def _bytes_left(fh: BinaryIO) -> int | None:
@@ -717,14 +708,16 @@ def _all_finite(values: np.ndarray) -> bool:
     )
 
 
-def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
-    """Read one VGF1 record as a writable float32 matrix; raises FormatError
-    on any malformation.
+def _read_record(fh: BinaryIO, source: str) -> FeatureMatrix | None:
+    """The next VGF1 record as a writable float32 matrix, or None if the
+    file ends where its magic would begin; FormatError on any malformation.
 
     A regular file's payload is read straight into the matrix's array; a
     stream's grows in bounded reads and the array is a view of its bytes.
     """
     magic = fh.read(4)
+    if not magic:
+        return None
     if magic != MAGIC:
         raise FormatError(f"{source}: bad magic {magic!r}")
     header = fh.read(16)
@@ -769,40 +762,19 @@ def read_record(fh: BinaryIO, source: str = "<stream>") -> FeatureMatrix:
     return FeatureMatrix._of_finite(values)
 
 
-def write_feature_matrix(matrix: FeatureMatrix, path: str | Path) -> None:
-    write_records(path, [matrix])
-
-
-def read_feature_matrix(path: str | Path) -> FeatureMatrix:
-    with open(path, "rb") as fh:
-        matrix = read_record(fh, source=str(path))
-        if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after payload")
-    return matrix
-
-
-def write_records(path: str | Path, matrices: Iterable[FeatureMatrix]) -> None:
-    """Write the matrices as one VGF1 file of stacked records; a value past
-    float32's range in any of them raises FormatError before the file is
-    opened."""
-    matrices = list(matrices)
-    for m in matrices:
-        _check_storable(m, path)
-    with open(path, "wb") as fh:
-        for m in matrices:
-            _write_payload(fh, m)
-
-
 def read_records(path: str | Path, count: int) -> list[FeatureMatrix]:
-    """Exactly ``count`` VGF1 records; FormatError for fewer or trailing bytes."""
+    """Exactly ``count`` VGF1 records from a regular file or a pipe;
+    FormatError for fewer, for trailing bytes or for a malformed record."""
     out = []
     with open(path, "rb") as fh:
-        for i in range(count):
-            if i and _bytes_left(fh) == 0:
-                raise FormatError(f"{path}: holds {i} records, expected {count}")
-            out.append(read_record(fh, source=str(path)))
+        while len(out) < count:
+            record = _read_record(fh, str(path))
+            if record is None:
+                raise FormatError(f"{path}: holds {len(out)} records, expected {count}")
+            out.append(record)
         if fh.read(1):
-            raise FormatError(f"{path}: trailing bytes after {count} records")
+            noun = "record" if count == 1 else "records"
+            raise FormatError(f"{path}: trailing bytes after {count} {noun}")
     return out
 
 
@@ -818,12 +790,12 @@ def load_bundle(directory: str | Path, allow_unlabeled: bool = False) -> Dataset
         d / OBSERVATIONS_FILENAME, classes, allow_unlabeled=allow_unlabeled
     )
     locations = parse_locations_csv(d / LOCATIONS_FILENAME)
-    scores = read_feature_matrix(d / SCORES_FILENAME)
-    metadata = read_feature_matrix(d / METADATA_FILENAME)
+    (scores,) = read_records(d / SCORES_FILENAME, 1)
+    (metadata,) = read_records(d / METADATA_FILENAME, 1)
     embeddings = None
     emb_path = d / EMBEDDINGS_FILENAME
     if emb_path.exists():
-        embeddings = read_feature_matrix(emb_path)
+        (embeddings,) = read_records(emb_path, 1)
     return DatasetBundle(classes, observations, scores, metadata, locations, embeddings)
 
 

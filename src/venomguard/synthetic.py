@@ -26,8 +26,8 @@ from .data_model import (
     FeatureMatrix,
     LocationTable,
     ObservationTable,
-    write_feature_matrix,
     write_manifest,
+    write_records,
 )
 
 TRUTH_FILENAME = "truth.csv"
@@ -211,10 +211,10 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
         [truth_ids, [gen.truth[obs_id] for obs_id in truth_ids]],
     )
 
-    write_feature_matrix(bundle.image_scores, d / SCORES_FILENAME)
-    write_feature_matrix(bundle.metadata_features, d / METADATA_FILENAME)
+    write_records(d / SCORES_FILENAME, [bundle.image_scores])
+    write_records(d / METADATA_FILENAME, [bundle.metadata_features])
     if bundle.embeddings is not None:
-        write_feature_matrix(bundle.embeddings, d / EMBEDDINGS_FILENAME)
+        write_records(d / EMBEDDINGS_FILENAME, [bundle.embeddings])
 
     cfg = gen.config
     manifest = [

@@ -1,3 +1,5 @@
+import contextlib
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -81,6 +83,21 @@ def with_columns(bundle, **columns):
         "location_code": obs.codes[obs.location],
     }
     return replace(bundle, observations=ObservationTable.from_columns(**(kept | columns)))
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A /dev/fd path to the read end of a pipe that holds ``data``, its
+    write end closed."""
+    r, w = os.pipe()
+    try:
+        assert os.write(w, data) == len(data)
+    finally:
+        os.close(w)
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
 
 
 def location_table(mapping: dict[str, int]) -> LocationTable:

@@ -16,8 +16,8 @@ from venomguard.cli import main
 from venomguard.data_model import (
     ClassTable,
     FeatureMatrix,
-    read_feature_matrix,
-    write_feature_matrix,
+    read_records,
+    write_records,
 )
 from venomguard.gradcheck import check_loc_loss
 from venomguard.inference import EscalationPolicy, _escalate_rows, predict_dataset
@@ -256,9 +256,9 @@ def test_criterion_10_feature_file_round_trip_is_bit_exact(tmp_path):
     ok = True
     for shape in shapes:
         values = rng.normal(scale=100.0, size=shape).astype(np.float32).astype(np.float64)
-        write_feature_matrix(FeatureMatrix(values), first)
-        back = read_feature_matrix(first)
+        write_records(first, [FeatureMatrix(values)])
+        (back,) = read_records(first, 1)
         ok &= bool(np.array_equal(back.values, values))
-        write_feature_matrix(back, second)
+        write_records(second, [back])
         ok &= first.read_bytes() == second.read_bytes()
     _report(10, "1000 random matrices round-trip bit-exactly, edge shapes included", ok)

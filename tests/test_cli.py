@@ -1,5 +1,5 @@
 import argparse
-import contextlib
+import codecs
 import csv
 import filecmp
 import io
@@ -11,13 +11,9 @@ import shutil
 import pytest
 
 from venomguard.cli import DEFAULTS, build_parser, main, parse_config_file, resolve_config
-from venomguard.data_model import (
-    FeatureMatrix,
-    read_feature_matrix,
-    read_records,
-    write_feature_matrix,
-    write_records,
-)
+from venomguard.data_model import FeatureMatrix, read_records, write_records
+
+from conftest import piped
 
 
 def run(capsys, *argv):
@@ -44,21 +40,6 @@ def make_dataset(capsys, directory, seed=3, classes=8, observations=120):
     )
     assert code == 0, out
     return directory
-
-
-@contextlib.contextmanager
-def piped(data: bytes):
-    """A /dev/fd path to the read end of a pipe that holds ``data``, its
-    write end closed."""
-    r, w = os.pipe()
-    try:
-        assert os.write(w, data) == len(data)
-    finally:
-        os.close(w)
-    try:
-        yield f"/dev/fd/{r}"
-    finally:
-        os.close(r)
 
 
 def quoted(path) -> bytes:
@@ -117,6 +98,22 @@ class TestConfigFile:
         path.write_text("f1_all_classes = maybe\n")
         with pytest.raises(ValueError, match="boolean"):
             parse_config_file(path)
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # as a manifest's is
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"pca_k = 4\ntau = 0.5\n")
+        assert parse_config_file(path) == {"pca_k": 4, "tau": 0.5}
+
+    def test_byte_not_utf8_names_file_and_line(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"tau = 0.5\r\n# caf\xe9\npca_k = 4\n")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value) == f"{path}:2: byte 0xe9 is not UTF-8"
+        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
+        assert code == 1
+        assert f"error: {path}:2: byte 0xe9 is not UTF-8" in err
 
     @pytest.mark.parametrize(
         "line, message",
@@ -642,7 +639,8 @@ class TestValidateCommand:
     def test_score_width_unlike_class_count_exits_two(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data", classes=6, observations=60)
         scores = data / "image_scores.vgf1"
-        write_feature_matrix(FeatureMatrix(read_feature_matrix(scores).values[:, :4]), scores)
+        (matrix,) = read_records(scores, 1)
+        write_records(scores, [FeatureMatrix(matrix.values[:, :4])])
         for mode in ("strict", "drop"):
             code, _, err = run(capsys, "validate", str(data), "--mode", mode)
             assert code == 2
@@ -653,7 +651,8 @@ class TestValidateCommand:
     def test_embedding_rows_unlike_image_rows_exit_two(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data", classes=6, observations=60)
         emb = data / "embeddings.vgf1"
-        write_feature_matrix(FeatureMatrix(read_feature_matrix(emb).values[:10]), emb)
+        (matrix,) = read_records(emb, 1)
+        write_records(emb, [FeatureMatrix(matrix.values[:10])])
         for mode in ("strict", "drop"):
             code, _, err = run(capsys, "validate", str(data), "--mode", mode)
             assert code == 2
@@ -727,7 +726,7 @@ class TestFormatErrors:
     def test_model_past_float32_range_exits_three_and_writes_nothing(self, capsys, tmp_path):
         # float32 inputs whose variance, about 6e76, float32 cannot hold
         features = tmp_path / "wide.vgf1"
-        write_feature_matrix(FeatureMatrix([[3e38, 0.0], [-3e38, 0.0], [0.0, 1.0]]), features)
+        write_records(features, [FeatureMatrix([[3e38, 0.0], [-3e38, 0.0], [0.0, 1.0]])])
         out = tmp_path / "p.bin"
         code, _, err = run(capsys, "pca", str(features), "-k", "1", "-o", str(out))
         assert code == 3
@@ -756,21 +755,26 @@ class TestFormatErrors:
 
     def test_prior_artifact_as_pca_exits_three(self, capsys, tmp_path):
         data, _, prior_path = self.artifacts(capsys, tmp_path)
-        code, _, err = run(
-            capsys, "train-prior", str(data), "--pca", str(prior_path),
-            "-o", str(tmp_path / "again.bin"), "--epochs", "1",
-        )
-        assert code == 3
-        assert "trailing bytes after 3 records" in err
+        with piped(prior_path.read_bytes()) as pipe:
+            for pca in (str(prior_path), pipe):
+                code, _, err = run(
+                    capsys, "train-prior", str(data), "--pca", pca,
+                    "-o", str(tmp_path / "again.bin"), "--epochs", "1",
+                )
+                assert code == 3
+                assert f"error: {pca}: trailing bytes after 3 records" in err
 
     def test_pca_artifact_as_prior_exits_three(self, capsys, tmp_path):
+        # a pipe ends where a fourth record would begin, as the file does
         data, pca_path, _ = self.artifacts(capsys, tmp_path)
-        code, _, err = run(
-            capsys, "infer", str(data), "--prior", str(pca_path),
-            "-o", str(tmp_path / "preds.csv"),
-        )
-        assert code == 3
-        assert "holds 3 records, expected 7" in err
+        with piped(pca_path.read_bytes()) as pipe:
+            for prior in (str(pca_path), pipe):
+                code, _, err = run(
+                    capsys, "infer", str(data), "--prior", prior,
+                    "-o", str(tmp_path / "preds.csv"),
+                )
+                assert code == 3
+                assert f"error: {prior}: holds 3 records, expected 7" in err
 
     def test_pca_mean_wider_than_components_exits_three(self, capsys, tmp_path):
         data, pca_path, _ = self.artifacts(capsys, tmp_path)

@@ -1,7 +1,6 @@
 import csv
 import io
 import itertools
-import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -24,21 +23,17 @@ from venomguard.data_model import (
     parse_ints,
     parse_locations_csv,
     parse_observations_csv,
-    read_feature_matrix,
-    read_record,
     read_records,
     sorted_unique,
     validate_bundle,
-    write_feature_matrix,
     write_manifest,
-    write_record,
     write_records,
 )
 from venomguard.errors import BundleValidationError, CsvParseError, FormatError
 from venomguard.inference import read_predictions_csv
 from venomguard.synthetic import SynthConfig, generate, write_dataset
 
-from conftest import FIELD_CHARS, location_dict, location_table, with_columns
+from conftest import FIELD_CHARS, location_dict, location_table, piped, with_columns
 from oracles import (
     Rejected,
     _data_rows as oracle_rows,
@@ -334,7 +329,29 @@ class TestCsvLineNumbers:
         assert f"{path}:4:" in str(info.value)
 
 
+def vgf1_header(rows: int, dims: int) -> bytes:
+    return MAGIC + rows.to_bytes(8, "little") + dims.to_bytes(8, "little")
+
+
 class TestBinaryFormat:
+    def sources(self, tmp_path, data: bytes):
+        """``data`` as a regular file, then as a pipe (``/dev/fd/N``): the
+        path of each in turn."""
+        path = tmp_path / "m.bin"
+        path.write_bytes(data)
+        yield str(path)
+        with piped(data) as pipe:
+            yield pipe
+
+    def rejects(self, tmp_path, data: bytes, count: int, file_message: str, pipe_message=None):
+        """read_records(source, count) raises FormatError with exactly
+        ``source: message``, from a file and from a pipe holding ``data``."""
+        messages = (file_message, pipe_message or file_message)
+        for source, message in zip(self.sources(tmp_path, data), messages):
+            with pytest.raises(FormatError) as info:
+                read_records(source, count)
+            assert str(info.value) == f"{source}: {message}"
+
     def test_round_trip_small_matrix(self, tmp_path):
         path = tmp_path / "m.bin"
         write_records(path, [FeatureMatrix(np.array([[1.0, 2.0]]))])
@@ -342,77 +359,67 @@ class TestBinaryFormat:
         assert loaded.values.tolist() == [[1.0, 2.0]]
 
     def test_bad_magic_reported(self, tmp_path):
-        path = tmp_path / "m.bin"
-        path.write_bytes(b"XXXX" + b"\x00" * 16)
-        with pytest.raises(FormatError, match="magic"):
-            read_records(path, 1)
+        self.rejects(tmp_path, b"XXXX" + b"\x00" * 16, 1, "bad magic b'XXXX'")
+        self.rejects(tmp_path, b"VG", 1, "bad magic b'VG'")
+
+    def test_truncated_header_reported(self, tmp_path):
+        self.rejects(tmp_path, vgf1_header(2, 2)[:14], 1, "truncated header")
 
     def test_truncated_payload_reported(self, tmp_path):
-        path = tmp_path / "m.bin"
-        header = MAGIC + (2).to_bytes(8, "little") + (2).to_bytes(8, "little")
-        path.write_bytes(header + b"\x00" * 12)  # 3 floats, 4 declared
-        with pytest.raises(FormatError, match="truncat"):
-            read_records(path, 1)
+        # 3 floats of the 4 declared: a file's size shows it before the
+        # payload is read, a pipe's read comes up short
+        self.rejects(
+            tmp_path,
+            vgf1_header(2, 2) + b"\x00" * 12,
+            1,
+            "header declares 2x2 values (16 bytes) but only 12 bytes remain",
+            "truncated payload, expected 16 bytes got 12",
+        )
 
     def test_header_larger_than_file_rejected_before_reading(self, tmp_path):
         path = tmp_path / "m.bin"
-        header = (2**40).to_bytes(8, "little") + (2**20).to_bytes(8, "little")
-        path.write_bytes(MAGIC + header)
-        with pytest.raises(FormatError, match="declares"):
+        path.write_bytes(vgf1_header(2**40, 2**20))
+        with pytest.raises(FormatError, match="declares .* but only 0 bytes remain"):
             read_records(path, 1)
-
-    def pipe(self, data: bytes):
-        """The read end of a pipe holding ``data``, its write end closed."""
-        r, w = os.pipe()
-        os.write(w, data)
-        os.close(w)
-        return os.fdopen(r, "rb")
 
     def test_lying_header_on_a_pipe_is_format_error(self):
         # a pipe's length is unknown: 2**40 x 2**20 values must not be allocated
-        header = (2**40).to_bytes(8, "little") + (2**20).to_bytes(8, "little")
-        with self.pipe(MAGIC + header) as fh:
+        with piped(vgf1_header(2**40, 2**20)) as pipe:
             with pytest.raises(FormatError, match=f"expected {2**62} bytes got 0"):
-                read_record(fh, "pipe")
+                read_records(pipe, 1)
 
     @pytest.mark.parametrize("cut", [0, 5, 8])
-    def test_pipe_payload_arrives_in_chunks(self, monkeypatch, cut):
+    def test_pipe_payload_arrives_in_chunks(self, tmp_path, monkeypatch, cut):
         monkeypatch.setattr(data_model, "STREAM_CHUNK", 8)
         matrix = FeatureMatrix(np.arange(15.0).reshape(3, 5))
-        buf = io.BytesIO()
-        write_record(buf, matrix)
-        data = buf.getvalue()
-        with self.pipe(data[: len(data) - cut]) as fh:
+        path = tmp_path / "m.bin"
+        write_records(path, [matrix])
+        data = path.read_bytes()
+        with piped(data[: len(data) - cut]) as pipe:
             if cut:
                 with pytest.raises(FormatError, match=f"expected 60 bytes got {60 - cut}"):
-                    read_record(fh)
+                    read_records(pipe, 1)
             else:
-                assert read_record(fh) == matrix
+                assert read_records(pipe, 1) == [matrix]
 
     def test_trailing_bytes_reported(self, tmp_path):
         path = tmp_path / "m.bin"
-        write_records(path, [FeatureMatrix(np.zeros((1, 1)))])
-        path.write_bytes(path.read_bytes() + b"\x01")
-        with pytest.raises(FormatError):
-            read_records(path, 1)
+        write_records(path, [FeatureMatrix(np.zeros((1, 1)))] * 2)
+        data = path.read_bytes()
+        self.rejects(tmp_path, data[:24] + b"\x01", 1, "trailing bytes after 1 record")
+        self.rejects(tmp_path, data + b"\x01", 2, "trailing bytes after 2 records")
+        # a whole further record is trailing bytes too
+        self.rejects(tmp_path, data, 1, "trailing bytes after 1 record")
 
     def test_non_finite_payload_rejected(self, tmp_path):
-        path = tmp_path / "m.bin"
-        buf = io.BytesIO()
-        buf.write(MAGIC + (1).to_bytes(8, "little") + (1).to_bytes(8, "little"))
-        buf.write(np.array([np.inf], dtype="<f4").tobytes())
-        path.write_bytes(buf.getvalue())
-        with pytest.raises(FormatError):
-            read_records(path, 1)
+        data = vgf1_header(1, 1) + np.array([np.inf], dtype="<f4").tobytes()
+        self.rejects(tmp_path, data, 1, "non-finite values in payload")
 
     def test_signalling_nan_payload_is_format_error(self, tmp_path):
         # widening a signalling NaN to float64 raises FP "invalid"; the loader
         # must report the bad payload, not that warning
-        path = tmp_path / "m.bin"
-        header = MAGIC + (1).to_bytes(8, "little") + (1).to_bytes(8, "little")
-        path.write_bytes(header + (0x7F800001).to_bytes(4, "little"))
-        with pytest.raises(FormatError, match="non-finite"):
-            read_records(path, 1)
+        data = vgf1_header(1, 1) + (0x7F800001).to_bytes(4, "little")
+        self.rejects(tmp_path, data, 1, "non-finite values in payload")
 
     def test_empty_and_single_shapes(self, tmp_path):
         for arr in (np.empty((0, 3)), np.array([[7.5]])):
@@ -429,25 +436,24 @@ class TestBinaryFormat:
         ]
         path = tmp_path / "m.bin"
         write_records(path, mats)
-        loaded = read_records(path, 2)
-        assert [m.values.shape for m in loaded] == [(2, 3), (1, 4)]
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(mats, loaded))
+        for source in self.sources(tmp_path, path.read_bytes()):
+            loaded = read_records(source, 2)
+            assert [m.values.shape for m in loaded] == [(2, 3), (1, 4)]
+            assert all(np.array_equal(a.values, b.values) for a, b in zip(mats, loaded))
 
     @pytest.mark.parametrize(
         "rows, dims", [(0, 2**64 - 1), (2**62, 0)], ids=["dims_2^64-1", "rows_2^62"]
     )
     def test_empty_shape_past_numpy_limits_rejected(self, tmp_path, rows, dims):
         # no payload bytes, so only the reshape can reject these headers
-        path = tmp_path / "m.bin"
-        path.write_bytes(MAGIC + rows.to_bytes(8, "little") + dims.to_bytes(8, "little"))
-        with pytest.raises(FormatError, match=f"declares {rows}x{dims}"):
-            read_records(path, 1)
+        self.rejects(tmp_path, vgf1_header(rows, dims), 1, f"header declares {rows}x{dims} values")
 
     def test_wrong_record_count_rejected(self, tmp_path):
+        # a file and a pipe both end where the next record's magic would begin
         path = tmp_path / "m.bin"
         write_records(path, [FeatureMatrix(np.zeros((1, 1)))])
-        with pytest.raises(FormatError):
-            read_records(path, 2)
+        self.rejects(tmp_path, path.read_bytes(), 2, "holds 1 records, expected 2")
+        self.rejects(tmp_path, b"", 1, "holds 0 records, expected 1")
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -464,12 +470,6 @@ class TestBinaryFormat:
         (loaded,) = read_records(path, 1)
         assert np.array_equal(loaded.values, original)
 
-    def test_single_matrix_file_helpers(self, tmp_path):
-        path = tmp_path / "m.bin"
-        write_feature_matrix(FeatureMatrix(np.array([[1.0, 2.0], [3.0, 4.0]])), path)
-        loaded = read_feature_matrix(path)
-        assert loaded.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
-
     def test_matrix_keeps_float32_and_float64_and_widens_the_rest(self):
         for dtype, kept in [
             (np.float32, np.float32),
@@ -485,35 +485,35 @@ class TestBinaryFormat:
     def test_file_and_pipe_read_to_writable_float32(self, tmp_path):
         matrix = FeatureMatrix(np.arange(12.0).reshape(3, 4) / 7)
         path = tmp_path / "m.bin"
-        write_feature_matrix(matrix, path)
-        with open(path, "rb") as fh, self.pipe(path.read_bytes()) as pipe:
-            for loaded in (read_record(fh), read_record(pipe)):
-                assert loaded.values.dtype == np.float32
-                assert loaded.values.flags.writeable
-                assert np.array_equal(loaded.values, matrix.values.astype(np.float32))
-                loaded.values[0, 0] = 1.0
+        write_records(path, [matrix])
+        for source in self.sources(tmp_path, path.read_bytes()):
+            (loaded,) = read_records(source, 1)
+            assert loaded.values.dtype == np.float32
+            assert loaded.values.flags.writeable
+            assert np.array_equal(loaded.values, matrix.values.astype(np.float32))
+            loaded.values[0, 0] = 1.0
 
     def test_file_read_peaks_near_its_payload(self, tmp_path):
         # the payload is read straight into the matrix: no bytes copy, no
         # widened copy, and the finiteness mask is a chunk at a time
         path = tmp_path / "m.bin"
         values = np.random.default_rng(0).standard_normal((2000, 500)).astype(np.float32)
-        write_feature_matrix(FeatureMatrix(values), path)
+        write_records(path, [FeatureMatrix(values)])
         tracemalloc.start()
         try:
-            loaded = read_feature_matrix(path)
+            (loaded,) = read_records(path, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.array_equal(loaded.values, values)
         assert peak < 1.1 * values.nbytes
 
-    def test_float64_matrix_written_a_chunk_at_a_time(self, monkeypatch):
+    def test_float64_matrix_written_a_chunk_at_a_time(self, tmp_path, monkeypatch):
         monkeypatch.setattr(data_model, "STREAM_CHUNK", 12)  # 1 row of 3 values
         values = np.arange(15.0).reshape(5, 3) / 3
-        buf = io.BytesIO()
-        write_record(buf, FeatureMatrix(values))
-        assert buf.getvalue()[20:] == values.astype("<f4").tobytes()
+        path = tmp_path / "m.bin"
+        write_records(path, [FeatureMatrix(values)])
+        assert path.read_bytes()[20:] == values.astype("<f4").tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_values_past_float32_range_refused_before_the_file_opens(self, tmp_path, sign):
@@ -522,18 +522,15 @@ class TestBinaryFormat:
         edge = 2.0**128 - 2.0**103
         ok, bad = FeatureMatrix([[sign * np.nextafter(edge, 0.0)]]), FeatureMatrix([[sign * edge]])
         path = tmp_path / "m.bin"
-        write_feature_matrix(ok, path)
-        assert read_feature_matrix(path).values[0, 0] == sign * np.finfo(np.float32).max
+        write_records(path, [ok])
+        (loaded,) = read_records(path, 1)
+        assert loaded.values[0, 0] == sign * np.finfo(np.float32).max
         path.unlink()
         with pytest.raises(FormatError, match=f"{path}: values beyond float32's range"):
-            write_feature_matrix(FeatureMatrix([[1.0, sign * 1e39]]), path)
+            write_records(path, [FeatureMatrix([[1.0, sign * 1e39]])])
         with pytest.raises(FormatError, match=str(path)):
             write_records(path, [ok, bad])
         assert not path.exists()
-        buf = io.BytesIO()
-        with pytest.raises(FormatError, match="<stream>"):
-            write_record(buf, bad)
-        assert buf.getvalue() == b""
 
 
 class TestValidation:
