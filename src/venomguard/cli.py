@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .data_model import (
+    _line_at,
     load_bundle,
     parse_classes_csv,
     read_records,
@@ -111,19 +112,20 @@ def _coerce(key: str, raw: str) -> object:
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Flat ``key = value`` lines; blank lines and ``#`` comments ignored.
 
-    One leading byte-order mark is dropped; a byte that is not UTF-8 is
-    reported with its line."""
+    Lines end at ``\r\n``, ``\r`` or ``\n`` only, as in the manifests, so
+    a ``\f`` or U+2028 is part of its line. One leading byte-order mark is
+    dropped; a byte that is not UTF-8 is reported with its line."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        # the lines as splitlines() numbers them, up to and with the bad byte
-        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        lineno = _line_at(data, exc.start)
         raise ValueError(
             f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8"
         ) from None
     out: dict[str, object] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -402,34 +402,45 @@ def _plain_cells(body: bytes, n: int) -> list[np.ndarray] | None:
 
 
 def write_manifest(path: str | Path, header: list[str], columns: list) -> None:
-    """Write ``header`` and the rows of ``columns``, one list of values per
-    column, as a CSV manifest that ``read_manifest`` reads back: ``\n`` line
-    ends, and only fields that need it are quoted.
+    """Write ``header`` and the rows of ``columns``, one list of str, int or
+    float values per column, as a CSV manifest that ``read_manifest`` reads
+    back: ``\n`` line ends, and only fields that need it are quoted.
 
-    csv.writer quotes a field for a line break only if its ``lineterminator``
-    holds that character, so on Python 3.10-3.12 a field with a lone ``\r``
-    would be written bare and read back split. Rows are formatted at C speed
-    in chunks; a chunk whose text holds a ``\r`` is formatted again, a row at
-    a time, by a writer that ends lines in ``\r\n`` and so quotes it.
+    Rows go out in chunks. Each chunk is first joined as plain text, ``str``
+    of each value with ``,`` between and ``\n`` after each row; that is what
+    csv.writer writes when no field needs quoting. It is kept when there are
+    at least two columns (csv.writer quotes a row of one empty field) and the
+    text holds one ``,`` per field boundary, one ``\n`` per row, and no
+    ``"`` or ``\r``. Any other chunk is formatted a row at a time by
+    ``_lines_quoting_cr``.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = zip(*columns)
+    boundaries = len(columns) - 1
+    # %s formats a value as str() does; one format per chunk, at C speed
+    plain_row = ",".join(["%s"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_lines_quoting_cr([header]))
         for start in range(0, len(columns[0]), WRITE_CHUNK):
-            buf.seek(0)
-            buf.truncate()
-            writer.writerows(itertools.islice(rows, WRITE_CHUNK))
-            text = buf.getvalue()
-            if "\r" in text:
-                stop = start + WRITE_CHUNK
-                text = _lines_quoting_cr(zip(*(column[start:stop] for column in columns)))
+            chunk = [column[start : start + WRITE_CHUNK] for column in columns]
+            rows = len(chunk[0])
+            text = plain_row * rows % tuple(itertools.chain.from_iterable(zip(*chunk)))
+            if (
+                not boundaries
+                or "\r" in text
+                or '"' in text
+                or text.count(",") != rows * boundaries
+                or text.count("\n") != rows
+            ):
+                text = _lines_quoting_cr(zip(*chunk))
             fh.write(text)
 
 
 def _lines_quoting_cr(rows: Iterable) -> str:
-    """``rows`` as CSV lines ending in ``\n``, each field holding a ``\r`` quoted."""
+    """``rows`` as CSV lines ending in ``\n``, quoted as csv.writer quotes
+    them. csv.writer quotes a field for a line break only if its
+    ``lineterminator`` holds that character, so on Python 3.10-3.12 a field
+    with a lone ``\r`` would be written bare and read back split; this
+    writer ends lines in ``\r\n``, so it quotes it, and each ``\r\n`` is
+    then swapped for ``\n``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     lines = []
@@ -770,7 +781,8 @@ def read_records(path: str | Path, count: int) -> list[FeatureMatrix]:
         while len(out) < count:
             record = _read_record(fh, str(path))
             if record is None:
-                raise FormatError(f"{path}: holds {len(out)} records, expected {count}")
+                noun = "record" if len(out) == 1 else "records"
+                raise FormatError(f"{path}: holds {len(out)} {noun}, expected {count}")
             out.append(record)
         if fh.read(1):
             noun = "record" if count == 1 else "records"

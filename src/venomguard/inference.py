@@ -17,6 +17,9 @@ from .prior_model import PriorArtifact, prior_scores
 
 # image rows per step of predict_dataset's pass over the image rows
 _BLOCK_ROWS = 4096
+# locations per step of the prior pass; the last step takes the remainder, so
+# none is shorter (see _prior_weights_by_location)
+_PRIOR_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -156,10 +159,34 @@ def _escalate_rows(
 def _prior_weights_by_location(
     bundle: DatasetBundle, prior: PriorArtifact
 ) -> np.ndarray:
-    """softmax(prior) per location row, computed once and reused."""
-    reduced = pca_transform(prior.pca, bundle.metadata_features)
-    weights = prior_scores(prior.mlp, reduced.values, prior.prototypes)
-    return softmax(weights, out=weights)
+    """softmax(prior) per location row, computed once and reused.
+
+    The locations are reduced in one call. The MLP, the prototype product
+    and the softmax then run over blocks of _PRIOR_BLOCK_ROWS locations, the
+    last block taking the remainder, so every block has from one to two
+    times the constant (less one) rows; fewer locations make one block,
+    whose array is returned as it is. No block may be smaller: OpenBLAS
+    sends small products to a kernel that rounds differently. Measured with
+    numpy 2.4.6's OpenBLAS 0.3.31 on an AVX-512 Xeon, a short last block of
+    its own changed the weights of hundreds of rows at 50k locations, while
+    blocks of 2048 rows or more gave the bits of one call over all
+    locations; another BLAS build or CPU may choose its kernels by another
+    rule. The (locations, C) result is allocated after the first block's
+    activations are freed, and holds each block's softmax.
+    """
+    reduced = pca_transform(prior.pca, bundle.metadata_features).values
+    n = reduced.shape[0]
+    blocks = max(n // _PRIOR_BLOCK_ROWS, 1)
+    edges = [*range(0, blocks * _PRIOR_BLOCK_ROWS, _PRIOR_BLOCK_ROWS), n]
+    weights = None
+    for start, stop in zip(edges, edges[1:]):
+        scores = prior_scores(prior.mlp, reduced[start:stop], prior.prototypes)
+        if blocks == 1:
+            return softmax(scores, out=scores)
+        if weights is None:
+            weights = np.empty((n, scores.shape[1]))
+        softmax(scores, out=weights[start:stop])
+    return weights
 
 
 def predict_dataset(
@@ -170,12 +197,15 @@ def predict_dataset(
 ) -> PredictionOutput:
     """Predict one class per observation, sorted by observation id.
 
-    The prior's (locations, C) weights come first, from one pass over all
-    locations. The image rows then stream in file order, _BLOCK_ROWS at a
-    time, into ``aggregated``; each block is widened to float64 as it is
-    gathered, so float32 scores give the same results as their float64
-    values. After the prior pass, memory holds the weights, ``aggregated``
-    and one block, however many images there are.
+    The prior's (locations, C) weights come first, from blocks of at least
+    _PRIOR_BLOCK_ROWS locations, none smaller, so that on the BLAS measured
+    they have the bits of one pass over all locations (see
+    _prior_weights_by_location). The
+    image rows then stream in file order, _BLOCK_ROWS at a time, into
+    ``aggregated``; each block is widened to float64 as it is gathered,
+    so float32 scores give the same results as their float64 values.
+    After the prior pass, memory holds the weights, ``aggregated`` and one
+    block, however many images there are.
     At most one warning names the rows whose joint scores fell back.
     """
     policy = policy or EscalationPolicy()
@@ -201,7 +231,6 @@ def predict_dataset(
                 f"prior scores {prior.prototypes.n_classes} classes, "
                 f"the dataset has {n_classes}"
             )
-        # unblocked: splitting the prior's matmuls by rows changes their bits
         loc_weights = _prior_weights_by_location(bundle, prior)
         meta_rows = bundle.resolved_metadata_rows()
 

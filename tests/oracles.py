@@ -11,6 +11,7 @@ numpy, in its plain allocating form.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -376,6 +377,19 @@ def reference_predictions(path):
         except ValueError:
             raise Rejected(line, f"bad class_id {row[1]!r}")
     return out
+
+
+def reference_manifest(header, rows):
+    """A manifest's text as csv.writer formats it, one row at a time, with
+    ``\n`` line ends. The writer ends its lines in ``\r\n``, so it quotes
+    every field holding a ``\r`` or a ``\n``; each ``\r\n`` it adds is
+    then swapped for ``\n``."""
+    lines = []
+    for row in [header, *rows]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

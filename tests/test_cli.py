@@ -115,6 +115,34 @@ class TestConfigFile:
         assert code == 1
         assert f"error: {path}:2: byte 0xe9 is not UTF-8" in err
 
+    def test_byte_not_utf8_is_numbered_by_line_ends_only(self, tmp_path):
+        # \v breaks str.splitlines() lines, not a manifest's or an editor's
+        path = tmp_path / "vt.cfg"
+        path.write_bytes(b"a\x0bb\xff\n")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value) == f"{path}:1: byte 0xff is not UTF-8"
+
+    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_cr_and_lf_end_a_line(self, capsys, tmp_path, separator):
+        # a form feed does not split "seed = 1" from "pca_k = 2": one line,
+        # whose seed value is not an integer
+        path = tmp_path / "ff.cfg"
+        path.write_text(f"seed = 1{separator}pca_k = 2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value).startswith(f"{path}:1: config key seed: expected an integer")
+        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
+        assert code == 1
+        assert f"error: {path}:1: config key seed" in err
+
+    def test_line_ends_number_lines_as_in_manifests(self, tmp_path):
+        path = tmp_path / "ends.cfg"
+        path.write_bytes(b"tau = 0.5\r\n# a\rpca_k = 4\ntop_k = x\n")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value).startswith(f"{path}:4: config key top_k")
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -40,6 +40,7 @@ from oracles import (
     reference_classes,
     reference_int,
     reference_locations,
+    reference_manifest,
     reference_metadata_rows,
     reference_observations,
     reference_predictions,
@@ -225,6 +226,29 @@ class TestLocationsCsv:
             parse_locations_csv(write(tmp_path, "l.csv", text))
 
 
+# a manifest field: text built from the characters csv.writer quotes for,
+# non-ASCII and empty text, or a number
+MANIFEST_FIELDS = st.one_of(
+    st.lists(
+        st.sampled_from([",", '"', "\n", "\r", "\r\n", "", "a", "é", "蛇"]), max_size=3
+    ).map("".join),
+    st.integers(-(10**6), 10**6),
+    st.floats(),
+)
+
+
+@st.composite
+def manifests(draw):
+    """(header, rows): one to four columns and up to nine rows."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.tuples(*[MANIFEST_FIELDS] * n), max_size=9))
+    return [f"h{j}" for j in range(n)], rows
+
+
+def columns_of(header, rows):
+    return [[row[j] for row in rows] for j in range(len(header))]
+
+
 class TestWriteManifest:
     def test_only_fields_with_a_line_break_or_special_are_quoted(self, tmp_path, monkeypatch):
         # chunks of two rows: the \r rows fall in the second and third
@@ -237,6 +261,30 @@ class TestWriteManifest:
         )
         read_ids, class_ids = read_predictions_csv(path)
         assert dict(zip(read_ids.tolist(), class_ids.tolist())) == {k: i for i, k in enumerate(ids)}
+
+    @settings(max_examples=200, deadline=None)
+    @given(manifest=manifests(), chunk=st.sampled_from([2, 2048]))
+    @example(manifest=(["h0"], [("",), ("a",)]), chunk=2)
+    @example(manifest=(["h0", "h1"], [("", ""), ("a\rb", 1), ("c", 2.5)]), chunk=2)
+    def test_matches_csv_writer(self, tmp_path_factory, manifest, chunk):
+        header, rows = manifest
+        path = tmp_path_factory.mktemp("manifest") / "m.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(data_model, "WRITE_CHUNK", chunk)
+            write_manifest(path, header, columns_of(header, rows))
+        assert path.read_bytes().decode("utf-8") == reference_manifest(header, rows)
+
+    def test_plain_and_quoted_chunks_match_csv_writer(self, tmp_path):
+        # chunks of 2048 rows: a comma in the second and a \r in the third
+        # send those two through csv.writer a row at a time, the others stay
+        # plain
+        ids = [f"obs_{i}" for i in range(7000)]
+        ids[3000], ids[4500] = "a,b", "c\rd"
+        rows = [(v, i, i / 7) for i, v in enumerate(ids)]
+        header = ["observation_id", "class_id", "confidence"]
+        path = tmp_path / "m.csv"
+        write_manifest(path, header, columns_of(header, rows))
+        assert path.read_bytes().decode("utf-8") == reference_manifest(header, rows)
 
 
 class TestSortedUnique:
@@ -452,7 +500,7 @@ class TestBinaryFormat:
         # a file and a pipe both end where the next record's magic would begin
         path = tmp_path / "m.bin"
         write_records(path, [FeatureMatrix(np.zeros((1, 1)))])
-        self.rejects(tmp_path, path.read_bytes(), 2, "holds 1 records, expected 2")
+        self.rejects(tmp_path, path.read_bytes(), 2, "holds 1 record, expected 2")
         self.rejects(tmp_path, b"", 1, "holds 0 records, expected 1")
 
     @settings(max_examples=50, deadline=None)

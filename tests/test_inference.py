@@ -612,6 +612,71 @@ class TestBlockwisePass:
         assert abs(peaks[1] / peaks[0] - 1.0) <= 0.10
 
 
+class TestPriorPass:
+    """The prior's weights come from row blocks of at least _PRIOR_BLOCK_ROWS
+    locations, the last block taking the remainder."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        # 9000 locations: prior blocks of 4096 and 4904 rows
+        return generate(SynthConfig(seed=7, n_observations=9000)).bundle
+
+    @staticmethod
+    def one_call(bundle, prior):
+        reduced = pca_transform(prior.pca, bundle.metadata_features).values
+        return softmax(prior_scores(prior.mlp, reduced, prior.prototypes))
+
+    def test_blocks_give_the_bits_of_one_call(self, world):
+        # the BLAS sends small products to a kernel that rounds differently:
+        # with numpy 2.4.6's OpenBLAS 0.3.31 on an AVX-512 Xeon, a last block
+        # of its own, 808 rows, changed the weights of about half its rows.
+        # No block is smaller than _PRIOR_BLOCK_ROWS, so each block rounds as
+        # one call over all locations does
+        prior = random_prior(world)
+        assert world.metadata_features.rows == 9000
+        weights = inference._prior_weights_by_location(world, prior)
+        assert weights.tobytes() == self.one_call(world, prior).tobytes()
+
+    @pytest.mark.parametrize("locations", [0, 1, 5, 6, 8, 9, 11, 12, 13])
+    def test_last_block_takes_the_remainder(self, synth7, monkeypatch, locations):
+        monkeypatch.setattr(inference, "_PRIOR_BLOCK_ROWS", 3)
+        calls = []
+
+        def recorded(model, x_rows, prototypes):
+            calls.append(x_rows.shape[0])
+            return prior_scores(model, x_rows, prototypes)
+
+        monkeypatch.setattr(inference, "prior_scores", recorded)
+        metadata = synth7.bundle.metadata_features.values[:locations]
+        bundle = replace(synth7.bundle, metadata_features=FeatureMatrix(metadata))
+        prior = random_prior(synth7.bundle)
+        weights = inference._prior_weights_by_location(bundle, prior)
+        # fewer than two blocks' worth is one call; otherwise blocks of 3 and
+        # a last one of 3 to 5
+        full = max(locations // 3, 1) - 1
+        assert calls == [3] * full + [locations - 3 * full]
+        np.testing.assert_allclose(weights, self.one_call(bundle, prior), rtol=1e-12)
+
+    def test_transient_memory_does_not_grow_with_locations(self, world, monkeypatch):
+        # beyond the (locations, C) result and the (locations, k) reduced
+        # features, memory holds one block's activations, whatever the count;
+        # both counts end in a block of 308 rows after blocks of 256
+        monkeypatch.setattr(inference, "_PRIOR_BLOCK_ROWS", 256)
+        prior = random_prior(world)
+        transients = []
+        for locations in (8 * 256 + 52, 32 * 256 + 52):
+            metadata = FeatureMatrix(world.metadata_features.values[:locations])
+            bundle = replace(world, metadata_features=metadata)
+            tracemalloc.start()
+            try:
+                weights = inference._prior_weights_by_location(bundle, prior)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            transients.append(peak - weights.nbytes - locations * prior.pca.k * 8)
+        assert abs(transients[1] / transients[0] - 1.0) <= 0.10
+
+
 def read_map(path):
     """read_predictions_csv as a dict, after checking its ids are in str order."""
     ids, class_ids = read_predictions_csv(path)
