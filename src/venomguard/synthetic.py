@@ -40,6 +40,8 @@ LOGIT_NOISE = 1.0
 EMBED_SCALE = 1.0
 EMBED_NOISE = 0.25
 CLUSTER_NOISE = 0.05
+# rows of image logits drawn in float64 at a time
+_SCORE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -109,8 +111,12 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     """Build a full in-memory dataset; bitwise deterministic per seed.
 
     The order of the random draws below fixes the dataset for each seed:
-    reordering, merging or reshaping any draw gives a different dataset at
-    the same seed.
+    reordering or merging draws, or changing their dtype, gives a different
+    dataset at the same seed. Splitting one draw into blocks of whole rows,
+    drawn in order, does not: the image logits are drawn that way.
+
+    The image scores are float32, the values ``write_dataset`` stores; the
+    metadata and embeddings are float64.
     """
     rng = np.random.default_rng(cfg.seed)
     c = cfg.n_classes
@@ -138,11 +144,20 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     cluster = centers[labels] + CLUSTER_NOISE * rng.standard_normal((n, cfg.dims_meta))
     metadata = alpha * cluster + (1.0 - alpha) * rng.uniform(0.0, 1.0, (n, cfg.dims_meta))
 
-    logits = rng.standard_normal((owner.size, c))
-    logits *= LOGIT_NOISE
-    logits[np.arange(owner.size), image_labels] += LOGIT_SCALE
-    noise = rng.standard_normal((owner.size, cfg.dims_proto))
-    embeddings = EMBED_SCALE * protos[image_labels] + EMBED_NOISE * noise
+    # float32, as write_dataset stores them: each block of rows is drawn and
+    # shifted in float64, then narrowed, which gives one whole draw's values
+    logits = np.empty((owner.size, c), dtype=np.float32)
+    block = np.empty((min(owner.size, _SCORE_BLOCK_ROWS), c))
+    for start in range(0, owner.size, _SCORE_BLOCK_ROWS):
+        stop = min(start + _SCORE_BLOCK_ROWS, owner.size)
+        rows = block[: stop - start]
+        rng.standard_normal(out=rows)
+        rows *= LOGIT_NOISE
+        rows[np.arange(stop - start), image_labels[start:stop]] += LOGIT_SCALE
+        logits[start:stop] = rows
+    embeddings = rng.standard_normal((owner.size, cfg.dims_proto))
+    embeddings *= EMBED_NOISE
+    embeddings += (EMBED_SCALE * protos)[image_labels]
 
     # equal-width numbers keep the ids and codes in str order at any size
     width = max(5, len(str(n - 1)))

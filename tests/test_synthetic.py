@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -120,9 +121,13 @@ class TestGenerate:
             "embeddings": bundle.embeddings.values,
             "truth": np.array([gen.truth[i] for i in sorted(gen.truth)], dtype=np.int64),
         }
+        assert bundle.image_scores.values.dtype == np.float32
         digests = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in arrays.items()}
+        # The image scores are float32: their digest is the sha256 of the
+        # float64 logits the generator held before, cast to "<f4", which are
+        # the bytes write_dataset has always stored.
         assert digests == {
-            "image_scores": "75eef45004f7da3f0cc3a066394ec335b26f8c4114aab3dfe14dd4cf2c724dbe",
+            "image_scores": "9a080281429b3f8dad331a56b5977a589788fa7817507fdc4a4d45f53604eda5",
             "metadata_features": "1d7ed84e96dcd1d702f46dc77e21c372be1c5348198051c26345a3d690088cd2",
             "embeddings": "86a7e8afccd83b7c6f712cbe524e1afaf799fac300997db13797111da2b4ebc7",
             "truth": "f799696954395b1f822208d5e653a84454727346099c3b82bd4ad335930f1361",
@@ -169,6 +174,17 @@ class TestGenerate:
         assert np.array_equal(obs.class_id, obs.class_id[first][obs.group])
         realized = np.bincount(obs.class_id[first], minlength=synth7.config.n_classes)
         assert np.array_equal(realized, synth7.class_counts)
+
+    def test_peak_memory_stays_under_one_float32_score_array(self):
+        # rows * C * 4 bytes is one float32 score array; the logits are drawn
+        # in float64 a block of rows at a time, so they add less than that
+        tracemalloc.start()
+        try:
+            gen = generate(SynthConfig(seed=7, n_observations=20000))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept < gen.bundle.image_scores.values.size * 4
 
     def test_uninformative_locations_give_the_prior_nothing(self):
         # Same image stream either way; only the metadata signal changes.
@@ -273,6 +289,18 @@ class TestWriteDataset:
             gen.bundle.image_scores.values.astype(np.float32).astype(np.float64),
         )
         assert location_dict(loaded.locations) == location_dict(gen.bundle.locations)
+
+    def test_scores_in_memory_are_the_scores_read_back(self, synth7, tmp_path):
+        # synth7's 10009 image rows span three blocks of the logits draw
+        write_dataset(synth7, tmp_path)
+        loaded = load_bundle(tmp_path)
+        memory = synth7.bundle.image_scores.values
+        assert memory.dtype == loaded.image_scores.values.dtype == np.float32
+        assert memory.tobytes() == loaded.image_scores.values.tobytes()
+        a = predict_dataset(synth7.bundle).results
+        b = predict_dataset(loaded).results
+        for column in ("ids", "class_id", "pre_escalation_class_id", "confidence"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_quoted_fields_round_trip(self, tmp_path):
         gen = generate(SynthConfig(seed=9, n_classes=5, n_observations=50))
