@@ -1,12 +1,19 @@
+import argparse
 import contextlib
+import csv
+import io
 import os
+import re
+import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from numpy.dtypes import StringDType
 
+from venomguard.cli import build_parser, main
 from venomguard.data_model import (
     ClassTable,
     DatasetBundle,
@@ -17,6 +24,8 @@ from venomguard.data_model import (
 from venomguard.linalg_pca import fit_pca
 from venomguard.prior_model import PriorArtifact, PriorMlp, PrototypeMatrix
 from venomguard.synthetic import SynthConfig, generate
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # every character str.isspace() accepts; all of them lie below U+3001
 WHITESPACE = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
@@ -85,19 +94,60 @@ def with_columns(bundle, **columns):
     return replace(bundle, observations=ObservationTable.from_columns(**(kept | columns)))
 
 
+def run(capsys, *argv):
+    """``venomguard *argv`` in-process: (exit code, stdout, stderr)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def setting_actions():
+    """(command, option action) for every optional argument of every subcommand."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.option_strings
+    ]
+
+
+def quoted(path) -> bytes:
+    """The rows of a CSV file written again with every field quoted."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
+    return buf.getvalue().encode()
+
+
 @contextlib.contextmanager
 def piped(data: bytes):
-    """A /dev/fd path to the read end of a pipe that holds ``data``, its
-    write end closed."""
+    """A /dev/fd path to the read end of a pipe that a thread fills with
+    ``data`` and then closes, as ``<(cat file)`` would."""
     r, w = os.pipe()
-    try:
-        assert os.write(w, data) == len(data)
-    finally:
-        os.close(w)
+
+    def feed():
+        view = memoryview(data)
+        try:
+            while view:
+                view = view[os.write(w, view):]
+        except BrokenPipeError:  # the reader stopped early
+            pass
+        finally:
+            os.close(w)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
     try:
         yield f"/dev/fd/{r}"
     finally:
         os.close(r)
+        writer.join()
 
 
 def location_table(mapping: dict[str, int]) -> LocationTable:
@@ -124,3 +174,29 @@ def constant_prior_artifact(bundle: DatasetBundle, d_out: int = 6) -> PriorArtif
         setattr(mlp, name, np.zeros_like(getattr(mlp, name)))
     proto = np.ones((d_out, n_classes))
     return PriorArtifact(mlp=mlp, prototypes=PrototypeMatrix(proto), pca=pca)
+
+
+def readme_key_flags() -> dict[str, list[tuple[str, str]]]:
+    """The README's key/flag table: each config key and the (command, flag)
+    pairs that set it, none for a key only a --config file sets."""
+    text = README.read_text(encoding="utf-8")
+    table = re.search(r"^\| key \| flag \|\n\|---\|---\|\n((?:\|.*\n)+)", text, re.M)
+    assert table, "README has no key/flag table"
+    out: dict[str, list[tuple[str, str]]] = {}
+    for line in table.group(1).splitlines():
+        key_cell, flag_cell = (cell.strip() for cell in line.strip("|").split("|"))
+        (key,) = re.fullmatch(r"`(\w+)`", key_cell).groups()
+        assert key not in out, f"README lists {key} twice"
+        spans = re.findall(r"`([^`]+)`", flag_cell)
+        if not spans:
+            assert flag_cell == "file only", line
+            out[key] = []
+        elif " " in spans[0]:  # `command -flag`
+            assert len(spans) == 1, line
+            command, flag = spans[0].split()
+            out[key] = [(command, flag)]
+        else:  # `--flag` (`command`, `command`, ...)
+            flag, *commands = spans
+            assert commands, line
+            out[key] = [(command, flag) for command in commands]
+    return out

@@ -1,28 +1,14 @@
-import argparse
 import codecs
-import csv
 import filecmp
-import io
 import json
 import os
-import random
-import shutil
 
 import pytest
 
-from venomguard.cli import DEFAULTS, build_parser, main, parse_config_file, resolve_config
+from venomguard.cli import DEFAULTS, parse_config_file, resolve_config
 from venomguard.data_model import FeatureMatrix, read_records, write_records
 
-from conftest import piped
-
-
-def run(capsys, *argv):
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
-    out, err = capsys.readouterr()
-    return code, out, err
+from conftest import piped, quoted, readme_key_flags, run, setting_actions
 
 
 def make_dataset(capsys, directory, seed=3, classes=8, observations=120):
@@ -40,15 +26,6 @@ def make_dataset(capsys, directory, seed=3, classes=8, observations=120):
     )
     assert code == 0, out
     return directory
-
-
-def quoted(path) -> bytes:
-    """The rows of a CSV file written again with every field quoted."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL).writerows(rows)
-    return buf.getvalue().encode()
 
 
 class TestConfigFile:
@@ -189,24 +166,8 @@ NON_SETTING_DESTS = {
     "help", "config", "output", "trace", "pca", "prior", "no_escalate", "explain",
     "probabilities", "truth", "pred", "classes", "json", "trials", "mode",
 }
-# keys only a --config file sets
-FILE_ONLY_KEYS = {
-    "w1", "w2", "w3", "w4", "w5", "final_lr", "beta1", "beta2", "adam_eps", "weight_decay",
-    "synth_dims_meta", "synth_dims_proto", "synth_venom_fraction", "synth_images_min",
-    "synth_images_max",
-}
-
-
-def setting_actions():
-    """(command, option action) for every optional argument of every subcommand."""
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return [
-        (name, action)
-        for name, sub in commands.choices.items()
-        for action in sub._actions
-        if action.option_strings
-    ]
+# keys only a --config file sets, as the README's key/flag table lists them
+FILE_ONLY_KEYS = {key for key, flags in readme_key_flags().items() if not flags}
 
 
 class TestParserNamesConfigKeys:
@@ -225,6 +186,18 @@ class TestParserNamesConfigKeys:
         flagged = {action.dest for _, action in setting_actions()} & DEFAULTS.keys()
         assert flagged.isdisjoint(FILE_ONLY_KEYS)
         assert flagged | FILE_ONLY_KEYS == DEFAULTS.keys()
+
+    def test_readme_table_names_each_flag_and_its_key(self):
+        table = readme_key_flags()
+        assert table.keys() == DEFAULTS.keys()
+        listed = {(name, flag): key for key, flags in table.items() for name, flag in flags}
+        parsed = {
+            (name, flag): action.dest
+            for name, action in setting_actions()
+            for flag in action.option_strings
+            if action.dest in DEFAULTS or (name, flag) in listed
+        }
+        assert listed == parsed
 
     def test_setting_flags_parse_to_the_type_of_their_default(self):
         for name, action in setting_actions():
@@ -423,7 +396,8 @@ class TestPipeline:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_quoted_manifests_through_pipes_score_as_from_disk(self, capsys, tmp_path):
-        # quoted files are read by csv.reader, from the bytes already read
+        # plain files are split at their byte offsets and quoted ones read by
+        # csv.reader, each from the bytes already read
         data = make_dataset(capsys, tmp_path / "data")
         header, *rows = (data / "truth.csv").read_text().splitlines()
         lines = [header]
@@ -442,48 +416,13 @@ class TestPipeline:
             return out, report.read_bytes()
 
         disk = score(data / "truth.csv", data / "classes.csv", tmp_path / "disk.json")
-        with (
-            piped(quoted(data / "truth.csv")) as truth,
-            piped(quoted(data / "classes.csv")) as classes,
-        ):
-            assert score(truth, classes, tmp_path / "pipe.json") == disk
+        for spell in (lambda path: path.read_bytes(), quoted):
+            with (
+                piped(spell(data / "truth.csv")) as truth,
+                piped(spell(data / "classes.csv")) as classes,
+            ):
+                assert score(truth, classes, tmp_path / "pipe.json") == disk
         assert "composite        100.0000" not in disk[0]
-
-    def test_shuffled_observation_rows_predict_the_same(self, capsys, tmp_path):
-        data = make_dataset(capsys, tmp_path / "data")
-        shuffled = tmp_path / "shuffled"
-        shutil.copytree(data, shuffled)
-        path = shuffled / "observations.csv"
-        header, *rows = path.read_text().splitlines(keepends=True)
-        # interleave the observations, but keep each one's rows in their
-        # relative order, so that its scores are added in the same order
-        by_obs = {}
-        for row in rows:
-            by_obs.setdefault(row.split(",")[0], []).append(row)
-        queues = {obs_id: iter(group) for obs_id, group in by_obs.items()}
-        order = random.Random(0).sample(rows, len(rows))
-        mixed = [next(queues[row.split(",")[0]]) for row in order]
-        ids = [row.split(",")[0] for row in mixed]
-        assert ids != sorted(ids)  # so the loader's sort runs
-        path.write_text(header + "".join(mixed))
-
-        pca, prior = tmp_path / "pca.bin", tmp_path / "prior.bin"
-        metadata = str(data / "metadata_features.vgf1")
-        assert run(capsys, "pca", metadata, "-k", "4", "-o", str(pca))[0] == 0
-        code, out, _ = run(
-            capsys, "train-prior", str(data), "--pca", str(pca), "-o", str(prior),
-            "--epochs", "2", "--batch", "32", "--hidden", "8", "--base-lr", "5e-3",
-        )
-        assert code == 0, out
-        preds = []
-        for bundle in (data, shuffled):
-            preds.append(tmp_path / f"{bundle.name}.csv")
-            code, out, _ = run(
-                capsys, "infer", str(bundle), "--prior", str(prior), "--tau", "0.2",
-                "--explain", "-o", str(preds[-1]),
-            )
-            assert code == 0, out
-        assert preds[0].read_bytes() == preds[1].read_bytes()
 
     def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
