@@ -31,7 +31,7 @@ def run(seed: int, epochs: int, taus: list[float]) -> None:
             base_lr=5e-3, warmup_lr=5e-5,
         ),
     )
-    truth = np.array([gen.truth[i] for i in sorted(gen.truth)])
+    truth = gen.truth
 
     print(f"seed={seed} epochs={epochs} train loss {trace[0]:.3f} -> {trace[-1]:.3f}")
     print(

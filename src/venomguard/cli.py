@@ -18,6 +18,7 @@ from .data_model import (
     parse_classes_csv,
     read_records,
     validate_bundle,
+    write_manifest,
 )
 from .errors import BundleValidationError, CsvParseError, FormatError
 from .gradcheck import check_loc_loss
@@ -273,9 +274,7 @@ def _cmd_train_prior(args, cfg) -> int:
     save_prior(artifact, args.output)
 
     trace_path = args.trace or f"{args.output}.trace.csv"
-    lines = ["epoch,mean_loss"]
-    lines += [f"{i},{loss!r}" for i, loss in enumerate(trace)]
-    Path(trace_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_manifest(trace_path, ["epoch", "mean_loss"], [range(len(trace)), trace])
     first = trace[0] if trace else float("nan")
     last = trace[-1] if trace else float("nan")
     print(f"trained epochs={len(trace)} first_loss={first!r} last_loss={last!r}")

@@ -402,17 +402,17 @@ def _plain_cells(body: bytes, n: int) -> list[np.ndarray] | None:
 
 
 def write_manifest(path: str | Path, header: list[str], columns: list) -> None:
-    """Write ``header`` and the rows of ``columns``, one list of str, int or
-    float values per column, as a CSV manifest that ``read_manifest`` reads
+    """Write ``header`` and the rows of ``columns``, each an array or list of
+    str, int or float values, as a CSV manifest that ``read_manifest`` reads
     back: ``\n`` line ends, and only fields that need it are quoted.
 
-    Rows go out in chunks. Each chunk is first joined as plain text, ``str``
-    of each value with ``,`` between and ``\n`` after each row; that is what
-    csv.writer writes when no field needs quoting. It is kept when there are
-    at least two columns (csv.writer quotes a row of one empty field) and the
-    text holds one ``,`` per field boundary, one ``\n`` per row, and no
-    ``"`` or ``\r``. Any other chunk is formatted a row at a time by
-    ``_lines_quoting_cr``.
+    Rows go out in chunks, each turned into Python values on its own, and
+    each first joined as plain text, ``str`` of each value with ``,`` between
+    and ``\n`` after each row: what csv.writer writes when no field needs
+    quoting. It is kept when there are at least two columns (csv.writer quotes
+    a row of one empty field) and the text holds one ``,`` per field
+    boundary, one ``\n`` per row, and no ``"`` or ``\r``. Any other chunk is
+    formatted a row at a time by ``_lines_quoting_cr``.
     """
     boundaries = len(columns) - 1
     # %s formats a value as str() does; one format per chunk, at C speed
@@ -421,6 +421,7 @@ def write_manifest(path: str | Path, header: list[str], columns: list) -> None:
         fh.write(_lines_quoting_cr([header]))
         for start in range(0, len(columns[0]), WRITE_CHUNK):
             chunk = [column[start : start + WRITE_CHUNK] for column in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             rows = len(chunk[0])
             text = plain_row * rows % tuple(itertools.chain.from_iterable(zip(*chunk)))
             if (

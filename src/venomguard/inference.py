@@ -273,13 +273,10 @@ def write_predictions_csv(
     path: str | Path, predictions: Predictions, explain: bool = False
 ) -> None:
     header = ["observation_id", "class_id"]
-    columns = [predictions.ids.tolist(), predictions.class_id.tolist()]
+    columns = [predictions.ids, predictions.class_id]
     if explain:
         header += ["pre_escalation_class_id", "confidence"]
-        columns += [
-            predictions.pre_escalation_class_id.tolist(),
-            list(map(repr, predictions.confidence.tolist())),
-        ]
+        columns += [predictions.pre_escalation_class_id, predictions.confidence]
     write_manifest(path, header, columns)
 
 

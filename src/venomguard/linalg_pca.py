@@ -72,12 +72,6 @@ def pca_transform(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
     return FeatureMatrix((matrix.values - model.mean) @ model.components.T)
 
 
-def pca_inverse(model: PcaModel, matrix: FeatureMatrix) -> FeatureMatrix:
-    if matrix.dims != model.k:
-        raise ValueError(f"expected {model.k} reduced dims, got {matrix.dims}")
-    return FeatureMatrix(matrix.values @ model.components + model.mean)
-
-
 # Each record of a model file, in file order, with the shape it must have.
 # pca d and k come from the components, hidden from layer 2, d_out from layer 3
 # and the class count from the prototypes, so every other shape is checked

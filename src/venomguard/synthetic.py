@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .data_model import (
     CLASSES_FILENAME,
@@ -77,9 +76,19 @@ class SynthConfig:
 @dataclass
 class GeneratedData:
     bundle: DatasetBundle
-    truth: dict[str, int]
     class_counts: np.ndarray
     config: SynthConfig
+
+    @property
+    def truth(self) -> np.ndarray:
+        """Each observation's class id, in ``bundle.observations.ids`` order."""
+        obs = self.bundle.observations
+        if (obs.class_id < 0).any():
+            first = obs.ids[obs.group[np.argmax(obs.class_id < 0)]]
+            raise ValueError(f"observation {first!r} has an unlabeled row, so it has no truth")
+        truth = np.empty(obs.ids.size, dtype=np.int64)
+        truth[obs.group] = obs.class_id
+        return truth
 
 
 def power_law_counts(n_obs: int, n_classes: int, ratio: float) -> np.ndarray:
@@ -159,31 +168,36 @@ def generate(cfg: SynthConfig) -> GeneratedData:
     embeddings *= EMBED_NOISE
     embeddings += (EMBED_SCALE * protos)[image_labels]
 
-    # equal-width numbers keep the ids and codes in str order at any size
-    width = max(5, len(str(n - 1)))
-    obs_ids = [f"obs_{i:0{width}d}" for i in range(n)]
-    loc_codes = np.asarray([f"loc_{i:0{width}d}" for i in range(n)], dtype=StringDType())
-    observations = ObservationTable.from_columns(
-        np.asarray(obs_ids, dtype=StringDType())[owner],
-        np.arange(owner.size),
-        image_labels,
-        loc_codes[owner],
-    )
-    truth = dict(zip(obs_ids, labels.tolist()))
+    ids, codes = _numbered("obs_", n)[owner], _numbered("loc_", n)[owner]
+    observations = ObservationTable.from_columns(ids, np.arange(owner.size), image_labels, codes)
     classes = ClassTable([f"species_{k:03d}" for k in range(c)], venomous)
     bundle = DatasetBundle(
         classes=classes,
         observations=observations,
         image_scores=FeatureMatrix(logits),
         metadata_features=FeatureMatrix(metadata),
-        locations=LocationTable(loc_codes, np.arange(n)),
+        # every location is observation i's, so the codes are the observations'
+        locations=LocationTable(observations.codes, np.arange(n)),
         embeddings=FeatureMatrix(embeddings),
     )
-    return GeneratedData(bundle=bundle, truth=truth, class_counts=counts, config=cfg)
+    return GeneratedData(bundle=bundle, class_counts=counts, config=cfg)
+
+
+def _numbered(prefix: str, n: int) -> np.ndarray:
+    """``prefix`` and i for each i < n, as ASCII bytes; each i is zero-padded
+    to one width of at least 5 digits, so the strings sort in number order."""
+    width = max(5, len(str(n - 1)))
+    cells = np.empty((n, len(prefix) + width), dtype=np.uint8)
+    cells[:, : len(prefix)] = np.frombuffer(prefix.encode(), dtype=np.uint8)
+    for place in range(width):
+        cells[:, -1 - place] = np.arange(n) // 10**place % 10 + ord("0")
+    return cells.view(f"S{cells.shape[1]}")[:, 0]
 
 
 def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
-    """Write the bundle, ground truth, and a config manifest to a directory."""
+    """Write the bundle, ground truth, and a config manifest to a directory;
+    an unlabeled row, which has no truth, raises ValueError before any file."""
+    truth = gen.truth
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     bundle = gen.bundle
@@ -192,11 +206,7 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
     write_manifest(
         d / CLASSES_FILENAME,
         ["class_id", "name", "venomous"],
-        [
-            range(classes.n_classes),
-            classes.names.tolist(),
-            classes.venomous_flags.astype(int).tolist(),
-        ],
+        [range(classes.n_classes), classes.names, classes.venomous_flags.astype(int)],
     )
     # string columns are gathered as Python objects, which the gather shares;
     # gathering a StringDType array copies every string
@@ -205,10 +215,10 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
         d / OBSERVATIONS_FILENAME,
         ["observation_id", "image_index", "class_id", "location_code"],
         [
-            obs.ids.astype(object)[obs.group].tolist(),
-            obs.image_index.tolist(),
-            ["" if cid < 0 else cid for cid in obs.class_id.tolist()],
-            obs.codes.astype(object)[obs.location].tolist(),
+            obs.ids.astype(object)[obs.group],
+            obs.image_index,
+            obs.class_id,
+            obs.codes.astype(object)[obs.location],
         ],
     )
     # in metadata row order, which is the generator's order
@@ -217,14 +227,9 @@ def write_dataset(gen: GeneratedData, directory: str | Path) -> None:
     write_manifest(
         d / LOCATIONS_FILENAME,
         ["location_code", "metadata_index"],
-        [locations.codes.astype(object)[order].tolist(), locations.index[order].tolist()],
+        [locations.codes.astype(object)[order], locations.index[order]],
     )
-    truth_ids = sorted(gen.truth)
-    write_manifest(
-        d / TRUTH_FILENAME,
-        ["observation_id", "class_id"],
-        [truth_ids, [gen.truth[obs_id] for obs_id in truth_ids]],
-    )
+    write_manifest(d / TRUTH_FILENAME, ["observation_id", "class_id"], [obs.ids, truth])
 
     write_records(d / SCORES_FILENAME, [bundle.image_scores])
     write_records(d / METADATA_FILENAME, [bundle.metadata_features])

@@ -21,7 +21,7 @@ from venomguard.data_model import (
 )
 from venomguard.gradcheck import check_loc_loss
 from venomguard.inference import EscalationPolicy, _escalate_rows, predict_dataset
-from venomguard.linalg_pca import fit_pca, pca_inverse, pca_transform
+from venomguard.linalg_pca import fit_pca, pca_transform
 from venomguard.metrics import build_report, score_predictions, track1_metric
 from venomguard.optim import AdamWState, CosineSchedule, adamw_step, lr_at
 from venomguard.prior_model import (
@@ -133,8 +133,8 @@ def test_criterion_06_pca_orthonormal_and_exact():
         model = fit_pca(fm, k=d)
         gram = model.components @ model.components.T
         ok &= bool(np.allclose(gram, np.eye(d), atol=1e-8))
-        back = pca_inverse(model, pca_transform(model, fm))
-        ok &= bool(np.allclose(back.values, x, atol=1e-8))
+        back = pca_transform(model, fm).values @ model.components + model.mean
+        ok &= bool(np.allclose(back, x, atol=1e-8))
         centered = x - x.mean(axis=0)
         cov = centered.T @ centered / (n - 1)
         want = oracle_eigvals_jacobi(cov)
@@ -186,8 +186,8 @@ def test_criterion_08_prior_and_escalation_beat_baseline():
     )
     artifact = PriorArtifact(mlp=mlp, prototypes=proto, pca=pca)
 
-    ids = sorted(gen.truth)
-    truth = np.array([gen.truth[i] for i in ids])
+    ids = bundle.observations.ids.tolist()
+    truth = gen.truth
 
     def scored(prior, tau):
         out = predict_dataset(bundle, prior=prior, policy=EscalationPolicy(tau=tau, top_k=5))

@@ -11,7 +11,6 @@ from venomguard.linalg_pca import (
     _fix_signs,
     fit_pca,
     load_pca,
-    pca_inverse,
     pca_transform,
     save_pca,
 )
@@ -102,15 +101,15 @@ class TestTransform:
     def test_full_rank_reconstruction(self):
         X = random_matrix(4, 10, 4)
         model = fit_pca(X, k=4)
-        back = pca_inverse(model, pca_transform(model, X))
-        assert np.allclose(back.values, X.values, atol=1e-8)
+        back = pca_transform(model, X).values @ model.components + model.mean
+        assert np.allclose(back, X.values, atol=1e-8)
 
     def test_low_rank_data_reconstructs_with_few_components(self):
         rng = np.random.default_rng(6)
         X = FeatureMatrix(rng.standard_normal((15, 2)) @ rng.standard_normal((2, 6)))
         model = fit_pca(X, k=2)
-        back = pca_inverse(model, pca_transform(model, X))
-        assert np.allclose(back.values, X.values, atol=1e-8)
+        back = pca_transform(model, X).values @ model.components + model.mean
+        assert np.allclose(back, X.values, atol=1e-8)
 
     def test_components_orthonormal(self):
         model = fit_pca(random_matrix(7, 25, 8), k=5)
@@ -121,7 +120,7 @@ class TestTransform:
         X = random_matrix(8, 14, 6)
         model = fit_pca(X, k=3)
         once = pca_transform(model, X)
-        again = pca_transform(model, pca_inverse(model, once))
+        again = pca_transform(model, FeatureMatrix(once.values @ model.components + model.mean))
         assert np.allclose(again.values, once.values, atol=1e-10)
 
     def test_matrix_and_vector_paths_agree(self):
@@ -136,8 +135,6 @@ class TestTransform:
         model = fit_pca(random_matrix(1, 6, 4), k=2)
         with pytest.raises(BundleValidationError, match="on 4 metadata dims, the data has 5"):
             pca_transform(model, fm(np.zeros((2, 5))))
-        with pytest.raises(ValueError):
-            pca_inverse(model, fm(np.zeros((2, 3))))
 
     @settings(max_examples=20, deadline=None)
     @given(
