@@ -100,8 +100,9 @@ def _fd_margins(model: PriorMlp, x, r, masks, proto) -> tuple[float, float]:
     peak = 0.0
     for vec, m in ((x, None if masks is None else masks[:2]),
                    (r, None if masks is None else masks[2:])):
-        out, cache = _forward(model, vec, m)
-        _, z1, _, z2, _, _ = cache
+        out, (_, h1, _, _) = _forward(model, vec, m)
+        z1 = vec @ model.w1.T + model.b1
+        z2 = h1 @ model.w2.T + model.b2
         margin = min(margin, float(np.abs(z1).min()), float(np.abs(z2).min()))
         peak = max(peak, float(np.abs(out @ proto).max()))
     return margin, peak

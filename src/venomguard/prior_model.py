@@ -56,31 +56,15 @@ class PriorMlp:
         w3, b3 = layer(d_out, hidden)
         return cls(w1, b1, w2, b2, w3, b3)
 
-    @property
-    def d_in(self) -> int:
-        return self.w1.shape[1]
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.w3.shape[0]
-
-
-def draw_masks(
-    rng: np.random.Generator, rate: float, batch: int, hidden: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def draw_masks(rng: np.random.Generator, rate: float, batch: int, hidden: int) -> np.ndarray:
     """Inverted-dropout masks for one location-loss evaluation, (4, batch, hidden).
 
     In order: both hidden layers of the observed-location pass, then both
-    of the random-location pass, drawn from ``rng`` in one call. ``out``, a
-    float64 array of that shape, receives the masks instead of a new array.
+    of the random-location pass, drawn from ``rng`` in one call.
     """
     keep = 1.0 - rate
-    masks = rng.random((4, batch, hidden), out=out)
+    masks = rng.random((4, batch, hidden))
     # (uniform < keep) / keep, with the comparison written as 0.0 or 1.0
     np.less(masks, keep, out=masks)
     masks /= keep
@@ -148,47 +132,6 @@ class PriorTrainConfig:
 # Forward / backward
 # ---------------------------------------------------------------------------
 
-class _StepBuffers:
-    """Work arrays for the location loss of one batch, its observed rows
-    stacked on its random rows.
-
-    ``train_prior`` sizes one set for its whole run and passes it to every
-    step, so the steps write into the same arrays instead of faulting in
-    fresh pages; numpy raises if a step's shapes differ. A bare instance
-    holds None everywhere, and each op given one of its slots then
-    allocates its result.
-    """
-
-    x = z1 = h1 = z2 = h2 = emb = relu = dz1 = dz2 = u = s = masks = grads = None
-
-    @classmethod
-    def sized(cls, model: PriorMlp, batch: int, n_classes: int) -> "_StepBuffers":
-        work = cls()
-        rows, hidden = 2 * batch, model.hidden
-        work.x = np.empty((rows, model.d_in))
-        work.z1, work.h1, work.z2, work.h2, work.dz1, work.dz2 = (
-            np.empty((rows, hidden)) for _ in range(6)
-        )
-        work.relu = np.empty((rows, hidden), bool)
-        work.emb = np.empty((rows, model.d_out))
-        work.u, work.s = np.empty((rows, n_classes)), np.empty((rows, n_classes))
-        work.masks = np.empty((4, batch, hidden))
-        work.grads = np.empty(_n_params(model))
-        return work
-
-    @classmethod
-    def eval_only(cls, model: PriorMlp, rows: int) -> "_StepBuffers":
-        """A forward pass without the backward cache: z1 and h1 share one
-        array, z2 and h2 another, as ReLU can overwrite its input."""
-        work = cls()
-        work.z1 = work.h1 = np.empty((rows, model.hidden))
-        work.z2 = work.h2 = np.empty((rows, model.hidden))
-        return work
-
-
-_ALLOCATE = _StepBuffers()
-
-
 def _mul_blocks(a: np.ndarray, mask: np.ndarray) -> None:
     """a *= mask in place; ``mask`` has a's shape, or a's rows split into
     equal blocks, e.g. (2, rows // 2, hidden) against (rows, hidden)."""
@@ -196,62 +139,64 @@ def _mul_blocks(a: np.ndarray, mask: np.ndarray) -> None:
     view *= mask
 
 
-def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None, work=_ALLOCATE):
+def _forward(model: PriorMlp, x_rows: np.ndarray, masks=None):
     """Batched forward pass; returns output and the cache backprop needs.
 
     ``masks`` holds one dropout mask per hidden layer (see ``_mul_blocks``
-    for their shapes); ``work`` supplies the arrays written.
+    for their shapes). Each ReLU runs in place on its pre-activation.
     """
-    z1 = np.matmul(x_rows, model.w1.T, out=work.z1)
-    z1 += model.b1
-    h1 = np.maximum(z1, 0.0, out=work.h1)
+    h1 = np.matmul(x_rows, model.w1.T)
+    h1 += model.b1
+    np.maximum(h1, 0.0, out=h1)
     if masks is not None:
         _mul_blocks(h1, masks[0])
-    z2 = np.matmul(h1, model.w2.T, out=work.z2)
-    z2 += model.b2
-    h2 = np.maximum(z2, 0.0, out=work.h2)
+    h2 = np.matmul(h1, model.w2.T)
+    h2 += model.b2
+    np.maximum(h2, 0.0, out=h2)
     if masks is not None:
         _mul_blocks(h2, masks[1])
-    out = np.matmul(h2, model.w3.T, out=work.emb)
+    out = np.matmul(h2, model.w3.T)
     out += model.b3
-    return out, (x_rows, z1, h1, z2, h2, masks)
+    return out, (x_rows, h1, h2, masks)
 
 
-def _backward(model: PriorMlp, cache, d_out: np.ndarray, work=_ALLOCATE) -> np.ndarray:
-    """Parameter gradients as one flat vector in ``pack_params`` order:
-    ``work.grads`` when it is set."""
-    x_rows, z1, h1, z2, h2, masks = cache
-    flat = np.empty(_n_params(model)) if work.grads is None else work.grads
+def _backward(model: PriorMlp, cache, d_out: np.ndarray) -> np.ndarray:
+    """Parameter gradients as one flat vector in ``pack_params`` order.
+
+    Each ReLU's gate is read from its activation: where a dropout mask
+    zeroed a unit, the gradient through it is already zero.
+    """
+    x_rows, h1, h2, masks = cache
+    flat = np.empty(_n_params(model))
     g = _param_views(model, flat)
     np.matmul(d_out.T, h2, out=g["w3"])
     np.sum(d_out, axis=0, out=g["b3"])
     # dh2, then through layer 2's dropout mask and ReLU to dz2
-    dz2 = np.matmul(d_out, model.w3, out=work.dz2)
+    dz2 = d_out @ model.w3
     if masks is not None:
         _mul_blocks(dz2, masks[1])
-    dz2 *= np.greater(z2, 0.0, out=work.relu)
+    dz2 *= h2 > 0.0
     np.matmul(dz2.T, h1, out=g["w2"])
     np.sum(dz2, axis=0, out=g["b2"])
-    dz1 = np.matmul(dz2, model.w2, out=work.dz1)
+    dz1 = dz2 @ model.w2
     if masks is not None:
         _mul_blocks(dz1, masks[0])
-    dz1 *= np.greater(z1, 0.0, out=work.relu)
+    dz1 *= h1 > 0.0
     np.matmul(dz1.T, x_rows, out=g["w1"])
     np.sum(dz1, axis=0, out=g["b1"])
     return flat
 
 
-def _sigmoid(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _sigmoid(u: np.ndarray) -> np.ndarray:
     """Stable logistic: 1 / (1 + e^-u) for u >= 0, e^u / (1 + e^u) below.
 
-    The result goes to ``out`` (a new array when None); ``u`` is used as
-    scratch space and overwritten.
+    ``u`` is used as scratch space and overwritten.
     """
     nonneg = u >= 0
     e = np.abs(u, out=u)
     np.negative(e, out=e)
     np.exp(e, out=e)  # e^-|u| <= 1
-    den = np.add(e, 1.0, out=out)
+    den = e + 1.0
     # the numerator is 1 where u >= 0 and e^-|u| = e^u elsewhere; e <= 1
     # makes the maximum pick exactly that
     num = np.maximum(e, nonneg, out=e)
@@ -266,7 +211,6 @@ def loc_loss_batch(
     prototypes: PrototypeMatrix,
     lam: float,
     masks=None,
-    work=_ALLOCATE,
 ) -> tuple[float, np.ndarray]:
     """Mean location loss over a batch, and its mean parameter gradients as
     one flat vector in ``pack_params`` order.
@@ -274,8 +218,7 @@ def loc_loss_batch(
     Per example: -lam log s(g(x).o_y) - sum_{i!=y} log(1 - s(g(x).o_i))
     - sum_i log(1 - s(g(r).o_i)), s the logistic sigmoid, probabilities
     clamped to [1e-12, 1 - 1e-12] before the log. ``masks`` are the
-    (4, batch, hidden) ones of ``draw_masks``. ``work`` supplies the arrays
-    written, the returned gradients included (see ``_StepBuffers``).
+    (4, batch, hidden) ones of ``draw_masks``.
     """
     proto = prototypes.matrix
     batch = x_rows.shape[0]
@@ -285,11 +228,11 @@ def loc_loss_batch(
     # backward pass then sums both halves' parameter gradients. masks[0::2]
     # are layer 1's masks of both halves and masks[1::2] layer 2's, each
     # (2, batch, hidden) against the stacked (rows, hidden) activations.
-    x = np.concatenate((x_rows, r_rows), out=work.x)
+    x = np.concatenate((x_rows, r_rows))
     stacked_masks = None if masks is None else (masks[0::2], masks[1::2])
-    emb, cache = _forward(model, x, stacked_masks, work)
-    u = np.matmul(emb, proto, out=work.u)
-    s = _sigmoid(u, out=work.s)  # observed rows, then random rows
+    emb, cache = _forward(model, x, stacked_masks)
+    u = emb @ proto
+    s = _sigmoid(u)  # observed rows, then random rows
     labels = (np.arange(batch), ys)
 
     s_pos = np.clip(s[labels], PROB_CLAMP, 1.0 - PROB_CLAMP)
@@ -305,7 +248,7 @@ def loc_loss_batch(
     s[labels] = -lam * (1.0 - s[labels])
     d_emb = np.matmul(s, proto.T, out=emb)  # emb is spent
     d_emb /= batch
-    return float(total / batch), _backward(model, cache, d_emb, work)
+    return float(total / batch), _backward(model, cache, d_emb)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +391,6 @@ def train_prior(
         eps=cfg.eps,
         weight_decay=cfg.weight_decay,
     )
-    work = _StepBuffers.sized(model, cfg.batch_size, n_classes)
-
     trace: list[float] = []
     step = 0
     for _ in range(cfg.epochs):
@@ -459,11 +400,9 @@ def train_prior(
             rb = loc_rng.uniform(lo, hi, size=(cfg.batch_size, d_in))
             masks = None
             if cfg.dropout_rate > 0.0:
-                masks = draw_masks(
-                    mask_rng, cfg.dropout_rate, cfg.batch_size, cfg.hidden, out=work.masks
-                )
+                masks = draw_masks(mask_rng, cfg.dropout_rate, cfg.batch_size, cfg.hidden)
             loss, grads = loc_loss_batch(
-                model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks, work
+                model, x_all[idx], rb, y_all[idx], prototypes, cfg.lam, masks
             )
             params[:] = adamw_step(params, grads, opt, lr_at(schedule, step))
             epoch_losses.append(loss)
@@ -489,12 +428,7 @@ def prior_scores(
 ) -> np.ndarray:
     """Raw class affinities g(x) . prototype_c, (rows, d_in) -> (rows, C), in
     eval mode (no dropout); softmax happens downstream."""
-    work = _StepBuffers.eval_only(model, x_rows.shape[0])
-    emb = _forward(model, x_rows, work=work)[0]
-    # dropped here, not with the cache tuple, which frees the hidden arrays
-    # in reverse order: that left infer-50k's peak RSS 17 MiB higher (glibc)
-    del work
-    return emb @ prototypes.matrix
+    return _forward(model, x_rows)[0] @ prototypes.matrix
 
 
 # ---------------------------------------------------------------------------

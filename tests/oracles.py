@@ -7,7 +7,7 @@ rank rule that replaced it on large inputs. ``reference_sorted_unique`` is
 built on ``np.unique``, which shares no code with the package's sort. And
 ``reference_train_prior`` at the end: byte-equal weights need the same
 floating-point operations, so it restates the prior's training step with
-numpy, in its plain allocating form.
+numpy.
 """
 
 import csv

@@ -73,7 +73,6 @@ class TestMlp:
         assert model.w1.shape == (8, 4)
         assert model.w2.shape == (8, 8)
         assert model.w3.shape == (6, 8)
-        assert (model.d_in, model.hidden, model.d_out) == (4, 8, 6)
         # the model is its weights; training state lives in train_prior
         assert [f.name for f in fields(PriorMlp)] == ["w1", "b1", "w2", "b2", "w3", "b3"]
 
@@ -120,9 +119,7 @@ class TestMlp:
     def test_one_mask_draw_equals_four_sequential_draws(self):
         rng = np.random.default_rng(5)
         expected = np.stack([(rng.random((6, 7)) < 0.6) / 0.6 for _ in range(4)])
-        out = np.empty((4, 6, 7))
-        masks = draw_masks(np.random.default_rng(5), 0.4, 6, 7, out=out)
-        assert masks is out
+        masks = draw_masks(np.random.default_rng(5), 0.4, 6, 7)
         assert np.array_equal(masks, expected)
 
     def test_invalid_inputs_rejected(self):
@@ -364,11 +361,19 @@ class TestTraining:
         assert trace_a == trace_b
 
     @pytest.mark.parametrize("dropout", [0.3, 0.0])
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_matches_plain_step_byte_for_byte(self, seed, dropout):
-        # 80 observations in batches of 24: the last batch of an epoch wraps
+    @pytest.mark.parametrize(
+        "seed, hidden, batch_size",
+        [
+            # 80 observations in batches of 24: the last batch of an epoch wraps
+            pytest.param(3, 16, 24, id="3"),
+            pytest.param(11, 16, 24, id="11"),
+            # the CLI's default width and batch size
+            pytest.param(3, 256, 256, id="cli-width"),
+        ],
+    )
+    def test_matches_plain_step_byte_for_byte(self, seed, hidden, batch_size, dropout):
         bundle, proto = self.small_data()
-        cfg = PriorTrainConfig(epochs=4, batch_size=24, hidden=16, seed=seed,
+        cfg = PriorTrainConfig(epochs=4, batch_size=batch_size, hidden=hidden, seed=seed,
                                dropout_rate=dropout, base_lr=5e-3, warmup_lr=5e-5)
         model, trace = train_prior(bundle, proto, cfg)
         params, expected_trace = reference_train_prior(bundle, proto, cfg)
