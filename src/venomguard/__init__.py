@@ -23,7 +23,7 @@ from .inference import (
     Predictions,
     predict_dataset,
 )
-from .metrics import MetricReport, MetricWeights, score_predictions, track1_metric
+from .metrics import MetricReport, score_predictions, track1_metric
 from .optim import AdamWState, CosineSchedule, adamw_step, lr_at
 from .prior_model import (
     PriorArtifact,

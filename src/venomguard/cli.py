@@ -24,13 +24,7 @@ from .errors import BundleValidationError, CsvParseError, FormatError
 from .gradcheck import check_loc_loss
 from .inference import EscalationPolicy, predict_dataset, write_predictions_csv
 from .linalg_pca import fit_pca, load_pca, save_pca
-from .metrics import (
-    PDENOM_MODES,
-    MetricWeights,
-    report_json,
-    report_text,
-    score_predictions,
-)
+from .metrics import report_json, report_text, score_predictions
 from .prior_model import PriorTrainConfig, fit_prior, load_prior, save_prior
 from .synthetic import SynthConfig, generate, write_dataset
 
@@ -70,44 +64,29 @@ _PRIOR, _SYNTH = PriorTrainConfig(), SynthConfig()
 
 # One flat namespace for every tunable setting; subcommands read the slice
 # they need. File values override these, explicit flags override the file.
-# Each default lives in its settings dataclass, except the three below that
-# no settings object holds.
+# Each default lives in its settings dataclass, except pca_k, which no
+# settings object holds.
 DEFAULTS: dict[str, object] = {
     **{key: getattr(_PRIOR, field) for key, field in _PRIOR_FIELDS.items()},
     **{key: getattr(_SYNTH, field) for key, field in _SYNTH_FIELDS.items()},
     "synth_images_min": _SYNTH.images_per_observation[0],
     "synth_images_max": _SYNTH.images_per_observation[1],
-    **asdict(MetricWeights()),
     **asdict(EscalationPolicy()),
     "pca_k": 8,
-    "pdenom": "status",
-    "f1_all_classes": False,
 }
 
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
-
-
-_KINDS = {bool: "a boolean", int: "an integer", float: "a number"}
+_KINDS = {int: "an integer", float: "a number"}
 
 
 def _coerce(key: str, raw: str) -> object:
     default = DEFAULTS[key]
     raw = raw.strip()
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in _TRUTHY:
-            return True
-        if low in _FALSY:
-            return False
-    elif isinstance(default, (int, float)):
-        try:
-            return type(default)(raw)
-        except ValueError:
-            pass
-    else:
-        return raw
-    raise ValueError(f"config key {key}: expected {_KINDS[type(default)]}, got {raw!r}")
+    try:
+        return type(default)(raw)
+    except ValueError:
+        raise ValueError(
+            f"config key {key}: expected {_KINDS[type(default)]}, got {raw!r}"
+        ) from None
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -125,6 +104,7 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
             f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8"
         ) from None
     out: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -137,9 +117,15 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
         if key not in DEFAULTS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            out[key] = _coerce(key, raw)
+            value = _coerce(key, raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if key in first_line:
+            raise ValueError(
+                f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
+        out[key] = value
     return out
 
 
@@ -209,21 +195,13 @@ def build_parser() -> _Parser:
     p.add_argument("--prior", default=None, help="trained prior artifact")
     p.add_argument("--tau", type=float, help="escalation confidence threshold")
     p.add_argument("--top-k", type=int, help="candidates examined for escalation")
-    p.add_argument("--no-escalate", action="store_true", help="plain argmax decisions")
     p.add_argument("--explain", action="store_true", help="add pre-escalation columns")
-    p.add_argument(
-        "--probabilities",
-        action="store_true",
-        help="treat stored image scores as probabilities, not logits",
-    )
     p.add_argument("-o", "--output", required=True, help="prediction CSV path")
 
     p = sub.add_parser("score", parents=[common], help="score predictions against truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--classes", required=True, help="classes.csv with venomous flags")
-    p.add_argument("--pdenom", choices=PDENOM_MODES)
-    p.add_argument("--f1-all-classes", action="store_true", default=None)
     p.add_argument("--json", default=None, help="also write the report as JSON")
 
     p = sub.add_parser(
@@ -267,13 +245,14 @@ def _cmd_pca(args, cfg) -> int:
 def _cmd_train_prior(args, cfg) -> int:
     # a bad setting exits before any file is read
     train_cfg = PriorTrainConfig(**_fields(cfg, _PRIOR_FIELDS))
+    trace_path = args.trace or f"{args.output}.trace.csv"
+    if Path(trace_path).resolve() == Path(args.output).resolve():
+        raise ValueError(f"--trace {trace_path} is the output path {args.output}")
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     pca = load_pca(args.pca)
     artifact, trace = fit_prior(bundle, pca, train_cfg)
     save_prior(artifact, args.output)
-
-    trace_path = args.trace or f"{args.output}.trace.csv"
     write_manifest(trace_path, ["epoch", "mean_loss"], [range(len(trace)), trace])
     first = trace[0] if trace else float("nan")
     last = trace[-1] if trace else float("nan")
@@ -282,34 +261,20 @@ def _cmd_train_prior(args, cfg) -> int:
 
 
 def _cmd_infer(args, cfg) -> int:
-    # a bad setting exits before any file is read; tau = 0 makes every row
-    # take the confident argmax path
-    policy = EscalationPolicy(tau=0.0 if args.no_escalate else cfg["tau"], top_k=cfg["top_k"])
+    # a bad setting exits before any file is read
+    policy = EscalationPolicy(tau=cfg["tau"], top_k=cfg["top_k"])
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     prior = load_prior(args.prior) if args.prior else None
-    output = predict_dataset(
-        bundle, prior=prior, policy=policy, scores_are_logits=not args.probabilities
-    )
+    output = predict_dataset(bundle, prior=prior, policy=policy)
     write_predictions_csv(args.output, output.results, explain=args.explain)
     print(f"predicted {len(output.results)} observations -> {args.output}")
     return 0
 
 
 def _cmd_score(args, cfg) -> int:
-    # a bad setting exits before any file is read
-    weights = MetricWeights(**{key: cfg[key] for key in asdict(MetricWeights())})
-    if cfg["pdenom"] not in PDENOM_MODES:
-        raise ValueError(f"pdenom must be one of {PDENOM_MODES}")
     classes = parse_classes_csv(args.classes)
-    report = score_predictions(
-        args.truth,
-        args.pred,
-        classes,
-        weights=weights,
-        pdenom=cfg["pdenom"],
-        all_classes=cfg["f1_all_classes"],
-    )
+    report = score_predictions(args.truth, args.pred, classes)
     sys.stdout.write(report_text(report))
     if args.json:
         Path(args.json).write_text(report_json(report), encoding="utf-8")

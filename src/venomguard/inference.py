@@ -193,15 +193,14 @@ def predict_dataset(
     bundle: DatasetBundle,
     prior: PriorArtifact | None = None,
     policy: EscalationPolicy | None = None,
-    scores_are_logits: bool = True,
 ) -> PredictionOutput:
     """Predict one class per observation, sorted by observation id.
 
     The prior's (locations, C) weights come first, from blocks of at least
     _PRIOR_BLOCK_ROWS locations, none smaller, so that on the BLAS measured
     they have the bits of one pass over all locations (see
-    _prior_weights_by_location). The
-    image rows then stream in file order, _BLOCK_ROWS at a time, into
+    _prior_weights_by_location). The image rows, which are logits, then
+    stream in file order, _BLOCK_ROWS at a time, through softmax into
     ``aggregated``; each block is widened to float64 as it is gathered,
     so float32 scores give the same results as their float64 values.
     After the prior pass, memory holds the weights, ``aggregated`` and one
@@ -214,16 +213,6 @@ def predict_dataset(
     if scores.shape[1] != n_classes:
         raise ValueError(f"score width {scores.shape[1]} != class count {n_classes}")
     obs = bundle.observations
-    if not scores_are_logits:
-        # float64 row sums, a block of rows widened at a time
-        sums = np.empty(scores.shape[0])
-        for start in range(0, scores.shape[0], _BLOCK_ROWS):
-            rows = np.asarray(scores[start : start + _BLOCK_ROWS], dtype=np.float64)
-            if np.any(rows < 0.0):
-                raise ValueError("probability scores must be non-negative")
-            sums[start : start + _BLOCK_ROWS] = rows.sum(axis=1)
-        if np.any(sums <= 0.0):
-            raise ValueError("probability score rows must have positive sum")
     loc_weights = None
     if prior is not None:
         if prior.prototypes.n_classes != n_classes:
@@ -245,10 +234,7 @@ def predict_dataset(
         # the gathered rows are widened before softmax, which would round
         # its float64 results into a float32 array
         joint = scores[image_index[block]].astype(np.float64, copy=False)
-        if scores_are_logits:
-            softmax(joint, out=joint)
-        else:
-            joint /= sums[image_index[block], None]
+        softmax(joint, out=joint)
         if loc_weights is not None:
             joint, vanished = _joint_rows(joint, loc_weights[meta_rows[block]])
             fallbacks += vanished

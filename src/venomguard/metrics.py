@@ -14,34 +14,9 @@ from .data_model import ClassTable
 from .errors import BundleValidationError
 from .inference import read_predictions_csv
 
-PDENOM_MODES = ("status", "all", "errors")
-
-
-@dataclass
-class MetricWeights:
-    """Term weights: F1, then the four confusion complements.
-
-    The heaviest default (w4 = 5) sits on venomous-predicted-harmless,
-    the medically dangerous direction.
-    """
-
-    w1: float = 1.0
-    w2: float = 1.0
-    w3: float = 2.0
-    w4: float = 5.0
-    w5: float = 2.0
-
-    def __post_init__(self):
-        vals = self.as_tuple()
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("weights must be finite")
-        if any(w < 0 for w in vals):
-            raise ValueError("weights must be non-negative")
-        if sum(vals) <= 0:
-            raise ValueError("at least one weight must be positive")
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.w1, self.w2, self.w3, self.w4, self.w5)
+# term weights: F1, then the complements of p1..p4; the heaviest (5) sits on
+# p3, venomous predicted harmless, the medically dangerous direction
+WEIGHTS = (1.0, 1.0, 2.0, 5.0, 2.0)
 
 
 @dataclass
@@ -73,12 +48,8 @@ def confusion_matrix(truth: np.ndarray, pred: np.ndarray, n_classes: int) -> np.
     return out
 
 
-def macro_f1(confusion: np.ndarray, all_classes: bool = False) -> float:
-    """Mean per-class F1 as a percentage, skipping zero-support classes.
-
-    all_classes=True averages over every class instead, counting
-    zero-support classes as F1 = 0.
-    """
+def macro_f1(confusion: np.ndarray) -> float:
+    """Mean per-class F1 as a percentage, skipping zero-support classes."""
     confusion = np.asarray(confusion)
     support = confusion.sum(axis=1)
     predicted = confusion.sum(axis=0)
@@ -87,23 +58,19 @@ def macro_f1(confusion: np.ndarray, all_classes: bool = False) -> float:
     rec = np.divide(tp, support, out=np.zeros_like(tp), where=support > 0)
     both = prec + rec
     f1 = np.divide(2 * prec * rec, both, out=np.zeros_like(tp), where=both > 0)
-    if not all_classes:
-        f1 = f1[support > 0]
+    f1 = f1[support > 0]
     if not f1.size:
         raise ValueError("no classes with ground-truth support")
     return 100.0 * float(np.mean(f1))
 
 
 def venom_confusions(
-    confusion: np.ndarray, classes: ClassTable, pdenom: str = "status"
+    confusion: np.ndarray, classes: ClassTable
 ) -> tuple[float, float, float, float]:
-    """Percentages of the four cross/within-status error categories.
-
-    Denominator choices: per the true venom status (default), all
-    observations, or the total error count.
-    """
-    if pdenom not in PDENOM_MODES:
-        raise ValueError(f"pdenom must be one of {PDENOM_MODES}")
+    """Percentages of the four cross/within-status error categories, each
+    over the observations of its true venom status: p1 harmless->harmless
+    and p2 harmless->venomous over the harmless, p3 venomous->harmless and
+    p4 venomous->venomous over the venomous."""
     confusion = np.asarray(confusion)
     flags = classes.venomous_flags
     if confusion.shape[0] != flags.size:
@@ -119,14 +86,7 @@ def venom_confusions(
 
     n_h = confusion[harmless].sum()
     n_v = confusion[venom].sum()
-    if pdenom == "status":
-        denoms = (n_h, n_h, n_v, n_v)
-    elif pdenom == "all":
-        total = confusion.sum()
-        denoms = (total, total, total, total)
-    else:
-        errors = off.sum()
-        denoms = (errors, errors, errors, errors)
+    denoms = (n_h, n_h, n_v, n_v)
 
     out = []
     for count, denom in zip((hh, hv, vh, vv), denoms):
@@ -138,34 +98,21 @@ def venom_confusions(
     return tuple(out)
 
 
-def track1_metric(
-    f1: float,
-    p: tuple[float, float, float, float],
-    weights: MetricWeights | None = None,
-) -> float:
-    """Weighted mean of F1 and the four error-percentage complements."""
-    weights = weights or MetricWeights()
+def track1_metric(f1: float, p: tuple[float, float, float, float]) -> float:
+    """WEIGHTS-weighted mean of F1 and the four error-percentage complements."""
     for v in (f1, *p):
         if not 0.0 <= v <= 100.0:
             raise ValueError("metric inputs must be percentages in [0, 100]")
-    w = weights.as_tuple()
-    numer = w[0] * f1 + sum(wi * (100.0 - pi) for wi, pi in zip(w[1:], p))
-    return numer / sum(w)
+    numer = WEIGHTS[0] * f1 + sum(w * (100.0 - pi) for w, pi in zip(WEIGHTS[1:], p))
+    return numer / sum(WEIGHTS)
 
 
-def build_report(
-    truth: np.ndarray,
-    pred: np.ndarray,
-    classes: ClassTable,
-    weights: MetricWeights | None = None,
-    pdenom: str = "status",
-    all_classes: bool = False,
-) -> MetricReport:
+def build_report(truth: np.ndarray, pred: np.ndarray, classes: ClassTable) -> MetricReport:
     confusion = confusion_matrix(truth, pred, classes.n_classes)
-    f1 = macro_f1(confusion, all_classes=all_classes)
-    p = venom_confusions(confusion, classes, pdenom=pdenom)
+    f1 = macro_f1(confusion)
+    p = venom_confusions(confusion, classes)
     accuracy = 100.0 * np.diagonal(confusion).sum() / confusion.sum()
-    composite = track1_metric(f1, p, weights)
+    composite = track1_metric(f1, p)
     return MetricReport(
         macro_f1=f1,
         p1=p[0],
@@ -179,12 +126,7 @@ def build_report(
 
 
 def score_predictions(
-    truth_path: str | Path,
-    pred_path: str | Path,
-    classes: ClassTable,
-    weights: MetricWeights | None = None,
-    pdenom: str = "status",
-    all_classes: bool = False,
+    truth_path: str | Path, pred_path: str | Path, classes: ClassTable
 ) -> MetricReport:
     """Join truth and prediction CSVs on observation id and score them."""
     truth_ids, truth = read_predictions_csv(truth_path)
@@ -209,9 +151,7 @@ def score_predictions(
                 f"{path}: observation {truth_ids[k]} has class id {labels[k]}, "
                 f"outside [0, {n})"
             )
-    return build_report(
-        truth, pred, classes, weights=weights, pdenom=pdenom, all_classes=all_classes
-    )
+    return build_report(truth, pred, classes)
 
 
 def report_text(report: MetricReport) -> str:

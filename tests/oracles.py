@@ -17,15 +17,10 @@ import math
 import numpy as np
 
 
-def oracle_metric(
-    truth,
-    pred,
-    venomous_flags,
-    weights=(1.0, 1.0, 2.0, 5.0, 2.0),
-    pdenom="status",
-    all_classes=False,
-):
-    """Loop-based composite metric report as a plain dict."""
+def oracle_metric(truth, pred, venomous_flags):
+    """Loop-based composite metric report as a plain dict: F1 over the
+    classes with support, each p over its true venom status, weights
+    (1, 1, 2, 5, 2)."""
     n_classes = len(venomous_flags)
     conf = [[0] * n_classes for _ in range(n_classes)]
     for t, g in zip(truth, pred):
@@ -35,7 +30,7 @@ def oracle_metric(
     for k in range(n_classes):
         support = sum(conf[k])
         predicted = sum(conf[i][k] for i in range(n_classes))
-        if support == 0 and not all_classes:
+        if support == 0:
             continue
         prec = conf[k][k] / predicted if predicted else 0.0
         rec = conf[k][k] / support if support else 0.0
@@ -62,18 +57,14 @@ def oracle_metric(
                     hv += count
                 else:
                     hh += count
-    if pdenom == "status":
-        denoms = [n_h, n_h, n_v, n_v]
-    elif pdenom == "all":
-        denoms = [len(truth)] * 4
-    else:
-        denoms = [hh + hv + vh + vv] * 4
+    denoms = [n_h, n_h, n_v, n_v]
     ps = [
         (100.0 * count / d if d else 0.0)
         for count, d in zip((hh, hv, vh, vv), denoms)
     ]
 
     correct = sum(conf[k][k] for k in range(n_classes))
+    weights = (1.0, 1.0, 2.0, 5.0, 2.0)
     numer = weights[0] * macro
     for w, pv in zip(weights[1:], ps):
         numer += w * (100.0 - pv)
@@ -95,25 +86,20 @@ def oracle_predict(
     tau=0.5,
     top_k=5,
     prior_logits=None,
-    scores_are_logits=True,
 ):
     """Loop-based prediction pipeline on plain lists.
 
-    observations: list of (obs_id, score_rows, location_indices);
+    observations: list of (obs_id, logit_rows, location_indices);
     prior_logits: per-location prior rows, or None for no prior.
     """
     out = {}
     for obs_id, rows, locs in observations:
         agg = [0.0] * len(venomous_flags)
         for row, loc in zip(rows, locs):
-            if scores_are_logits:
-                top = max(row)
-                exps = [math.exp(v - top) for v in row]
-                s = sum(exps)
-                probs = [v / s for v in exps]
-            else:
-                s = sum(row)
-                probs = [v / s for v in row]
+            top = max(row)
+            exps = [math.exp(v - top) for v in row]
+            s = sum(exps)
+            probs = [v / s for v in exps]
             if prior_logits is not None:
                 prow = prior_logits[loc]
                 ptop = max(prow)
@@ -178,16 +164,16 @@ def blocked_escalate(agg, base, flags, tau, top_k, block_rows=4096):
     return final
 
 
-def reference_macro_f1(confusion, all_classes=False):
+def reference_macro_f1(confusion):
     """Mean per-class F1 as a percentage, a class at a time, skipping the
-    classes with no support unless ``all_classes``."""
+    classes with no support."""
     confusion = np.asarray(confusion)
     support = confusion.sum(axis=1)
     predicted = confusion.sum(axis=0)
     tp = np.diagonal(confusion).astype(np.float64)
     scores = []
     for c in range(confusion.shape[0]):
-        if support[c] == 0 and not all_classes:
+        if support[c] == 0:
             continue
         prec = tp[c] / predicted[c] if predicted[c] > 0 else 0.0
         rec = tp[c] / support[c] if support[c] > 0 else 0.0

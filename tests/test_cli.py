@@ -36,15 +36,15 @@ class TestConfigFile:
             "tau = 0.25\n"
             "\n"
             "top_k = 3\n"
-            "f1_all_classes = yes\n"
-            "pdenom = errors\n"
+            "prior_epochs = 12\n"
+            "base_lr = 1e-3\n"
         )
         cfg = parse_config_file(path)
         assert cfg == {
             "tau": 0.25,
             "top_k": 3,
-            "f1_all_classes": True,
-            "pdenom": "errors",
+            "prior_epochs": 12,
+            "base_lr": 1e-3,
         }
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -55,25 +55,33 @@ class TestConfigFile:
 
     @pytest.mark.parametrize(
         "key",
-        ["seesaw_p", "seesaw_q", "cost_hh", "cost_hv", "cost_vh", "cost_vv", "prob_clamp"],
+        [
+            "seesaw_p", "seesaw_q", "cost_hh", "cost_hv", "cost_vh", "cost_vv", "prob_clamp",
+            # the metric's weights and denominators are fixed
+            "pdenom", "f1_all_classes", "w1", "w2", "w3", "w4", "w5",
+        ],
     )
     def test_keys_no_command_reads_are_rejected(self, capsys, tmp_path, key):
         path = tmp_path / "run.cfg"
         path.write_text(f"{key} = 1.0\n")
         code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
         assert code == 1
-        assert "unknown config key" in err
+        assert err.splitlines()[-1] == f"error: {path}:1: unknown config key {key!r}"
+
+    def test_repeated_key_names_file_and_both_lines(self, capsys, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("tau = 0.5\n# escalation\ntop_k = 3\ntau = 0.7\n")
+        with pytest.raises(ValueError) as caught:
+            parse_config_file(path)
+        assert str(caught.value) == f"{path}:4: config key 'tau' repeats line 1"
+        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
+        assert code == 1
+        assert err.splitlines()[-1] == f"error: {path}:4: config key 'tau' repeats line 1"
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("tau 0.5\n")
         with pytest.raises(ValueError, match="key = value"):
-            parse_config_file(path)
-
-    def test_bad_boolean_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("f1_all_classes = maybe\n")
-        with pytest.raises(ValueError, match="boolean"):
             parse_config_file(path)
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
@@ -126,7 +134,7 @@ class TestConfigFile:
             ("pca_k = 8.0", "config key pca_k: expected an integer, got '8.0'"),
             ("top_k =", "config key top_k: expected an integer, got ''"),
             ("tau = abc", "config key tau: expected a number, got 'abc'"),
-            ("f1_all_classes = maybe", "config key f1_all_classes: expected a boolean, got 'maybe'"),
+            ("seed = true", "config key seed: expected an integer, got 'true'"),
         ],
     )
     def test_value_of_the_wrong_type_names_file_line_and_key(self, tmp_path, line, message):
@@ -163,8 +171,8 @@ class TestConfigFile:
 
 # dests of options that name files or switch behaviour, not config keys
 NON_SETTING_DESTS = {
-    "help", "config", "output", "trace", "pca", "prior", "no_escalate", "explain",
-    "probabilities", "truth", "pred", "classes", "json", "trials", "mode",
+    "help", "config", "output", "trace", "pca", "prior", "explain", "truth", "pred",
+    "classes", "json", "trials", "mode",
 }
 # keys only a --config file sets, as the README's key/flag table lists them
 FILE_ONLY_KEYS = {key for key, flags in readme_key_flags().items() if not flags}
@@ -424,13 +432,6 @@ class TestPipeline:
                 assert score(truth, classes, tmp_path / "pipe.json") == disk
         assert "composite        100.0000" not in disk[0]
 
-    def test_no_escalate_equals_tau_zero(self, capsys, tmp_path):
-        data = make_dataset(capsys, tmp_path / "data")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(capsys, "infer", str(data), "--no-escalate", "-o", str(a))[0] == 0
-        assert run(capsys, "infer", str(data), "--tau", "0.0", "-o", str(b))[0] == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_explain_columns_present(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
         preds = tmp_path / "preds.csv"
@@ -439,19 +440,27 @@ class TestPipeline:
         header = preds.read_text().splitlines()[0]
         assert header == "observation_id,class_id,pre_escalation_class_id,confidence"
 
-    def test_probability_mode_rejects_signed_scores(self, capsys, tmp_path):
-        # synthetic image scores are logits and contain negatives
-        data = make_dataset(capsys, tmp_path / "data")
-        code, _, err = run(
-            capsys,
-            "infer",
-            str(data),
-            "--probabilities",
-            "-o",
-            str(tmp_path / "p.csv"),
-        )
+    @pytest.mark.parametrize(
+        "command, removed",
+        [
+            ("infer", ["--no-escalate"]),
+            ("infer", ["--probabilities"]),
+            ("score", ["--pdenom", "status"]),
+            ("score", ["--f1-all-classes"]),
+        ],
+        ids=["no-escalate", "probabilities", "pdenom", "f1-all-classes"],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, command, removed):
+        # --tau 0 gives plain argmax decisions, image scores are logits, and
+        # the metric's denominators and F1 classes are fixed
+        required = {
+            "infer": ["data", "-o", "p.csv"],
+            "score": ["--truth", "t.csv", "--pred", "p.csv", "--classes", "c.csv"],
+        }[command]
+        code, out, err = run(capsys, command, *required, *removed)
         assert code == 1
-        assert "non-negative" in err
+        assert out == ""
+        assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(removed)}"
 
     def test_config_file_drives_inference(self, capsys, tmp_path):
         data = make_dataset(capsys, tmp_path / "data")
@@ -790,6 +799,21 @@ class TestFormatErrors:
         assert err.splitlines()[-1] == f"error: {message}"
         assert "Traceback" not in err
 
+    def test_trace_onto_the_output_exits_one_before_reading_the_bundle(self, capsys, tmp_path):
+        # the trace would overwrite the prior it follows
+        (tmp_path / "sub").mkdir()
+        trace = f"{tmp_path}/sub/../prior.bin"
+        code, out, err = run(
+            capsys, "train-prior", str(tmp_path / "nope"), "--pca", str(tmp_path / "pca.bin"),
+            "-o", str(tmp_path / "prior.bin"), "--trace", trace,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: --trace {trace} is the output path {tmp_path / 'prior.bin'}"
+        )
+        assert not (tmp_path / "prior.bin").exists()
+
     def test_bad_prior_shape_exits_one_before_reading_the_bundle(self, capsys, tmp_path):
         # the bundle and the PCA are missing, which would exit 3 once read
         code, _, err = run(
@@ -827,21 +851,6 @@ class TestNonFiniteSettings:
         assert err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "prior.bin").exists()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_score(self, capsys, tmp_path, value):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"w4 = {value}\n")
-        report = tmp_path / "report.json"
-        code, out, err = run(
-            capsys, "score", "--config", str(path), "--truth", str(tmp_path / "truth.csv"),
-            "--pred", str(tmp_path / "preds.csv"), "--classes", str(tmp_path / "classes.csv"),
-            "--json", str(report),
-        )
-        assert code == 1
-        assert out == ""
-        assert err.splitlines()[-1] == "error: weights must be finite"
-        assert not report.exists()
-
     @pytest.mark.parametrize(
         "flags, config, message",
         [
@@ -863,20 +872,6 @@ class TestNonFiniteSettings:
         assert out == ""
         assert err.splitlines()[-1] == f"error: {message}"
         assert not preds.exists()
-
-    def test_score_pdenom(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("pdenom = bogus\n")
-        report = tmp_path / "report.json"
-        code, out, err = run(
-            capsys, "score", "--config", str(path), "--truth", str(tmp_path / "truth.csv"),
-            "--pred", str(tmp_path / "preds.csv"), "--classes", str(tmp_path / "classes.csv"),
-            "--json", str(report),
-        )
-        assert code == 1
-        assert out == ""
-        assert err.splitlines()[-1] == "error: pdenom must be one of ('status', 'all', 'errors')"
-        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["train-prior", "synth", "gradcheck"])
     def test_negative_seed(self, capsys, tmp_path, command):

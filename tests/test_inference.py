@@ -144,31 +144,30 @@ class TestJointScores:
         assert np.all(out >= 0)
 
 
-def aggregated_one_observation(bundle, probs):
-    """predict_dataset's aggregated row for one observation whose images score probs."""
-    probs = np.asarray(probs)
-    n = len(probs)
+def aggregated_one_observation(bundle, logits):
+    """predict_dataset's aggregated row for one observation whose images score logits."""
+    logits = np.asarray(logits)
+    n = len(logits)
     one = replace(
         bundle,
         observations=ObservationTable.from_columns(["obs"] * n, range(n), [0] * n, ["loc_0"] * n),
-        image_scores=FeatureMatrix(probs),
+        image_scores=FeatureMatrix(logits),
     )
-    out = predict_dataset(one, scores_are_logits=False)
-    assert out.aggregated.shape == (1, probs.shape[1])
+    out = predict_dataset(one)
+    assert out.aggregated.shape == (1, logits.shape[1])
     return out.aggregated[0]
 
 
 class TestAggregate:
     def test_single_row_identity(self, tiny_bundle):
-        row = np.array([0.125, 0.5, 0.125, 0.125, 0.125])  # sums to 1 exactly
-        assert np.array_equal(aggregated_one_observation(tiny_bundle, [row]), row)
+        row = np.array([[0.5, 2.0, -1.0, 0.0, 3.5]])
+        assert np.array_equal(aggregated_one_observation(tiny_bundle, row), softmax(row)[0])
 
     def test_two_rows_average(self, tiny_bundle):
-        rows = np.eye(5)[:2]
-        assert np.allclose(
-            aggregated_one_observation(tiny_bundle, rows),
-            [0.5, 0.5, 0.0, 0.0, 0.0],
-            atol=1e-12,
+        # a logit of -1000 is a probability of exactly 0
+        rows = np.where(np.eye(5)[:2] == 1.0, 0.0, -1000.0)
+        assert np.array_equal(
+            aggregated_one_observation(tiny_bundle, rows), [0.5, 0.5, 0.0, 0.0, 0.0]
         )
 
     def test_sums_rows_in_file_order(self, tiny_bundle, monkeypatch):
@@ -178,15 +177,15 @@ class TestAggregate:
         sizes = {"obs_d": 1, "obs_c": 2, "obs_b": 9, "obs_a": 100}
         owners = rng.permutation([obs for obs, n in sizes.items() for _ in range(n)])
         n = owners.size
-        scores = rng.dirichlet(np.ones(5), size=n) * rng.uniform(0.5, 2.0, (n, 1))
+        scores = rng.normal(0.0, 2.0, (n, 5))
         bundle = replace(
             tiny_bundle,
             observations=ObservationTable.from_columns(owners, range(n), [0] * n, ["loc_0"] * n),
             image_scores=FeatureMatrix(scores),
         )
         monkeypatch.setattr(inference, "_BLOCK_ROWS", 7)
-        aggregated = predict_dataset(bundle, scores_are_logits=False).aggregated
-        probs = (scores / scores.sum(axis=1, keepdims=True)).tolist()
+        aggregated = predict_dataset(bundle).aggregated
+        probs = softmax(scores).tolist()
 
         def mean_in_order(order):
             expected = []
@@ -205,7 +204,7 @@ class TestAggregate:
 
     def test_permutation_invariant(self, tiny_bundle):
         rng = np.random.default_rng(0)
-        rows = rng.dirichlet(np.ones(5), size=5)
+        rows = rng.normal(0.0, 2.0, (5, 5))
         shuffled = rows[rng.permutation(5)]
         assert np.allclose(
             aggregated_one_observation(tiny_bundle, rows),
@@ -387,28 +386,6 @@ class TestPredictDataset:
         ]
         assert np.allclose(plain.aggregated, primed.aggregated, atol=1e-12)
 
-    def test_probability_scores_mode(self, tiny_bundle):
-        # Raw scores are non-negative, so they can be read as unnormalized probs.
-        out = predict_dataset(tiny_bundle, scores_are_logits=False)
-        scores = tiny_bundle.image_scores.values
-        probs = scores / scores.sum(axis=1, keepdims=True)
-        assert np.allclose(out.aggregated.sum(axis=1), 1.0, atol=1e-12)
-        # obs_a averages image rows 0 and 1; obs_b and obs_c have one row each
-        assert np.allclose(out.aggregated[0], probs[:2].mean(axis=0), atol=1e-12)
-        assert np.array_equal(out.aggregated[1:], probs[2:])
-
-    def test_probability_mode_rejects_negative_scores(self, tiny_bundle):
-        from dataclasses import replace
-
-        from venomguard.data_model import FeatureMatrix
-
-        bad = replace(
-            tiny_bundle,
-            image_scores=FeatureMatrix(-np.ones((4, 5))),
-        )
-        with pytest.raises(ValueError):
-            predict_dataset(bad, scores_are_logits=False)
-
     def test_score_width_mismatch_rejected(self, tiny_bundle):
         from dataclasses import replace
 
@@ -465,26 +442,27 @@ class TestPredictDataset:
                 assert np.array_equal(out.aggregated[0], combined[[0, 2]].mean(axis=0))
 
     def test_vanishing_joint_row_falls_back_alone(self, tiny_bundle):
-        # The prior puts all its weight on class 0; row 2 has no class-0 mass.
+        # The prior puts all its weight on class 0; row 2 has no class-0 mass,
+        # its logit of -1000 being a probability of exactly 0.
         scores = np.array(
             [
-                [4.0, 0.0, 1.0, 0.0, 0.0],
-                [3.0, 1.0, 0.0, 0.0, 0.0],
-                [0.0, 2.0, 1.0, 0.0, 0.0],
-                [0.5, 0.5, 0.0, 2.5, 0.0],
+                [1.5, -1000.0, 0.0, -1000.0, -1000.0],
+                [1.0, 0.0, -1000.0, -1000.0, -1000.0],
+                [-1000.0, 0.5, 0.0, -1000.0, -1000.0],
+                [0.0, 0.0, -1000.0, 1.5, -1000.0],
             ]
         )
         bundle = replace(tiny_bundle, image_scores=FeatureMatrix(scores))
         prior = class_zero_prior(bundle)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = predict_dataset(bundle, prior=prior, scores_are_logits=False)
+            out = predict_dataset(bundle, prior=prior)
         assert [str(w.message) for w in caught] == [
             "joint scores vanished on 1 of 4 rows; falling back to image scores"
         ]
         # obs_b is row 2 alone and keeps its image probabilities; obs_a (rows 0
         # and 1) and obs_c (row 3) take the prior's class 0
-        assert np.array_equal(out.aggregated[1], scores[2] / scores[2].sum())
+        assert np.array_equal(out.aggregated[1], softmax(scores)[2])
         for i in (0, 2):
             assert np.array_equal(out.aggregated[i], [1.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -548,11 +526,9 @@ class TestBlockwisePass:
         return replace(synth7.bundle, observations=table)
 
     @pytest.mark.parametrize("with_prior", [False, True])
-    @pytest.mark.parametrize("case", ["logits", "probabilities", "empty"])
+    @pytest.mark.parametrize("case", ["logits", "empty"])
     def test_block_size_changes_nothing(self, scattered, monkeypatch, case, with_prior):
-        bundle, logits = scattered, case != "probabilities"
-        if not logits:
-            bundle = replace(bundle, image_scores=FeatureMatrix(np.exp(bundle.image_scores.values)))
+        bundle = scattered
         if case == "empty":
             bundle = replace(bundle, observations=bundle.observations.take(
                 np.zeros(len(bundle.observations), dtype=bool)))
@@ -560,7 +536,7 @@ class TestBlockwisePass:
         outs = []
         for rows in (1, 3, 4096, len(bundle.observations) + 1):
             monkeypatch.setattr(inference, "_BLOCK_ROWS", rows)
-            outs.append(predict_dataset(bundle, prior=prior, scores_are_logits=logits))
+            outs.append(predict_dataset(bundle, prior=prior))
         first = outs[0]
         assert len(first.results) == (0 if case == "empty" else 5000)
         for out in outs[1:]:
@@ -569,25 +545,26 @@ class TestBlockwisePass:
             assert np.array_equal(out.aggregated, first.aggregated)
 
     def test_fallbacks_in_two_blocks_warn_once_with_the_total(self, tiny_bundle, monkeypatch):
-        # rows 0 and 3 have no class-0 mass; blocks of two rows put them apart
+        # rows 0 and 3 have no class-0 mass (a logit of -1000); blocks of two
+        # rows put them apart
         scores = np.array(
             [
-                [0.0, 4.0, 1.0, 0.0, 0.0],
-                [3.0, 1.0, 0.0, 0.0, 0.0],
-                [1.0, 2.0, 1.0, 0.0, 0.0],
-                [0.0, 0.5, 0.0, 2.5, 0.0],
+                [-1000.0, 1.5, 0.0, -1000.0, -1000.0],
+                [1.0, 0.0, -1000.0, -1000.0, -1000.0],
+                [0.0, 0.5, 0.0, -1000.0, -1000.0],
+                [-1000.0, 0.0, -1000.0, 1.5, -1000.0],
             ]
         )
         bundle = replace(tiny_bundle, image_scores=FeatureMatrix(scores))
         monkeypatch.setattr(inference, "_BLOCK_ROWS", 2)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            out = predict_dataset(bundle, prior=class_zero_prior(bundle), scores_are_logits=False)
+            out = predict_dataset(bundle, prior=class_zero_prior(bundle))
         assert [str(w.message) for w in caught] == [
             "joint scores vanished on 2 of 4 rows; falling back to image scores"
         ]
         # obs_c is row 3 alone and keeps its image probabilities
-        assert np.array_equal(out.aggregated[2], scores[3] / scores[3].sum())
+        assert np.array_equal(out.aggregated[2], softmax(scores)[3])
 
     @pytest.mark.parametrize("with_prior", [False, True])
     def test_peak_memory_does_not_grow_with_images_per_observation(

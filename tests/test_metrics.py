@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from venomguard.data_model import ClassTable
 from venomguard.errors import BundleValidationError
 from venomguard.metrics import (
-    MetricWeights,
     build_report,
     confusion_matrix,
     macro_f1,
@@ -75,10 +73,6 @@ class TestMacroF1:
     def test_zero_support_classes_skipped_by_default(self):
         cm = np.array([[5, 0, 0], [5, 0, 0], [0, 0, 0]])
         assert macro_f1(cm) == pytest.approx(100.0 / 3.0, abs=1e-9)
-        # counting the empty class pulls the mean down
-        assert macro_f1(cm, all_classes=True) == pytest.approx(
-            100.0 * (2.0 / 3.0) / 3.0, abs=1e-9
-        )
 
     def test_no_supported_classes_rejected(self):
         with pytest.raises(ValueError, match="support"):
@@ -114,12 +108,11 @@ class TestMacroF1:
             lambda n: st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=n * n,
                                max_size=n * n).map(lambda v: np.reshape(v, (n, n)))
         ),
-        all_classes=st.booleans(),
     )
-    def test_equals_the_per_class_loop(self, confusion, all_classes):
+    def test_equals_the_per_class_loop(self, confusion):
         def outcome(f1):
             try:
-                return f1(confusion, all_classes=all_classes)
+                return f1(confusion)
             except ValueError as exc:
                 return str(exc)
 
@@ -184,26 +177,6 @@ class TestVenomConfusions:
             p = venom_confusions(cm, five_classes)
         assert p[2] == 0.0 and p[3] == 0.0
 
-    def test_all_mode_uses_total_observations(self, five_classes):
-        truth = np.array([0, 1, 1, 3])
-        pred = np.array([1, 0, 1, 3])
-        cm = confusion_matrix(truth, pred, 5)
-        p = venom_confusions(cm, five_classes, pdenom="all")
-        assert p[1] == pytest.approx(25.0)  # one h->v error out of four rows
-        assert p[2] == pytest.approx(25.0)
-
-    def test_errors_mode_partitions_the_mistakes(self, five_classes):
-        rng = np.random.default_rng(5)
-        truth = rng.integers(0, 5, size=200)
-        pred = rng.integers(0, 5, size=200)
-        cm = confusion_matrix(truth, pred, 5)
-        p = venom_confusions(cm, five_classes, pdenom="errors")
-        assert sum(p) == pytest.approx(100.0, abs=1e-9)
-
-    def test_unknown_mode_rejected(self, five_classes):
-        with pytest.raises(ValueError):
-            venom_confusions(np.eye(5, dtype=int), five_classes, pdenom="ratio")
-
 
 class TestComposite:
     def test_perfect_run_scores_hundred(self):
@@ -213,11 +186,6 @@ class TestComposite:
         # (1*50 + 1*80 + 2*90 + 5*100 + 2*100) / 11
         value = track1_metric(50.0, (20.0, 10.0, 0.0, 0.0))
         assert value == pytest.approx(1010.0 / 11.0, abs=1e-12)
-
-    def test_uniform_weights_with_total_errors_floor_at_zero(self):
-        weights = MetricWeights(1.0, 1.0, 1.0, 1.0, 1.0)
-        value = track1_metric(0.0, (100.0, 100.0, 100.0, 100.0), weights)
-        assert value == pytest.approx(0.0)
 
     def test_improving_any_term_never_hurts(self):
         rng = np.random.default_rng(6)
@@ -236,15 +204,6 @@ class TestComposite:
             track1_metric(101.0, (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             track1_metric(50.0, (0.0, -1.0, 0.0, 0.0))
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            MetricWeights(w1=-1.0)
-        with pytest.raises(ValueError):
-            MetricWeights(0.0, 0.0, 0.0, 0.0, 0.0)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                MetricWeights(w4=bad)
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -28,11 +28,11 @@ MATRICES = ("image_scores", "metadata_features", "embeddings")
 TRAIN = PriorTrainConfig(epochs=1, hidden=16, base_lr=5e-3, warmup_lr=5e-5, seed=12)
 
 
-def widened(bundle, names=MATRICES):
-    """``bundle`` with the named matrices cast to float64."""
+def widened(bundle):
+    """``bundle`` with its matrices cast to float64."""
     return replace(
         bundle,
-        **{name: FeatureMatrix(getattr(bundle, name).values.astype(np.float64)) for name in names},
+        **{name: FeatureMatrix(getattr(bundle, name).values.astype(np.float64)) for name in MATRICES},
     )
 
 
@@ -107,22 +107,14 @@ def test_train_prior(twins, reduce):
 
 
 @pytest.mark.parametrize("with_prior", [False, True], ids=["no_prior", "prior"])
-@pytest.mark.parametrize("logits", [True, False], ids=["logits", "probabilities"])
-def test_predict_dataset(twins, prior, with_prior, logits):
-    bundles = twins
-    if not logits:
-        # float32 probabilities, then the same values as float64
-        probs = replace(twins[0], image_scores=FeatureMatrix(np.exp(twins[0].image_scores.values)))
-        assert probs.image_scores.values.dtype == np.float32
-        bundles = (probs, widened(probs, ["image_scores"]))
+def test_predict_dataset(twins, prior, with_prior):
     outs = [
         predict_dataset(
             bundle,
             prior=prior if with_prior else None,
             policy=EscalationPolicy(tau=0.2, top_k=5),
-            scores_are_logits=logits,
         )
-        for bundle in bundles
+        for bundle in twins
     ]
     assert_same_bytes(outs[0].aggregated, outs[1].aggregated)
     results = [out.results for out in outs]

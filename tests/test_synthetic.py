@@ -19,7 +19,7 @@ from venomguard.data_model import (
 )
 from venomguard.inference import EscalationPolicy, predict_dataset, read_predictions_csv
 from venomguard.linalg_pca import fit_pca, pca_transform
-from venomguard.metrics import MetricWeights, build_report
+from venomguard.metrics import build_report
 from venomguard.prior_model import (
     PriorArtifact,
     PriorMlp,
@@ -428,27 +428,6 @@ class TestOracleMetric:
                 )
             assert report.accuracy == pytest.approx(expected["accuracy"], abs=1e-9)
             assert report.composite == pytest.approx(expected["composite"], abs=1e-9)
-
-    def test_agrees_across_modes_and_weights(self, five_classes):
-        rng = np.random.default_rng(23)
-        flags = five_classes.venomous_flags.tolist()
-        truth = rng.integers(0, 5, size=200)
-        pred = rng.integers(0, 5, size=200)
-        for pdenom in ("status", "all", "errors"):
-            for weights in ((1.0, 1.0, 2.0, 5.0, 2.0), (2.0, 1.0, 1.0, 1.0, 3.0)):
-                report = build_report(
-                    truth,
-                    pred,
-                    five_classes,
-                    weights=MetricWeights(*weights),
-                    pdenom=pdenom,
-                )
-                expected = oracle_metric(
-                    truth.tolist(), pred.tolist(), flags, weights=weights, pdenom=pdenom
-                )
-                assert report.composite == pytest.approx(
-                    expected["composite"], abs=1e-9
-                )
 
 
 class TestOraclePredict:
