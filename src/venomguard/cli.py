@@ -13,7 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .data_model import (
-    _line_at,
+    BUNDLE_FILENAMES,
     load_bundle,
     parse_classes_csv,
     read_records,
@@ -39,18 +39,10 @@ _PRIOR_FIELDS = {
     "prior_batch": "batch_size",
     "base_lr": "base_lr",
     "warmup_lr": "warmup_lr",
-    "final_lr": "final_lr",
-    "beta1": "beta1",
-    "beta2": "beta2",
-    "adam_eps": "eps",
-    "weight_decay": "weight_decay",
 }
 _SYNTH_FIELDS = {
     "synth_classes": "n_classes",
     "synth_ratio": "imbalance_ratio",
-    "synth_dims_meta": "dims_meta",
-    "synth_dims_proto": "dims_proto",
-    "synth_venom_fraction": "venom_fraction",
     "synth_informativeness": "location_informativeness",
     "synth_observations": "n_observations",
 }
@@ -63,86 +55,44 @@ def _fields(cfg: dict[str, object], keys: dict[str, str]) -> dict[str, object]:
 _PRIOR, _SYNTH = PriorTrainConfig(), SynthConfig()
 
 # One flat namespace for every tunable setting; subcommands read the slice
-# they need. File values override these, explicit flags override the file.
+# they need, and explicit flags override these.
 # Each default lives in its settings dataclass, except pca_k, which no
 # settings object holds.
 DEFAULTS: dict[str, object] = {
     **{key: getattr(_PRIOR, field) for key, field in _PRIOR_FIELDS.items()},
     **{key: getattr(_SYNTH, field) for key, field in _SYNTH_FIELDS.items()},
-    "synth_images_min": _SYNTH.images_per_observation[0],
-    "synth_images_max": _SYNTH.images_per_observation[1],
     **asdict(EscalationPolicy()),
     "pca_k": 8,
 }
 
-_KINDS = {int: "an integer", float: "a number"}
 
-
-def _coerce(key: str, raw: str) -> object:
-    default = DEFAULTS[key]
-    raw = raw.strip()
-    try:
-        return type(default)(raw)
-    except ValueError:
-        raise ValueError(
-            f"config key {key}: expected {_KINDS[type(default)]}, got {raw!r}"
-        ) from None
-
-
-def parse_config_file(path: str | Path) -> dict[str, object]:
-    """Flat ``key = value`` lines; blank lines and ``#`` comments ignored.
-
-    Lines end at ``\r\n``, ``\r`` or ``\n`` only, as in the manifests, so
-    a ``\f`` or U+2028 is part of its line. One leading byte-order mark is
-    dropped; a byte that is not UTF-8 is reported with its line."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        lineno = _line_at(data, exc.start)
-        raise ValueError(
-            f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8"
-        ) from None
-    out: dict[str, object] = {}
-    first_line: dict[str, int] = {}
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        try:
-            value = _coerce(key, raw)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-        if key in first_line:
-            raise ValueError(
-                f"{path}:{lineno}: config key {key!r} repeats line {first_line[key]}"
-            )
-        first_line[key] = lineno
-        out[key] = value
-    return out
-
-
-def resolve_config(
-    config_path: str | None, overrides: dict[str, object]
-) -> dict[str, object]:
-    """Defaults, then the config file, then every override that names a
-    config key and is not None."""
+def resolve_config(overrides: dict[str, object]) -> dict[str, object]:
+    """Defaults, then every override that names a config key and is not
+    None."""
     cfg = dict(DEFAULTS)
-    if config_path:
-        cfg.update(parse_config_file(config_path))
     for key, value in overrides.items():
         if key in DEFAULTS and value is not None:
             cfg[key] = value
     for key in sorted(cfg):
         print(f"config {key} = {cfg[key]}", file=sys.stderr)
     return cfg
+
+
+def _refuse_clash(outputs: dict[str, str], inputs: list[tuple[str, str | Path]]) -> None:
+    """A ValueError (exit 1), raised before any file is read or written,
+    when an output flag's path resolves to an input's path or to an output
+    named before it. A pipe such as ``<(cat f)`` resolves to its own
+    ``pipe:[inode]`` name, so it clashes with nothing else."""
+    taken = {Path(path).resolve(): f"{what} {path}" for what, path in inputs}
+    for flag, path in outputs.items():
+        resolved = Path(path).resolve()
+        if resolved in taken:
+            raise ValueError(f"{flag} {path} is the {taken[resolved]}")
+        taken[resolved] = f"output path {path}"
+
+
+def _bundle_files(directory: str) -> list[tuple[str, Path]]:
+    return [("bundle file", Path(directory) / name) for name in BUNDLE_FILENAMES]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,13 +106,10 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> _Parser:
     """Each setting flag's dest is the config key it overrides."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="flat key = value config file")
-
     parser = _Parser(prog="venomguard", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("validate", parents=[common], help="check a dataset bundle")
+    p = sub.add_parser("validate", help="check a dataset bundle")
     p.add_argument("directory")
     p.add_argument(
         "--mode",
@@ -171,12 +118,12 @@ def build_parser() -> _Parser:
         help="strict fails on broken references; drop removes them (default strict)",
     )
 
-    p = sub.add_parser("pca", parents=[common], help="fit a feature reduction")
+    p = sub.add_parser("pca", help="fit a feature reduction")
     p.add_argument("features", help="input feature matrix (.vgf1)")
     p.add_argument("-k", dest="pca_k", type=int, help=f"components (default {DEFAULTS['pca_k']})")
     p.add_argument("-o", "--output", required=True, help="model output path")
 
-    p = sub.add_parser("train-prior", parents=[common], help="train the location prior")
+    p = sub.add_parser("train-prior", help="train the location prior")
     p.add_argument("directory")
     p.add_argument("--pca", required=True, help="fitted reduction model path")
     p.add_argument("-o", "--output", required=True, help="prior artifact output path")
@@ -190,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--warmup-lr", type=float)
     p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("infer", parents=[common], help="predict classes per observation")
+    p = sub.add_parser("infer", help="predict classes per observation")
     p.add_argument("directory")
     p.add_argument("--prior", default=None, help="trained prior artifact")
     p.add_argument("--tau", type=float, help="escalation confidence threshold")
@@ -198,19 +145,17 @@ def build_parser() -> _Parser:
     p.add_argument("--explain", action="store_true", help="add pre-escalation columns")
     p.add_argument("-o", "--output", required=True, help="prediction CSV path")
 
-    p = sub.add_parser("score", parents=[common], help="score predictions against truth")
+    p = sub.add_parser("score", help="score predictions against truth")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--classes", required=True, help="classes.csv with venomous flags")
     p.add_argument("--json", default=None, help="also write the report as JSON")
 
-    p = sub.add_parser(
-        "gradcheck", parents=[common], help="finite-difference check of the location loss"
-    )
+    p = sub.add_parser("gradcheck", help="finite-difference check of the location loss")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("synth", parents=[common], help="generate a synthetic dataset")
+    p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--seed", type=int)
     p.add_argument("--classes", dest="synth_classes", type=int)
     p.add_argument("--observations", dest="synth_observations", type=int)
@@ -234,6 +179,7 @@ def _cmd_validate(args, cfg) -> int:
 
 
 def _cmd_pca(args, cfg) -> int:
+    _refuse_clash({"-o": args.output}, [("features file", args.features)])
     (matrix,) = read_records(args.features, 1)
     model = fit_pca(matrix, cfg["pca_k"])
     save_pca(model, args.output)
@@ -246,8 +192,10 @@ def _cmd_train_prior(args, cfg) -> int:
     # a bad setting exits before any file is read
     train_cfg = PriorTrainConfig(**_fields(cfg, _PRIOR_FIELDS))
     trace_path = args.trace or f"{args.output}.trace.csv"
-    if Path(trace_path).resolve() == Path(args.output).resolve():
-        raise ValueError(f"--trace {trace_path} is the output path {args.output}")
+    _refuse_clash(
+        {"-o": args.output, "--trace": trace_path},
+        [("--pca path", args.pca), *_bundle_files(args.directory)],
+    )
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     pca = load_pca(args.pca)
@@ -263,6 +211,10 @@ def _cmd_train_prior(args, cfg) -> int:
 def _cmd_infer(args, cfg) -> int:
     # a bad setting exits before any file is read
     policy = EscalationPolicy(tau=cfg["tau"], top_k=cfg["top_k"])
+    inputs = _bundle_files(args.directory)
+    if args.prior:
+        inputs.append(("--prior path", args.prior))
+    _refuse_clash({"-o": args.output}, inputs)
     bundle = load_bundle(args.directory, allow_unlabeled=True)
     bundle, _ = validate_bundle(bundle, mode="strict")
     prior = load_prior(args.prior) if args.prior else None
@@ -273,6 +225,15 @@ def _cmd_infer(args, cfg) -> int:
 
 
 def _cmd_score(args, cfg) -> int:
+    if args.json:
+        _refuse_clash(
+            {"--json": args.json},
+            [
+                ("--truth path", args.truth),
+                ("--pred path", args.pred),
+                ("--classes path", args.classes),
+            ],
+        )
     classes = parse_classes_csv(args.classes)
     report = score_predictions(args.truth, args.pred, classes)
     sys.stdout.write(report_text(report))
@@ -289,11 +250,7 @@ def _cmd_gradcheck(args, cfg) -> int:
 
 
 def _cmd_synth(args, cfg) -> int:
-    synth_cfg = SynthConfig(
-        seed=cfg["seed"],
-        images_per_observation=(cfg["synth_images_min"], cfg["synth_images_max"]),
-        **_fields(cfg, _SYNTH_FIELDS),
-    )
+    synth_cfg = SynthConfig(seed=cfg["seed"], **_fields(cfg, _SYNTH_FIELDS))
     gen = generate(synth_cfg)
     write_dataset(gen, args.output)
     print(
@@ -320,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, resolve_config(args.config, vars(args)))
+        return _COMMANDS[args.command](args, resolve_config(vars(args)))
     except (CsvParseError, BundleValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,15 @@ LOCATIONS_FILENAME = "locations.csv"
 SCORES_FILENAME = "image_scores.vgf1"
 METADATA_FILENAME = "metadata_features.vgf1"
 EMBEDDINGS_FILENAME = "embeddings.vgf1"
+# every file load_bundle reads
+BUNDLE_FILENAMES = (
+    CLASSES_FILENAME,
+    OBSERVATIONS_FILENAME,
+    LOCATIONS_FILENAME,
+    SCORES_FILENAME,
+    METADATA_FILENAME,
+    EMBEDDINGS_FILENAME,
+)
 
 
 @dataclass(eq=False)

@@ -103,16 +103,9 @@ class PriorTrainConfig:
     dropout_rate: float = 0.3
     base_lr: float = 2e-5
     warmup_lr: float = 2e-7
-    final_lr: float = 0.0
-    weight_decay: float = 2e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
-        for name in (
-            "lam", "base_lr", "warmup_lr", "final_lr", "weight_decay", "beta1", "beta2", "eps"
-        ):
+        for name in ("lam", "base_lr", "warmup_lr"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
@@ -349,7 +342,8 @@ def training_pairs(bundle: DatasetBundle) -> tuple[np.ndarray, np.ndarray]:
 def train_prior(
     bundle: DatasetBundle, prototypes: PrototypeMatrix, cfg: PriorTrainConfig
 ) -> tuple[PriorMlp, list[float]]:
-    """AdamW + warmup/cosine training of the prior under balanced sampling.
+    """AdamW + warmup/cosine training of the prior under balanced sampling;
+    the betas, eps, weight decay and final rate are ``optim``'s defaults.
 
     The bundle's metadata features are assumed already reduced to the
     prior's input space. Returns the model and per-epoch mean losses;
@@ -378,19 +372,11 @@ def train_prior(
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     total_steps = cfg.epochs * steps_per_epoch
     warmup = steps_per_epoch if cfg.epochs > 1 else 0
-    schedule = CosineSchedule(
-        warmup, total_steps, cfg.warmup_lr, cfg.base_lr, cfg.final_lr
-    )
+    schedule = CosineSchedule(warmup, total_steps, cfg.warmup_lr, cfg.base_lr)
     # the model's weights become views of params, which each step overwrites
     params = pack_params(model)
     unpack_params(model, params)
-    opt = AdamWState.zeros(
-        params.size,
-        beta1=cfg.beta1,
-        beta2=cfg.beta2,
-        eps=cfg.eps,
-        weight_decay=cfg.weight_decay,
-    )
+    opt = AdamWState.zeros(params.size)
     trace: list[float] = []
     step = 0
     for _ in range(cfg.epochs):

@@ -178,7 +178,7 @@ def constant_prior_artifact(bundle: DatasetBundle, d_out: int = 6) -> PriorArtif
 
 def readme_key_flags() -> dict[str, list[tuple[str, str]]]:
     """The README's key/flag table: each config key and the (command, flag)
-    pairs that set it, none for a key only a --config file sets."""
+    pairs that set it."""
     text = README.read_text(encoding="utf-8")
     table = re.search(r"^\| key \| flag \|\n\|---\|---\|\n((?:\|.*\n)+)", text, re.M)
     assert table, "README has no key/flag table"
@@ -188,10 +188,8 @@ def readme_key_flags() -> dict[str, list[tuple[str, str]]]:
         (key,) = re.fullmatch(r"`(\w+)`", key_cell).groups()
         assert key not in out, f"README lists {key} twice"
         spans = re.findall(r"`([^`]+)`", flag_cell)
-        if not spans:
-            assert flag_cell == "file only", line
-            out[key] = []
-        elif " " in spans[0]:  # `command -flag`
+        assert spans, line
+        if " " in spans[0]:  # `command -flag`
             assert len(spans) == 1, line
             command, flag = spans[0].split()
             out[key] = [(command, flag)]

@@ -472,7 +472,7 @@ def reference_train_prior(bundle, prototypes, cfg):
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
     schedule = CosineSchedule(steps_per_epoch if cfg.epochs > 1 else 0,
                               cfg.epochs * steps_per_epoch,
-                              cfg.warmup_lr, cfg.base_lr, cfg.final_lr)
+                              cfg.warmup_lr, cfg.base_lr, 0.0)
     params = np.concatenate([w[k].ravel() for k in names])
     m, v = np.zeros(params.size), np.zeros(params.size)
     keep = 1.0 - cfg.dropout_rate
@@ -490,7 +490,7 @@ def reference_train_prior(bundle, prototypes, cfg):
             grads = np.concatenate([g[k].ravel() for k in names])
             params, m, v = reference_adamw(
                 params, grads, m, v, step + 1, lr_at(schedule, step),
-                cfg.beta1, cfg.beta2, cfg.eps, cfg.weight_decay,
+                0.9, 0.999, 1e-8, 2e-5,
             )
             offset = 0
             for k in names:

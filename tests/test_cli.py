@@ -1,12 +1,12 @@
-import codecs
 import filecmp
 import json
 import os
 
 import pytest
 
-from venomguard.cli import DEFAULTS, parse_config_file, resolve_config
+from venomguard.cli import DEFAULTS, resolve_config
 from venomguard.data_model import FeatureMatrix, read_records, write_records
+from venomguard.synthetic import SynthConfig, generate, write_dataset
 
 from conftest import piped, quoted, readme_key_flags, run, setting_actions
 
@@ -28,154 +28,24 @@ def make_dataset(capsys, directory, seed=3, classes=8, observations=120):
     return directory
 
 
-class TestConfigFile:
-    def test_parses_values_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# escalation\n"
-            "tau = 0.25\n"
-            "\n"
-            "top_k = 3\n"
-            "prior_epochs = 12\n"
-            "base_lr = 1e-3\n"
-        )
-        cfg = parse_config_file(path)
-        assert cfg == {
-            "tau": 0.25,
-            "top_k": 3,
-            "prior_epochs": 12,
-            "base_lr": 1e-3,
-        }
-
-    def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("escalation_tau = 0.5\n")
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_file(path)
-
-    @pytest.mark.parametrize(
-        "key",
-        [
-            "seesaw_p", "seesaw_q", "cost_hh", "cost_hv", "cost_vh", "cost_vv", "prob_clamp",
-            # the metric's weights and denominators are fixed
-            "pdenom", "f1_all_classes", "w1", "w2", "w3", "w4", "w5",
-        ],
-    )
-    def test_keys_no_command_reads_are_rejected(self, capsys, tmp_path, key):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"{key} = 1.0\n")
-        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
-        assert code == 1
-        assert err.splitlines()[-1] == f"error: {path}:1: unknown config key {key!r}"
-
-    def test_repeated_key_names_file_and_both_lines(self, capsys, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("tau = 0.5\n# escalation\ntop_k = 3\ntau = 0.7\n")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value) == f"{path}:4: config key 'tau' repeats line 1"
-        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
-        assert code == 1
-        assert err.splitlines()[-1] == f"error: {path}:4: config key 'tau' repeats line 1"
-
-    def test_malformed_line_rejected(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("tau 0.5\n")
-        with pytest.raises(ValueError, match="key = value"):
-            parse_config_file(path)
-
-    def test_byte_order_mark_is_dropped(self, tmp_path):
-        # as a manifest's is
-        path = tmp_path / "bom.cfg"
-        path.write_bytes(codecs.BOM_UTF8 + b"pca_k = 4\ntau = 0.5\n")
-        assert parse_config_file(path) == {"pca_k": 4, "tau": 0.5}
-
-    def test_byte_not_utf8_names_file_and_line(self, capsys, tmp_path):
-        path = tmp_path / "latin1.cfg"
-        path.write_bytes(b"tau = 0.5\r\n# caf\xe9\npca_k = 4\n")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value) == f"{path}:2: byte 0xe9 is not UTF-8"
-        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
-        assert code == 1
-        assert f"error: {path}:2: byte 0xe9 is not UTF-8" in err
-
-    def test_byte_not_utf8_is_numbered_by_line_ends_only(self, tmp_path):
-        # \v breaks str.splitlines() lines, not a manifest's or an editor's
-        path = tmp_path / "vt.cfg"
-        path.write_bytes(b"a\x0bb\xff\n")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value) == f"{path}:1: byte 0xff is not UTF-8"
-
-    @pytest.mark.parametrize("separator", ["\f", "\v", "\x1c", "\x85", "\u2028", "\u2029"])
-    def test_only_cr_and_lf_end_a_line(self, capsys, tmp_path, separator):
-        # a form feed does not split "seed = 1" from "pca_k = 2": one line,
-        # whose seed value is not an integer
-        path = tmp_path / "ff.cfg"
-        path.write_text(f"seed = 1{separator}pca_k = 2\n", encoding="utf-8")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value).startswith(f"{path}:1: config key seed: expected an integer")
-        code, _, err = run(capsys, "gradcheck", "--config", str(path), "--trials", "1")
-        assert code == 1
-        assert f"error: {path}:1: config key seed" in err
-
-    def test_line_ends_number_lines_as_in_manifests(self, tmp_path):
-        path = tmp_path / "ends.cfg"
-        path.write_bytes(b"tau = 0.5\r\n# a\rpca_k = 4\ntop_k = x\n")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value).startswith(f"{path}:4: config key top_k")
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("pca_k = 8.0", "config key pca_k: expected an integer, got '8.0'"),
-            ("top_k =", "config key top_k: expected an integer, got ''"),
-            ("tau = abc", "config key tau: expected a number, got 'abc'"),
-            ("seed = true", "config key seed: expected an integer, got 'true'"),
-        ],
-    )
-    def test_value_of_the_wrong_type_names_file_line_and_key(self, tmp_path, line, message):
-        path = tmp_path / "run.cfg"
-        path.write_text(f"# settings\ntau = 0.5\n{line}\n")
-        with pytest.raises(ValueError) as caught:
-            parse_config_file(path)
-        assert str(caught.value) == f"{path}:3: {message}"
-
-    def test_flag_beats_file_beats_default(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
-        path.write_text("tau = 0.9\n")
-        resolved = resolve_config(str(path), {"tau": None})
-        assert resolved["tau"] == 0.9
-        resolved = resolve_config(str(path), {"tau": 0.3})
-        assert resolved["tau"] == 0.3
-        resolved = resolve_config(None, {"tau": None})
-        assert resolved["tau"] == DEFAULTS["tau"]
-        capsys.readouterr()
-
-    def test_resolution_logged_to_stderr(self, tmp_path, capsys):
-        path = tmp_path / "run.cfg"
-        path.write_text("tau = 0.9\n")
-        resolve_config(str(path), {})
+class TestResolveConfig:
+    def test_resolution_logged_to_stderr(self, capsys):
+        resolve_config({"tau": 0.9})
         _, err = capsys.readouterr()
         assert "config tau = 0.9" in err
         assert "config top_k = 5" in err
 
     def test_overrides_that_name_no_key_are_ignored(self, capsys):
-        resolved = resolve_config(None, {"output": "preds.csv", "tau": 0.3, "top_k": None})
+        resolved = resolve_config({"output": "preds.csv", "tau": 0.3, "top_k": None})
         capsys.readouterr()
         assert resolved == {**DEFAULTS, "tau": 0.3}
 
 
 # dests of options that name files or switch behaviour, not config keys
 NON_SETTING_DESTS = {
-    "help", "config", "output", "trace", "pca", "prior", "explain", "truth", "pred",
+    "help", "output", "trace", "pca", "prior", "explain", "truth", "pred",
     "classes", "json", "trials", "mode",
 }
-# keys only a --config file sets, as the README's key/flag table lists them
-FILE_ONLY_KEYS = {key for key, flags in readme_key_flags().items() if not flags}
 
 
 class TestParserNamesConfigKeys:
@@ -190,10 +60,9 @@ class TestParserNamesConfigKeys:
         }
         assert unknown == set()
 
-    def test_every_key_is_set_by_a_flag_or_file_only(self):
+    def test_every_key_is_set_by_a_flag(self):
         flagged = {action.dest for _, action in setting_actions()} & DEFAULTS.keys()
-        assert flagged.isdisjoint(FILE_ONLY_KEYS)
-        assert flagged | FILE_ONLY_KEYS == DEFAULTS.keys()
+        assert flagged == DEFAULTS.keys()
 
     def test_readme_table_names_each_flag_and_its_key(self):
         table = readme_key_flags()
@@ -225,6 +94,18 @@ class TestUsage:
     def test_missing_required_option_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "synth")  # no -o
         assert code == 1
+
+
+# each command's required arguments, which the parser does not open
+REQUIRED_ARGS = {
+    "validate": ["data"],
+    "pca": ["features.vgf1", "-o", "pca.bin"],
+    "train-prior": ["data", "--pca", "pca.bin", "-o", "prior.bin"],
+    "infer": ["data", "-o", "p.csv"],
+    "score": ["--truth", "t.csv", "--pred", "p.csv", "--classes", "c.csv"],
+    "gradcheck": [],
+    "synth": ["-o", "data"],
+}
 
 
 class TestPipeline:
@@ -443,86 +324,25 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "command, removed",
         [
-            ("infer", ["--no-escalate"]),
-            ("infer", ["--probabilities"]),
-            ("score", ["--pdenom", "status"]),
-            ("score", ["--f1-all-classes"]),
+            pytest.param("infer", ["--no-escalate"], id="no-escalate"),
+            pytest.param("infer", ["--probabilities"], id="probabilities"),
+            pytest.param("score", ["--pdenom", "status"], id="pdenom"),
+            pytest.param("score", ["--f1-all-classes"], id="f1-all-classes"),
+            *(
+                pytest.param(command, ["--config", "run.cfg"], id=f"config-{command}")
+                for command in REQUIRED_ARGS
+            ),
         ],
-        ids=["no-escalate", "probabilities", "pdenom", "f1-all-classes"],
     )
     def test_removed_flags_are_usage_errors(self, capsys, command, removed):
-        # --tau 0 gives plain argmax decisions, image scores are logits, and
-        # the metric's denominators and F1 classes are fixed
-        required = {
-            "infer": ["data", "-o", "p.csv"],
-            "score": ["--truth", "t.csv", "--pred", "p.csv", "--classes", "c.csv"],
-        }[command]
+        # --tau 0 gives plain argmax decisions, image scores are logits, the
+        # metric's denominators and F1 classes are fixed, and every setting
+        # has a flag
+        required = REQUIRED_ARGS[command]
         code, out, err = run(capsys, command, *required, *removed)
         assert code == 1
         assert out == ""
         assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(removed)}"
-
-    def test_config_file_drives_inference(self, capsys, tmp_path):
-        data = make_dataset(capsys, tmp_path / "data")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("tau = 0.9\ntop_k = 2\n")
-        with_flag = tmp_path / "flag.csv"
-        with_file = tmp_path / "file.csv"
-        code, _, err = run(
-            capsys,
-            "infer",
-            str(data),
-            "--config",
-            str(cfg),
-            "-o",
-            str(with_file),
-        )
-        assert code == 0
-        assert "config tau = 0.9" in err
-        code, _, err = run(
-            capsys,
-            "infer",
-            str(data),
-            "--config",
-            str(cfg),
-            "--tau",
-            "0.0",
-            "-o",
-            str(with_flag),
-        )
-        assert code == 0
-        assert "config tau = 0.0" in err
-        assert with_file.read_bytes() != with_flag.read_bytes()
-
-    def test_unknown_config_key_exits_one(self, capsys, tmp_path):
-        data = make_dataset(capsys, tmp_path / "data")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("threshold = 0.5\n")
-        code, _, err = run(
-            capsys, "infer", str(data), "--config", str(cfg), "-o", str(tmp_path / "p.csv")
-        )
-        assert code == 1
-        assert "unknown config key" in err
-
-    @pytest.mark.parametrize(
-        "line, message",
-        [
-            ("pca_k = 8.0", "config key pca_k: expected an integer, got '8.0'"),
-            ("tau = abc", "config key tau: expected a number, got 'abc'"),
-        ],
-    )
-    def test_config_value_of_the_wrong_type_exits_one(self, capsys, tmp_path, line, message):
-        data = make_dataset(capsys, tmp_path / "data")
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(line + "\n")
-        out = tmp_path / "pca.bin"
-        code, _, err = run(
-            capsys, "pca", str(data / "metadata_features.vgf1"), "--config", str(cfg),
-            "-o", str(out),
-        )
-        assert code == 1
-        assert err.splitlines()[-1] == f"error: {cfg}:1: {message}"
-        assert not out.exists()
 
 
 class TestValidateCommand:
@@ -830,43 +650,37 @@ class TestNonFiniteSettings:
     read: the inputs named here do not exist, which would exit 3 once read."""
 
     @pytest.mark.parametrize(
-        "flags, config, message",
+        "flags, message",
         [
-            (["--base-lr", "nan"], "", "base_lr must be finite, got nan"),
-            (["--lambda", "nan"], "", "lam must be finite, got nan"),
-            (["--warmup-lr", "inf"], "", "warmup_lr must be finite, got inf"),
-            ([], "beta2 = -inf\n", "beta2 must be finite, got -inf"),
-            ([], "weight_decay = nan\n", "weight_decay must be finite, got nan"),
+            (["--base-lr", "nan"], "base_lr must be finite, got nan"),
+            (["--lambda", "nan"], "lam must be finite, got nan"),
+            (["--warmup-lr", "inf"], "warmup_lr must be finite, got inf"),
         ],
-        ids=["base-lr-nan", "lambda-nan", "warmup-lr-inf", "beta2-minus-inf", "decay-nan"],
+        ids=["base-lr-nan", "lambda-nan", "warmup-lr-inf"],
     )
-    def test_train_prior(self, capsys, tmp_path, flags, config, message):
-        path = tmp_path / "run.cfg"
-        path.write_text(config)
+    def test_train_prior(self, capsys, tmp_path, flags, message):
         code, _, err = run(
             capsys, "train-prior", str(tmp_path / "nope"), "--pca", str(tmp_path / "pca.bin"),
-            "-o", str(tmp_path / "prior.bin"), "--config", str(path), *flags,
+            "-o", str(tmp_path / "prior.bin"), *flags,
         )
         assert code == 1
         assert err.splitlines()[-1] == f"error: {message}"
         assert not (tmp_path / "prior.bin").exists()
 
     @pytest.mark.parametrize(
-        "flags, config, message",
+        "flags, message",
         [
-            (["--tau", "2"], "", "tau must be in [0, 1]"),
-            (["--top-k", "0"], "", "top_k must be >= 1"),
-            ([], "tau = nan\n", "tau must be in [0, 1]"),
+            (["--tau", "2"], "tau must be in [0, 1]"),
+            (["--top-k", "0"], "top_k must be >= 1"),
+            (["--tau", "nan"], "tau must be in [0, 1]"),
         ],
         ids=["tau-2", "top-k-0", "tau-nan"],
     )
-    def test_infer(self, capsys, tmp_path, flags, config, message):
-        path = tmp_path / "run.cfg"
-        path.write_text(config)
+    def test_infer(self, capsys, tmp_path, flags, message):
         preds = tmp_path / "preds.csv"
         code, out, err = run(
             capsys, "infer", str(tmp_path / "nope"), "--prior", str(tmp_path / "prior.bin"),
-            "--config", str(path), "-o", str(preds), *flags,
+            "-o", str(preds), *flags,
         )
         assert code == 1
         assert out == ""
@@ -898,6 +712,99 @@ class TestNonFiniteSettings:
         assert not (tmp_path / "d").exists()
 
 
+def tree_bytes(root):
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestOutputOntoInput:
+    """An output path that resolves to one of the command's input paths
+    exits 1 before any file is read or written, naming both paths."""
+
+    @pytest.mark.parametrize(
+        "argv, written, read",
+        [
+            (
+                ["score", "--truth", "{truth}", "--pred", "{preds}", "--classes", "{classes}",
+                 "--json", "{preds}"],
+                "--json {preds}", "--pred path {preds}",
+            ),
+            (
+                ["score", "--truth", "{truth}", "--pred", "{preds}", "--classes", "{classes}",
+                 "--json", "{data}/./truth.csv"],
+                "--json {data}/./truth.csv", "--truth path {truth}",
+            ),
+            (
+                ["score", "--truth", "{truth}", "--pred", "{preds}", "--classes", "{classes}",
+                 "--json", "{classes}"],
+                "--json {classes}", "--classes path {classes}",
+            ),
+            (
+                ["infer", "{data}", "-o", "{data}/observations.csv"],
+                "-o {data}/observations.csv", "bundle file {data}/observations.csv",
+            ),
+            (
+                ["infer", "{data}", "--prior", "{prior}", "-o", "{prior}"],
+                "-o {prior}", "--prior path {prior}",
+            ),
+            (
+                ["pca", "{features}", "-o", "{features}"],
+                "-o {features}", "features file {features}",
+            ),
+            (
+                ["train-prior", "{data}", "--pca", "{pca}", "-o", "{pca}"],
+                "-o {pca}", "--pca path {pca}",
+            ),
+            (
+                ["train-prior", "{data}", "--pca", "{pca}", "-o", "{data}/image_scores.vgf1"],
+                "-o {data}/image_scores.vgf1", "bundle file {data}/image_scores.vgf1",
+            ),
+            (
+                ["train-prior", "{data}", "--pca", "{pca}", "-o", "{tmp}/new.bin",
+                 "--trace", "{data}/observations.csv"],
+                "--trace {data}/observations.csv", "bundle file {data}/observations.csv",
+            ),
+            (
+                ["train-prior", "{data}", "--pca", "{pca}", "-o", "{tmp}/new.bin",
+                 "--trace", "{pca}"],
+                "--trace {pca}", "--pca path {pca}",
+            ),
+        ],
+        ids=[
+            "score-json-pred", "score-json-truth", "score-json-classes", "infer-observations",
+            "infer-prior", "pca-features", "train-prior-pca", "train-prior-scores",
+            "trace-observations", "trace-pca",
+        ],
+    )
+    def test_exits_one_and_writes_nothing(self, capsys, tmp_path, argv, written, read):
+        data = make_dataset(capsys, tmp_path / "data")
+        names = {
+            "tmp": tmp_path,
+            "data": data,
+            "truth": data / "truth.csv",
+            "classes": data / "classes.csv",
+            "features": data / "metadata_features.vgf1",
+            "pca": tmp_path / "pca.bin",
+            "prior": tmp_path / "prior.bin",
+            "preds": tmp_path / "preds.csv",
+        }
+        for step in (
+            ["pca", "{features}", "-k", "4", "-o", "{pca}"],
+            ["train-prior", "{data}", "--pca", "{pca}", "-o", "{prior}", "--epochs", "1",
+             "--hidden", "8"],
+            ["infer", "{data}", "--prior", "{prior}", "-o", "{preds}"],
+        ):
+            code, _, err = run(capsys, *(token.format(**names) for token in step))
+            assert code == 0, err
+        before = tree_bytes(tmp_path)
+        code, out, err = run(capsys, *(token.format(**names) for token in argv))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"error: {written.format(**names)} is the {read.format(**names)}"
+        )
+        assert tree_bytes(tmp_path) == before
+
+
 class TestModelDoesNotFitData:
     """A model applied to a dataset it does not fit exits 2, naming both sizes."""
 
@@ -926,11 +833,9 @@ class TestModelDoesNotFitData:
         assert "prior scores 8 classes, the dataset has 10" in err
 
     def test_pca_fitted_on_other_metadata_width_exits_two(self, capsys, tmp_path):
-        config = tmp_path / "six.cfg"
-        config.write_text("synth_dims_meta = 6\n")
-        code, _, _ = run(capsys, "synth", "--config", str(config), "--observations", "120",
-                         "--classes", "8", "-o", str(tmp_path / "six"))
-        assert code == 0
+        write_dataset(
+            generate(SynthConfig(n_classes=8, n_observations=120, dims_meta=6)), tmp_path / "six"
+        )
         pca_path, prior_path = self.train(capsys, tmp_path, tmp_path / "six", "six")
         data = make_dataset(capsys, tmp_path / "data")  # 8 metadata dims
         code, _, err = run(

@@ -1,7 +1,6 @@
 """The README's CLI walkthrough, run in-process once per session, and the
 checks made on what it writes: no sidecar files, byte-deterministic
-predictions, flags and config keys that name the same settings, manifests
-as csv.writer writes them, a feature matrix read from a pipe, and bundles
+predictions, manifests as csv.writer writes them, a feature matrix read from a pipe, and bundles
 rewritten in another syntax or row order that must predict and score the
 same."""
 
@@ -18,9 +17,9 @@ from pathlib import Path
 
 import pytest
 
-from venomguard.cli import DEFAULTS, build_parser, main
+from venomguard.cli import build_parser, main
 
-from conftest import README, piped, readme_key_flags, run, setting_actions
+from conftest import README, piped, run
 
 MANIFESTS = ("classes.csv", "observations.csv", "locations.csv", "truth.csv")
 OUTPUT = ("-o", "--output")
@@ -152,34 +151,6 @@ def test_infer_again_gives_the_same_bytes(capsys, in_walk, tmp_path):
     again = tmp_path / "preds.csv"
     ok(capsys, replaced(in_walk.commands["infer"], OUTPUT, again))
     assert again.read_bytes() == in_walk.output("infer").read_bytes()
-
-
-def test_config_file_gives_the_bytes_of_the_flags(capsys, in_walk, tmp_path):
-    # pca, train-prior and infer again, each setting flag moved into a
-    # --config file as the key its dest names: a flag and its key must set
-    # the same setting, or the key is unknown or the bytes differ
-    flags = {pair for pairs in readme_key_flags().values() for pair in pairs}
-    renamed = {}  # walkthrough output -> its twin from the config run
-    for name in ("pca", "train-prior", "infer"):
-        actions = {flag: a for n, a in setting_actions() if n == name for flag in a.option_strings}
-        kept, lines = [], []
-        tokens = iter(renamed.get(token, token) for token in in_walk.commands[name])
-        for token in tokens:
-            if (name, token) in flags:
-                action = actions[token]
-                lines.append(f"{action.dest} = {'true' if action.nargs == 0 else next(tokens)}")
-            else:
-                kept.append(token)
-        assert lines, f"the walkthrough's {name} sets nothing"
-        args = build_parser().parse_args(kept)
-        assert [key for key in DEFAULTS if getattr(args, key, None) is not None] == []
-        config = tmp_path / f"{name}.cfg"
-        config.write_text("\n".join(lines) + "\n")
-        output = in_walk.output(name)
-        twin = tmp_path / output.name
-        renamed[str(output)] = str(twin)
-        ok(capsys, [*replaced(kept, OUTPUT, twin), "--config", str(config)])
-        assert twin.read_bytes() == output.read_bytes(), name
 
 
 def test_written_manifests_are_the_bytes_csv_writer_gives(in_walk):
